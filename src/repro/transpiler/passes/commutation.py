@@ -13,19 +13,38 @@ finds an inverse.
 Commutation is decided numerically on the joint unitary of the two
 instructions (at most four qubits), so the pass is conservative but exact:
 it never changes the circuit unitary, which the tests verify directly.
+
+Routing emits the same few gates over and over, so the tens of thousands
+of overlapping pairs a sweep checks reduce to a few thousand distinct
+questions.  :func:`pair_verdict` answers each distinct question once with
+the numeric predicates and then serves it from :data:`COMMUTATION_CACHE`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gate import Gate, UnitaryGate
 from repro.circuits.instruction import Instruction
+from repro.linalg.cache import LRUCache
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 
 _ATOL = 1e-9
+
+#: The three answers of :func:`pair_verdict`.
+INVERSE = "inverse"
+COMMUTES = "commutes"
+BLOCKS = "blocks"
+
+#: Process-wide memo of :func:`pair_verdict` for pairs that share qubits.
+#: It outlives pass instances because the pass registry builds a new pass
+#: for every compiled circuit; each pool worker builds its own, as with
+#: :data:`repro.linalg.cache.UNITARY_CACHE`.  One sweep of the level-3
+#: benchmark grid needs about 1,700 entries.
+COMMUTATION_CACHE = LRUCache(maxsize=4096)
 
 
 def _joint_unitary(first: Instruction, second: Instruction) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,6 +90,53 @@ def _is_inverse_pair(first: Instruction, second: Instruction) -> bool:
     if abs(abs(phase) - 1.0) > _ATOL:
         return False
     return bool(np.allclose(product, phase * np.eye(product.shape[0]), atol=_ATOL))
+
+
+def _gate_identity(gate: Gate) -> Hashable:
+    """What fixes a gate's matrix: class, name, width and exact parameters.
+
+    The assumption :meth:`Gate.cached_matrix` makes, without its rounding:
+    parameters that differ in the last bit are different gates.  A
+    :class:`UnitaryGate` is identified by its matrix bytes.
+    """
+    if isinstance(gate, UnitaryGate):
+        return (UnitaryGate, gate.num_qubits, gate.cached_matrix().tobytes())
+    return (type(gate), gate.name, gate.num_qubits, gate.params)
+
+
+def pair_verdict(first: Instruction, second: Instruction) -> str:
+    """How ``second`` relates to the earlier ``first``.
+
+    :data:`INVERSE` when ``first`` then ``second`` is the identity (up to
+    phase), else :data:`COMMUTES` when the two commute, else
+    :data:`BLOCKS`.  Pairs on disjoint qubits commute.  A pair that shares
+    qubits is decided by :func:`_is_inverse_pair` and
+    :func:`instructions_commute` on a cache miss, keyed on each gate's
+    identity and each instruction's qubit positions within the joint
+    qubit set.
+    """
+    if set(first.qubits).isdisjoint(second.qubits):
+        return COMMUTES
+    position = {
+        qubit: index
+        for index, qubit in enumerate(sorted(set(first.qubits).union(second.qubits)))
+    }
+    key = (
+        _gate_identity(first.gate),
+        tuple(position[qubit] for qubit in first.qubits),
+        _gate_identity(second.gate),
+        tuple(position[qubit] for qubit in second.qubits),
+    )
+    verdict = COMMUTATION_CACHE.get(key)
+    if verdict is None:
+        if _is_inverse_pair(first, second):
+            verdict = INVERSE
+        elif instructions_commute(first, second):
+            verdict = COMMUTES
+        else:
+            verdict = BLOCKS
+        COMMUTATION_CACHE.put(key, verdict)
+    return verdict
 
 
 class CommutativeCancellation(TranspilerPass):
@@ -120,8 +186,9 @@ class CommutativeCancellation(TranspilerPass):
             seen += 1
             if seen > self._max_lookback:
                 return None
-            if _is_inverse_pair(earlier, instruction):
+            verdict = pair_verdict(earlier, instruction)
+            if verdict == INVERSE:
                 return index
-            if not instructions_commute(earlier, instruction):
+            if verdict == BLOCKS:
                 return None
         return None

@@ -11,11 +11,16 @@ When no embedding exists (the common case on sparse lattices), the pass
 falls back to a caller-supplied layout pass (``DenseLayout`` by default) so
 that it can be used as a drop-in ``layout_method`` in
 :func:`repro.transpiler.compile.transpile`.
+
+Many failed searches are decided before VF2 starts: :func:`embedding_impossible`
+tests necessary conditions of an embedding (edge count and the sorted
+degree sequences), so e.g. the complete interaction graph of a 16-qubit QFT
+is rejected on a degree-8 device without enumerating partial mappings.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import networkx as nx
 from networkx.algorithms import isomorphism
@@ -46,6 +51,32 @@ def interaction_graph(
     return graph
 
 
+def _degrees_descending(graph: nx.Graph) -> List[int]:
+    return sorted((degree for _, degree in graph.degree()), reverse=True)
+
+
+def embedding_impossible(pattern: nx.Graph, device: nx.Graph) -> bool:
+    """True when ``pattern`` provably has no subgraph monomorphism into ``device``.
+
+    An embedding maps pattern nodes injectively onto device nodes and
+    pattern edges onto device edges, so the device needs at least as many
+    nodes and edges, and each pattern node v lands on a device node of
+    degree >= deg(v).  The k busiest pattern nodes land on k distinct
+    device nodes, hence the pattern's k-th largest degree is at most the
+    device's k-th largest degree, for every k.  ``False`` proves nothing:
+    the VF2 search decides then.
+    """
+    if (
+        pattern.number_of_nodes() > device.number_of_nodes()
+        or pattern.number_of_edges() > device.number_of_edges()
+    ):
+        return True
+    return any(
+        needed > available
+        for needed, available in zip(_degrees_descending(pattern), _degrees_descending(device))
+    )
+
+
 class VF2Layout(TranspilerPass):
     """Find a SWAP-free initial layout when one exists.
 
@@ -62,12 +93,10 @@ class VF2Layout(TranspilerPass):
         coupling_map: CouplingMap,
         fallback: Optional[TranspilerPass] = None,
         strict: bool = False,
-        max_mappings: int = 1,
     ):
         self._coupling_map = coupling_map
         self._fallback = fallback if fallback is not None else DenseLayout(coupling_map)
         self._strict = bool(strict)
-        self._max_mappings = max(1, int(max_mappings))
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
         device = self._coupling_map
@@ -108,21 +137,14 @@ class VF2Layout(TranspilerPass):
         if pattern.number_of_edges() == 0:
             # Any assignment works; keep it trivial.
             return {v: v for v in range(circuit.num_qubits)}
-        matcher = isomorphism.GraphMatcher(self._coupling_map.graph, pattern)
-        best: Optional[Dict[int, int]] = None
-        for count, mapping in enumerate(matcher.subgraph_monomorphisms_iter()):
-            # networkx returns device-node -> pattern-node; invert it.
-            candidate = {virtual: physical for physical, virtual in mapping.items()}
-            best = candidate
-            if count + 1 >= self._max_mappings:
-                break
-        if best is None:
+        device = self._coupling_map.graph
+        if embedding_impossible(pattern, device):
             return None
-        # Unused virtual qubits (no 2Q interactions) still need seats.
-        free_physical = [
-            q for q in range(self._coupling_map.num_qubits) if q not in set(best.values())
-        ]
-        for virtual in range(circuit.num_qubits):
-            if virtual not in best:
-                best[virtual] = free_physical.pop(0)
-        return best
+        matcher = isomorphism.GraphMatcher(device, pattern)
+        mapping = next(matcher.subgraph_monomorphisms_iter(), None)
+        if mapping is None:
+            return None
+        # networkx returns device-node -> pattern-node; invert it.  Every
+        # virtual qubit is a pattern node, idle ones included, so the
+        # monomorphism seats them all.
+        return {virtual: physical for physical, virtual in mapping.items()}

@@ -179,9 +179,24 @@ class Schedule:
         """Makespan of the schedule in nanoseconds."""
         return max((t.stop for t in self._timed), default=0.0)
 
+    def _busy_times(self) -> List[float]:
+        """Busy time of every qubit, from one pass over the instructions.
+
+        Each qubit's durations are summed in instruction order by the
+        builtin ``sum``, exactly as a per-qubit scan would sum them (a
+        running ``+=`` would differ: ``sum`` compensates float rounding
+        from Python 3.12 on).
+        """
+        durations: List[List[float]] = [[] for _ in range(self._circuit.num_qubits)]
+        for timed in self._timed:
+            duration = timed.duration
+            for qubit in timed.instruction.qubits:
+                durations[qubit].append(duration)
+        return [sum(values) for values in durations]
+
     def qubit_busy_time(self, qubit: int) -> float:
         """Total time ``qubit`` spends inside gate pulses."""
-        return sum(t.duration for t in self._timed if qubit in t.instruction.qubits)
+        return self._busy_times()[qubit]
 
     def qubit_idle_time(self, qubit: int) -> float:
         """Time ``qubit`` spends idle between t=0 and the makespan."""
@@ -189,7 +204,8 @@ class Schedule:
 
     def total_idle_time(self) -> float:
         """Sum of idle time over every qubit (the decoherence exposure)."""
-        return sum(self.qubit_idle_time(q) for q in range(self._circuit.num_qubits))
+        makespan = self.total_duration()
+        return sum(makespan - busy for busy in self._busy_times())
 
     def average_parallelism(self) -> float:
         """Mean number of simultaneously running gates (barriers excluded)."""
@@ -209,8 +225,7 @@ class Schedule:
         if makespan <= 0.0:
             return 0.0
         total = makespan * self._circuit.num_qubits
-        busy = sum(self.qubit_busy_time(q) for q in range(self._circuit.num_qubits))
-        return busy / total
+        return sum(self._busy_times()) / total
 
     def timeline(self, resolution: int = 100) -> np.ndarray:
         """Number of concurrently running gates sampled on a uniform grid."""

@@ -1,20 +1,37 @@
 """Tests for CommutativeCancellation and BasicRouting."""
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gate import UnitaryGate
 from repro.circuits.instruction import Instruction
-from repro.gates import CXGate, CZGate, RZGate, XGate
+from repro.gates import (
+    CXGate,
+    CZGate,
+    FSimGate,
+    NthRootISwapGate,
+    RXGate,
+    RZGate,
+    SqrtISwapGate,
+    SwapGate,
+    XGate,
+)
 from repro.linalg.fidelity import hilbert_schmidt_fidelity
+from repro.linalg.random import random_two_qubit_unitary
 from repro.topology import CouplingMap, get_topology
 from repro.transpiler import transpile
 from repro.transpiler.passmanager import PropertySet
+from repro.transpiler.passes import commutation
 from repro.transpiler.passes.commutation import (
+    COMMUTATION_CACHE,
     CommutativeCancellation,
     instructions_commute,
+    pair_verdict,
 )
 from repro.transpiler.passes.layout_passes import TrivialLayout
 from repro.transpiler.passes.routing_extra import BasicRouting
@@ -139,6 +156,104 @@ class TestCommutativeCancellation:
         optimized = self.run_pass(circuit)
         fidelity = hilbert_schmidt_fidelity(circuit.to_unitary(), optimized.to_unitary())
         assert fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def _numeric_verdict(first, second):
+    """The verdict straight from the numeric predicates, no memo."""
+    if commutation._is_inverse_pair(first, second):
+        return commutation.INVERSE
+    if instructions_commute(first, second):
+        return commutation.COMMUTES
+    return commutation.BLOCKS
+
+
+angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
+gates = st.one_of(
+    st.sampled_from([CXGate(), CZGate(), SwapGate(), SqrtISwapGate(), NthRootISwapGate(4)]),
+    st.builds(FSimGate, angles, angles),
+    st.builds(RZGate, angles),
+    st.builds(RXGate, angles),
+    st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: UnitaryGate(random_two_qubit_unitary(seed))
+    ),
+)
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two instructions on qubits 0-2 that share at least one qubit."""
+    first_gate = draw(gates)
+    first = Instruction(
+        first_gate, tuple(draw(st.permutations([0, 1, 2]))[: first_gate.num_qubits])
+    )
+    if draw(st.booleans()):
+        # Half the pairs try the gate's inverse, so INVERSE verdicts show up.
+        second_gate = first_gate.inverse()
+        second = Instruction(second_gate, first.qubits)
+    else:
+        second_gate = draw(gates)
+        second = Instruction(
+            second_gate, tuple(draw(st.permutations([0, 1, 2]))[: second_gate.num_qubits])
+        )
+    assume(set(first.qubits) & set(second.qubits))
+    return first, second
+
+
+class TestVerdictMemo:
+    @given(pair=overlapping_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_memo_matches_numeric_cold_and_warm(self, pair):
+        first, second = pair
+        expected = _numeric_verdict(first, second)
+        COMMUTATION_CACHE.clear()
+        assert pair_verdict(first, second) == expected
+        assert pair_verdict(first, second) == expected
+        # Fresh gate objects on relabelled qubits with the same relative
+        # order share the key, so this is a hit that must still be right.
+        relabel = {0: 3, 1: 5, 2: 8}
+        moved = [
+            Instruction(copy.deepcopy(inst.gate), tuple(relabel[q] for q in inst.qubits))
+            for inst in (first, second)
+        ]
+        hits = COMMUTATION_CACHE.stats().hits
+        assert pair_verdict(*moved) == _numeric_verdict(*moved) == expected
+        assert COMMUTATION_CACHE.stats().hits == hits + 1
+
+    def test_disjoint_pairs_commute_without_an_entry(self):
+        COMMUTATION_CACHE.clear()
+        first, second = Instruction(CXGate(), (0, 1)), Instruction(CXGate(), (2, 3))
+        assert pair_verdict(first, second) == commutation.COMMUTES
+        assert len(COMMUTATION_CACHE) == 0
+
+    def test_distinct_unitary_gates_never_share_an_entry(self):
+        COMMUTATION_CACHE.clear()
+        matrix = random_two_qubit_unitary(11)
+        unitaries = [
+            UnitaryGate(matrix),
+            UnitaryGate(random_two_qubit_unitary(12)),
+            UnitaryGate(matrix * np.exp(1e-13j)),
+        ]
+        partner = Instruction(CXGate(), (0, 1))
+        for gate in unitaries:
+            pair_verdict(partner, Instruction(gate, (0, 1)))
+        assert len(COMMUTATION_CACHE) == len(unitaries)
+
+    def test_parameters_are_compared_exactly(self):
+        COMMUTATION_CACHE.clear()
+        partner = Instruction(CXGate(), (0, 1))
+        theta = 0.3
+        assert theta + 1e-13 != theta
+        for angle in (theta, theta + 1e-13):
+            pair_verdict(Instruction(RZGate(angle), (1,)), partner)
+        assert len(COMMUTATION_CACHE) == 2
+
+    def test_cache_stays_bounded(self):
+        COMMUTATION_CACHE.clear()
+        maxsize = COMMUTATION_CACHE.stats().maxsize
+        partner = Instruction(CXGate(), (0, 1))
+        for step in range(maxsize + 20):
+            pair_verdict(Instruction(RZGate(1e-3 * step), (0,)), partner)
+        assert len(COMMUTATION_CACHE) == maxsize
 
 
 class TestBasicRouting:

@@ -204,3 +204,27 @@ class TestScheduleProperties:
         schedule = schedule_asap(circuit, GateDurations.cross_resonance())
         for qubit in range(circuit.num_qubits):
             assert schedule.total_duration() >= schedule.qubit_busy_time(qubit) - 1e-9
+
+    @given(
+        seed=st.integers(min_value=0, max_value=200),
+        workload=st.sampled_from(["QuantumVolume", "QFT", "Adder", "TIMHamiltonian"]),
+        discipline=st.sampled_from([schedule_asap, schedule_alap]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_aggregates_equal_per_qubit_scan_exactly(self, seed, workload, discipline):
+        circuit = build_workload(workload, 6, seed=seed)
+        schedule = discipline(circuit, GateDurations.snail())
+        makespan = schedule.total_duration()
+        # The per-qubit rescan the one-pass aggregates replaced, in
+        # instruction order (float sums depend on the order).
+        position = {id(instruction): index for index, instruction in enumerate(circuit)}
+        timed = sorted(schedule.timed_instructions, key=lambda t: position[id(t.instruction)])
+        scanned = [
+            sum(t.duration for t in timed if q in t.instruction.qubits)
+            for q in range(circuit.num_qubits)
+        ]
+        idle = [schedule.qubit_idle_time(q) for q in range(circuit.num_qubits)]
+        assert [schedule.qubit_busy_time(q) for q in range(circuit.num_qubits)] == scanned
+        assert schedule.total_idle_time() == sum(idle)
+        assert schedule.total_idle_time() == sum(makespan - busy for busy in scanned)
+        assert schedule.utilisation() == sum(scanned) / (makespan * circuit.num_qubits)

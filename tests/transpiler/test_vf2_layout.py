@@ -1,13 +1,26 @@
 """Tests for the VF2 perfect-layout pass."""
 
+import itertools
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms import isomorphism
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.dag import DAGCircuit
+from repro.core.codesign import LARGE_DESIGN_POINTS, SMALL_DESIGN_POINTS
 from repro.topology import CouplingMap, get_topology
 from repro.transpiler import transpile
 from repro.transpiler.passmanager import PropertySet
-from repro.transpiler.passes.vf2_layout import VF2Layout, interaction_graph
-from repro.workloads import build_workload
+from repro.transpiler.passes import DecomposeMultiQubit, DenseLayout
+from repro.transpiler.passes.vf2_layout import (
+    VF2Layout,
+    embedding_impossible,
+    interaction_graph,
+)
+from repro.workloads import PAPER_WORKLOADS, build_workload
 
 
 def line_circuit(num_qubits: int) -> QuantumCircuit:
@@ -100,6 +113,83 @@ class TestVF2Layout:
         properties = PropertySet()
         VF2Layout(device).run(star_circuit(4), properties)
         assert properties["perfect_layout"] is True
+
+
+def _graph(num_nodes, edge_bits):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_nodes))
+    pairs = itertools.combinations(range(num_nodes), 2)
+    graph.add_edges_from(pair for pair, bit in zip(pairs, edge_bits) if bit)
+    return graph
+
+
+small_graphs = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda bits: _graph(n, bits)
+    )
+)
+
+
+def _first_monomorphism(device, pattern):
+    return next(isomorphism.GraphMatcher(device, pattern).subgraph_monomorphisms_iter(), None)
+
+
+class TestEmbeddingPrecheck:
+    @given(pattern=small_graphs, device=small_graphs)
+    @settings(max_examples=300, deadline=None)
+    def test_rejection_means_no_monomorphism(self, pattern, device):
+        if embedding_impossible(pattern, device):
+            assert _first_monomorphism(device, pattern) is None
+
+    def test_complete_pattern_rejected_on_sparse_device(self):
+        device = get_topology("Hypercube", scale="large").graph
+        assert embedding_impossible(nx.complete_graph(16), device)
+
+    def test_path_into_ring_not_rejected(self):
+        assert not embedding_impossible(nx.path_graph(5), nx.cycle_graph(6))
+
+    def test_degree_sequence_catches_what_counts_miss(self):
+        # Same node and edge counts, but the star needs a degree-4 hub.
+        assert embedding_impossible(nx.star_graph(4), nx.cycle_graph(5))
+
+
+def _oracle_layout(circuit, coupling_map):
+    """An unconditional VF2 search on the pass's pattern, else the dense fallback."""
+    pattern = interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
+    assert pattern.number_of_edges() > 0
+    mapping = _first_monomorphism(coupling_map.graph, pattern)
+    if mapping is not None:
+        return {virtual: physical for physical, virtual in mapping.items()}, True
+    properties = PropertySet()
+    DenseLayout(coupling_map).run(circuit, properties)
+    return properties["layout"].to_dict(), False
+
+
+PARITY_GRIDS = [
+    pytest.param(point, "small", PAPER_WORKLOADS, (6, 10), id=f"small-{point.label}")
+    for point in SMALL_DESIGN_POINTS
+] + [
+    pytest.param(point, "large", ("QFT", "QAOAVanilla"), (16,), id=f"large-{point.label}")
+    for point in LARGE_DESIGN_POINTS
+]
+
+
+class TestPrecheckParity:
+    """The pre-check never changes a layout: the pass equals an unconditional search."""
+
+    @pytest.mark.parametrize("point, scale, workloads, sizes", PARITY_GRIDS)
+    def test_layout_matches_unconditional_search(self, point, scale, workloads, sizes):
+        coupling_map = point.target(scale).coupling_map
+        for workload in workloads:
+            for size in sizes:
+                circuit = DecomposeMultiQubit().run(
+                    build_workload(workload, size, seed=7), PropertySet()
+                )
+                properties = PropertySet()
+                VF2Layout(coupling_map).run(circuit, properties)
+                layout, perfect = _oracle_layout(circuit, coupling_map)
+                assert properties["perfect_layout"] is perfect, (workload, size)
+                assert properties["layout"].to_dict() == layout, (workload, size)
 
 
 class TestVF2InTranspileFlow:
