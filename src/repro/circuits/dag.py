@@ -226,6 +226,27 @@ class DAGCircuit:
         """Per-node first-two-operand array; ``-1`` outside :attr:`coupling_mask`."""
         return self._qubit_pairs
 
+    def successor_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-node successor tuples of Python ints, ascending (cached).
+
+        The same adjacency as the CSR arrays, in the form the SABRE step
+        loop walks: indexing a tuple of ints avoids a NumPy slice and
+        scalar conversion per visited node.
+        """
+        if getattr(self, "_successor_lists", None) is None:
+            indices = self._succ_indices.tolist()
+            bounds = self._succ_indptr.tolist()
+            self._successor_lists = tuple(
+                tuple(indices[start:stop]) for start, stop in zip(bounds, bounds[1:])
+            )
+        return self._successor_lists
+
+    def pair_list(self) -> Tuple[Tuple[int, int], ...]:
+        """:attr:`qubit_pairs` as a tuple of ``(a, b)`` Python-int pairs (cached)."""
+        if getattr(self, "_pair_list", None) is None:
+            self._pair_list = tuple(map(tuple, self._qubit_pairs.tolist()))
+        return self._pair_list
+
     def two_qubit_interactions(self) -> Counter:
         """Unordered-pair interaction counts (as the circuit method, but
         computed from the flat operand arrays)."""

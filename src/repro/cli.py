@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from repro.core import (
     ReliabilityModel,
@@ -679,15 +679,37 @@ def _command_reliability(args: argparse.Namespace) -> str:
     return format_reliability_report(ranking)
 
 
-def _command_qasm(args: argparse.Namespace) -> str:
-    circuit = build_workload(args.workload, args.size, seed=args.seed)
-    if args.transpile_to is not None:
-        target = Target.from_names(
-            args.transpile_to,
-            args.basis,
-            scale=args.scale,
-            name=f"{args.transpile_to}-{args.basis}",
+def _usage_error(verb: str, message: object) -> NoReturn:
+    """Report bad user input as one line on stderr and exit with code 2."""
+    print(f"repro {verb}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _checked_target(verb: str, topology: str, basis: str, scale: str, size: int) -> Target:
+    """The named target, checked to hold a ``size``-qubit workload.
+
+    Unknown topology, scale or basis names and workloads wider than the
+    device are usage errors, reported before anything is compiled.
+    """
+    try:
+        target = Target.from_names(topology, basis, scale=scale, name=f"{topology}-{basis}")
+    except ValueError as error:
+        _usage_error(verb, error)
+    if size > target.num_qubits:
+        _usage_error(
+            verb,
+            f"a {size}-qubit workload does not fit topology {topology!r}, "
+            f"which has {target.num_qubits} qubits at scale {scale!r}",
         )
+    return target
+
+
+def _command_qasm(args: argparse.Namespace) -> str:
+    target = None
+    if args.transpile_to is not None:
+        target = _checked_target("qasm", args.transpile_to, args.basis, args.scale, args.size)
+    circuit = build_workload(args.workload, args.size, seed=args.seed)
+    if target is not None:
         circuit = transpile(circuit, target, translation_mode="synthesis").circuit
     return circuit_to_qasm(circuit)
 
@@ -898,9 +920,7 @@ def _command_serve(args: argparse.Namespace) -> str:
 
 
 def _command_run(args: argparse.Namespace) -> str:
-    target = Target.from_names(
-        args.topology, args.basis, scale=args.scale, name=f"{args.topology}-{args.basis}"
-    )
+    target = _checked_target("run", args.topology, args.basis, args.scale, args.size)
     metrics = run_point(
         args.workload,
         args.size,

@@ -69,7 +69,7 @@ class CouplingMap:
         self._distance: Optional[np.ndarray] = None
         self._adjacency: Optional[np.ndarray] = None
         self._neighbor_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._edge_index: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._swap_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._densest_cache: Dict[Tuple[int, str], List[int]] = {}
 
     # -- constructors --------------------------------------------------------
@@ -181,29 +181,33 @@ class CouplingMap:
             self._neighbor_csr = (indptr, indices)
         return self._neighbor_csr
 
-    def edge_index_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge table + per-qubit incidence ``(edge_pairs, indptr, edge_ids)``.
+    def swap_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge table and SWAP tables ``(edge_pairs, incidence, permutations)``.
 
         ``edge_pairs`` is the (E, 2) array of couplings in lexicographic
-        ``(min, max)`` order (edge id = row index); the edges incident to
-        qubit ``q`` are ``edge_ids[indptr[q]:indptr[q + 1]]``.  Cached and
-        read-only — the routers mark incident edges in an edge-id mask
-        instead of deduplicating candidate tuples per SWAP decision.
+        ``(min, max)`` order (edge id = row index).  ``incidence`` is the
+        (n, E) boolean qubit x edge matrix, so the edges touching a set of
+        qubits are ``incidence[qubits].any(axis=0)``, in ascending edge id.
+        ``permutations[e]`` maps every physical qubit to the qubit it lands
+        on after a SWAP on edge ``e``.  Cached and read-only: the routers
+        select candidate SWAPs and remap pairs with one gather each instead
+        of per-qubit slices and nested ``where`` calls.
         """
-        if self._edge_index is None:
+        if self._swap_tables is None:
             edge_pairs = np.asarray(self.edges(), dtype=np.int64).reshape(-1, 2)
-            num_edges = len(edge_pairs)
-            endpoints = np.concatenate((edge_pairs[:, 0], edge_pairs[:, 1]))
-            ids = np.tile(np.arange(num_edges, dtype=np.int64), 2)
-            order = np.argsort(endpoints, kind="stable")
-            counts = np.bincount(endpoints, minlength=self._num_qubits)
-            indptr = np.zeros(self._num_qubits + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            edge_ids = ids[order]
-            for array in (edge_pairs, indptr, edge_ids):
+            edge_ids = np.arange(len(edge_pairs))
+            incidence = np.zeros((self._num_qubits, len(edge_pairs)), dtype=bool)
+            incidence[edge_pairs[:, 0], edge_ids] = True
+            incidence[edge_pairs[:, 1], edge_ids] = True
+            permutations = np.tile(
+                np.arange(self._num_qubits, dtype=np.int64), (len(edge_pairs), 1)
+            )
+            permutations[edge_ids, edge_pairs[:, 0]] = edge_pairs[:, 1]
+            permutations[edge_ids, edge_pairs[:, 1]] = edge_pairs[:, 0]
+            for array in (edge_pairs, incidence, permutations):
                 array.setflags(write=False)
-            self._edge_index = (edge_pairs, indptr, edge_ids)
-        return self._edge_index
+            self._swap_tables = (edge_pairs, incidence, permutations)
+        return self._swap_tables
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances (hops); cached, read-only.

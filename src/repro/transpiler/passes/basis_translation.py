@@ -20,7 +20,7 @@ Two modes are provided, mirroring how the paper uses decomposition:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Hashable, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
@@ -66,30 +66,32 @@ class BasisTranslation(TranspilerPass):
         translated = QuantumCircuit(
             circuit.num_qubits, name=f"{circuit.name}[{self._basis.name}]"
         )
+        # Gates are immutable, so one basis-gate instance serves every
+        # instruction of the run, and a fingerprint's count never changes.
+        basis_gate = self._basis.gate()
+        counts: Dict[Hashable, int] = {}
         basis_gate_count = 0
         for instruction in circuit:
+            gate = instruction.gate
             if not instruction.is_two_qubit:
-                translated.append(
-                    instruction.gate, instruction.qubits, induced=instruction.induced
-                )
+                translated.append(gate, instruction.qubits, induced=instruction.induced)
                 continue
-            if self._is_basis_gate(instruction):
-                translated.append(
-                    instruction.gate, instruction.qubits, induced=instruction.induced
-                )
+            if gate.name == basis_gate.name and gate == basis_gate:
+                translated.append(gate, instruction.qubits, induced=instruction.induced)
                 basis_gate_count += 1
                 continue
+            fingerprint = self._fingerprint(instruction)
             if self._mode == "count":
-                applications = self._count(instruction)
+                applications = counts.get(fingerprint)
+                if applications is None:
+                    applications = counts[fingerprint] = self._count(instruction, fingerprint)
                 for _ in range(applications):
                     translated.append(
-                        self._basis.gate(),
-                        instruction.qubits,
-                        induced=instruction.induced,
+                        basis_gate, instruction.qubits, induced=instruction.induced
                     )
                 basis_gate_count += applications
             else:
-                block = self._synthesize(instruction)
+                block = self._synthesize(instruction, fingerprint)
                 for sub in block:
                     mapped = tuple(instruction.qubits[q] for q in sub.qubits)
                     translated.append(sub.gate, mapped, induced=instruction.induced)
@@ -102,34 +104,27 @@ class BasisTranslation(TranspilerPass):
 
     # -- helpers --------------------------------------------------------------------
 
-    def _is_basis_gate(self, instruction: Instruction) -> bool:
-        gate = instruction.gate
-        basis_gate = self._basis.gate()
-        return gate.name == basis_gate.name and gate == basis_gate
-
     @staticmethod
-    def _fingerprint(instruction: Instruction) -> object:
+    def _fingerprint(instruction: Instruction) -> Hashable:
         gate = instruction.gate
         if gate.name == "unitary":
             return ("unitary", matrix_fingerprint(gate.cached_matrix()))
         return (gate.name, tuple(round(p, 10) for p in gate.params))
 
-    def _coordinates(self, instruction: Instruction) -> WeylCoordinates:
-        return self._cache.coordinates(
-            instruction.gate.cached_matrix(), fingerprint=self._fingerprint(instruction)
-        )
+    def _coordinates(self, instruction: Instruction, fingerprint: Hashable) -> WeylCoordinates:
+        return self._cache.coordinates(instruction.gate.cached_matrix(), fingerprint=fingerprint)
 
-    def _count(self, instruction: Instruction) -> int:
+    def _count(self, instruction: Instruction, fingerprint: Hashable) -> int:
         return self._cache.count(
-            self._basis.name, self._coordinates(instruction), self._basis.count
+            self._basis.name, self._coordinates(instruction, fingerprint), self._basis.count
         )
 
-    def _synthesize(self, instruction: Instruction) -> QuantumCircuit:
-        coordinates = self._coordinates(instruction)
+    def _synthesize(self, instruction: Instruction, fingerprint: Hashable) -> QuantumCircuit:
+        coordinates = self._coordinates(instruction, fingerprint)
         # The synthesis configuration participates in the key so instances
         # with a stricter fidelity target never reuse a looser template.
         key = (
-            self._fingerprint(instruction),
+            fingerprint,
             round(self._synthesis_fidelity, 12),
             self._max_applications,
         )
@@ -143,7 +138,7 @@ class BasisTranslation(TranspilerPass):
                 restarts=4,
             )
         target = instruction.gate.matrix()
-        start = max(1, self._count(instruction))
+        start = max(1, self._count(instruction, fingerprint))
         result = self._decomposer.decompose_adaptive(
             target, max_applications=self._max_applications, start_applications=start
         )

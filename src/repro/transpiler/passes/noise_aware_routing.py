@@ -29,11 +29,11 @@ from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.layout_passes import _check_engine
 from repro.transpiler.passes.routing import (
-    _candidate_swap_array,
     _layout_arrays,
     _layout_from_array,
-    _remapped_pair_costs,
+    _remapped_distances,
     _sequential_tie_break,
+    _swap_candidates,
     _swap_in_arrays,
     _TIE_EPS,
 )
@@ -363,10 +363,10 @@ class NoiseAwareRouting(TranspilerPass):
                 stall_counter = 0
                 continue
             front_pairs = v2p[pairs[front]]
-            candidates = _candidate_swap_array(front_pairs, coupling_map)
+            candidates, permutations = _swap_candidates(front_pairs, coupling_map)
             if self._engine == "vector":
                 scores = (
-                    _remapped_pair_costs(candidates, front_pairs, distance)
+                    _remapped_distances(permutations, front_pairs, distance).sum(axis=1)
                     + swap_costs[candidates[:, 0], candidates[:, 1]]
                 )
                 choice = _sequential_tie_break(scores, rng)

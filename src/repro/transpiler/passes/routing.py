@@ -19,17 +19,21 @@ device qubits) with routing SWAPs marked ``induced=True`` so that the
 metric collection can separate them from algorithmic SWAPs — the
 quantity reported in paper Figs. 4, 11 and 12.
 
-Hot path: SWAP selection scores every candidate at once with a single
-NumPy broadcast — all front/extended pairs are remapped for all candidate
-swaps simultaneously and costs gathered from the topology's distance
-matrix — instead of a Python loop per candidate.  The dependency
-structure comes from the CSR arrays of
-:class:`~repro.circuits.dag.DAGCircuit` (shared through the PropertySet,
-so stochastic trials never rebuild it) and the virtual-to-physical map is
-a flat integer array, rebuilt into a :class:`Layout` only at the end.
-The original per-candidate scorer survives as ``engine="reference"``; the
-two engines draw identical RNG streams and produce bit-identical SWAP
-sequences (pinned by ``tests/transpiler/test_routing_vectorized.py``).
+Hot path: :class:`SabreRouting` runs one step loop that redoes only the
+work a SWAP decision changed.  The lookahead window (front-layer plus
+extended-set gates) is collected as *virtual* qubit pairs once per
+front-layer state, walking Python successor and pair lists cached on the
+immutable :class:`~repro.circuits.dag.DAGCircuit`; consecutive SWAPs
+under the same front reuse it.  Each decision maps the whole window to
+physical qubits with one gather, selects candidate edges with one ``any``
+over the topology's cached qubit x edge incidence matrix, and scores the
+front and extended pairs of every candidate in one broadcast against
+per-edge SWAP permutations.  The ready check, emission and DAG advance run
+on a Python-list mirror of the virtual-to-physical map, so no NumPy
+scalar is indexed per gate.  The pre-rewrite router is kept as a
+test-only oracle (``tests/oracles.py``) that
+``tests/transpiler/test_routing_vectorized.py`` holds this one to: the
+same SWAP sequence, ``routing_swaps`` and final layout at every seed.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
-from repro.circuits.instruction import Instruction
 from repro.gates import SwapGate
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
@@ -52,10 +55,8 @@ _EXTENDED_SET_WEIGHT = 0.5
 _DECAY_INCREMENT = 0.001
 _DECAY_RESET_INTERVAL = 5
 
-#: Score-comparison tolerance shared by both scorer engines.
+#: Score-comparison tolerance of the sequential tie-break.
 _TIE_EPS = 1e-12
-
-_ENGINES = ("vector", "reference")
 
 
 class RoutingError(RuntimeError):
@@ -93,38 +94,26 @@ def _swap_in_arrays(v2p: np.ndarray, p2v: np.ndarray, a: int, b: int) -> None:
         v2p[vb] = a
 
 
-def _candidate_swap_array(
+def _swap_candidates(
     front_phys: np.ndarray, coupling_map: CouplingMap
-) -> np.ndarray:
-    """All SWAPs on edges incident to a blocked qubit, as a sorted (C, 2) array.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """SWAPs on every edge touching a blocked qubit: ``(pairs, permutations)``.
 
-    Incident edges are marked in an edge-id mask (no tuple set, no sort):
-    ascending edge ids are exactly the legacy ``sorted(set(...))``
-    lexicographic ``(min, max)`` order.
+    ``pairs`` is the (C, 2) array of candidate edges in ascending edge id,
+    which is lexicographic ``(min, max)`` order; ``permutations`` holds the
+    matching rows of :meth:`CouplingMap.swap_arrays`.
     """
-    edge_pairs, indptr, edge_ids = coupling_map.edge_index_arrays()
-    mask = np.zeros(len(edge_pairs), dtype=bool)
-    for qubit in front_phys.ravel():
-        mask[edge_ids[indptr[qubit] : indptr[qubit + 1]]] = True
-    return edge_pairs[mask]
+    edge_pairs, incidence, permutations = coupling_map.swap_arrays()
+    mask = incidence[front_phys.ravel()].any(axis=0)
+    return edge_pairs[mask], permutations[mask]
 
 
-def _remapped_pair_costs(
-    candidates: np.ndarray, pairs_phys: np.ndarray, distance: np.ndarray
+def _remapped_distances(
+    permutations: np.ndarray, pairs_phys: np.ndarray, distance: np.ndarray
 ) -> np.ndarray:
-    """Total pair distance after each candidate SWAP, for all candidates at once.
-
-    ``candidates`` is (C, 2), ``pairs_phys`` is (P, 2); the result is the
-    length-C vector of post-SWAP distance sums — the broadcast equivalent
-    of the legacy per-candidate ``_pair_cost`` loop.
-    """
-    a = candidates[:, 0][:, None]
-    b = candidates[:, 1][:, None]
-    left = pairs_phys[:, 0][None, :]
-    right = pairs_phys[:, 1][None, :]
-    remapped_left = np.where(left == a, b, np.where(left == b, a, left))
-    remapped_right = np.where(right == a, b, np.where(right == b, a, right))
-    return distance[remapped_left, remapped_right].sum(axis=1)
+    """(C, P) distance of every pair after every candidate SWAP, in one gather."""
+    remapped = permutations[:, pairs_phys]
+    return distance[remapped[:, :, 0], remapped[:, :, 1]]
 
 
 def _sequential_tie_break(scores: np.ndarray, rng: np.random.Generator) -> int:
@@ -136,13 +125,14 @@ def _sequential_tie_break(scores: np.ndarray, rng: np.random.Generator) -> int:
     set.  The walk's final best score always lies within ``_TIE_EPS`` of
     the global minimum and its tie set within ``2 * _TIE_EPS``, so when
     that window holds a single candidate (the common case) the answer is
-    just the argmin — one RNG draw over one element, exactly as the walk
-    would make.  Only genuine near-ties replay the sequential walk.
+    just the argmin.  No random draw is needed then: the walk's draw from a
+    one-element tie set, ``Generator.integers(1)``, returns 0 without
+    advancing the bit generator.  Only genuine near-ties replay the
+    sequential walk and draw.
     """
-    minimum = scores.min()
-    if np.count_nonzero(scores <= minimum + 2 * _TIE_EPS) == 1:
-        rng.integers(1)  # keep the RNG stream aligned with the walk's draw
-        return int(np.argmin(scores))
+    best_index = int(np.argmin(scores))
+    if np.count_nonzero(scores <= scores[best_index] + 2 * _TIE_EPS) == 1:
+        return best_index
     best_score = np.inf
     best: List[int] = []
     for index, score in enumerate(scores):
@@ -166,16 +156,12 @@ class SabreRouting(TranspilerPass):
         extended_set_size: int = _EXTENDED_SET_SIZE,
         extended_set_weight: float = _EXTENDED_SET_WEIGHT,
         decay_increment: float = _DECAY_INCREMENT,
-        engine: str = "vector",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; engines are {_ENGINES}")
         self._coupling_map = coupling_map
         self._seed = int(seed)
         self._extended_set_size = int(extended_set_size)
         self._extended_set_weight = float(extended_set_weight)
         self._decay_increment = float(decay_increment)
-        self._engine = engine
 
     # -- pass entry point -----------------------------------------------------
 
@@ -184,72 +170,89 @@ class SabreRouting(TranspilerPass):
         layout: Layout = properties.require("layout")
         rng = np.random.default_rng(self._seed)
         distance = coupling_map.distance_matrix()
+        adjacency = coupling_map.adjacency_matrix().tolist()
 
         dag = DAGCircuit.shared(circuit, properties)
         instructions = dag.instructions
-        remaining = dag.predecessor_counts()
-        succ_indptr = dag.successor_indptr
-        succ_indices = dag.successor_indices
-        needs_coupling = dag.coupling_mask
-        pairs = dag.qubit_pairs
-        adjacency = coupling_map.adjacency_matrix()
-        v2p, p2v = _layout_arrays(layout, coupling_map.num_qubits)
+        successors = dag.successor_lists()
+        pairs = dag.pair_list()
+        needs_coupling = dag.coupling_mask.tolist()
+        is_two_qubit = dag.two_qubit_mask.tolist()
+        remaining = dag.predecessor_counts().tolist()
+        # The array feeds the per-decision gather; the lists serve every
+        # per-gate lookup.  ``swap`` keeps all three in step.
+        v2p_array, p2v_array = _layout_arrays(layout, coupling_map.num_qubits)
+        v2p = v2p_array.tolist()
+        p2v = p2v_array.tolist()
 
         front: List[int] = dag.front_layer()
         output = _physical_circuit(coupling_map.num_qubits, f"{circuit.name}@{coupling_map.name}")
+        swap_gate = SwapGate()
         decay = np.ones(coupling_map.num_qubits)
         swaps_inserted = 0
         rounds_since_reset = 0
         stall_counter = 0
         stall_limit = 10 * max(4, coupling_map.num_qubits)
+        window: Optional[np.ndarray] = None  # virtual lookahead pairs of this front
+        num_front = 0
 
-        def emit(node_index: int) -> None:
-            instruction = instructions[node_index]
-            physical = tuple(int(v2p[q]) for q in instruction.qubits)
-            output.append(instruction.gate, physical, induced=instruction.induced)
-
-        def advance(executed: Sequence[int]) -> None:
-            for node_index in executed:
-                front.remove(node_index)
-                start, stop = succ_indptr[node_index], succ_indptr[node_index + 1]
-                for successor in succ_indices[start:stop]:
-                    remaining[successor] -= 1
-                    if remaining[successor] == 0:
-                        front.append(int(successor))
+        def swap(a: int, b: int) -> None:
+            output.append(swap_gate, (a, b), induced=True)
+            va, vb = p2v[a], p2v[b]
+            p2v[a], p2v[b] = vb, va
+            if va >= 0:
+                v2p[va] = v2p_array[va] = b
+            if vb >= 0:
+                v2p[vb] = v2p_array[vb] = a
 
         while front:
             ready = [
-                index
-                for index in front
-                if not needs_coupling[index]
-                or adjacency[v2p[pairs[index, 0]], v2p[pairs[index, 1]]]
+                node
+                for node in front
+                if not needs_coupling[node]
+                or adjacency[v2p[pairs[node][0]]][v2p[pairs[node][1]]]
             ]
             if ready:
-                for node_index in ready:
-                    emit(node_index)
-                advance(ready)
+                for node in ready:
+                    instruction = instructions[node]
+                    output.append(
+                        instruction.gate,
+                        [v2p[q] for q in instruction.qubits],
+                        induced=instruction.induced,
+                    )
+                for node in ready:
+                    front.remove(node)
+                    for successor in successors[node]:
+                        remaining[successor] -= 1
+                        if not remaining[successor]:
+                            front.append(successor)
+                window = None
                 stall_counter = 0
                 continue
 
             # Every front gate is a blocked two-qubit gate: pick a SWAP.
-            front_pairs = v2p[pairs[front]]
-            extended_pairs = self._extended_set(dag, front, v2p)
-            candidates = _candidate_swap_array(front_pairs, coupling_map)
+            if window is None:
+                num_front = len(front)
+                window = np.array(
+                    [pairs[node] for node in front]
+                    + self._extended_pairs(front, successors, pairs, is_two_qubit),
+                    dtype=np.int64,
+                )
+            window_phys = v2p_array[window]
+            candidates, permutations = _swap_candidates(window_phys[:num_front], coupling_map)
             if not len(candidates):  # pragma: no cover - connected devices always have candidates
                 raise RoutingError("no candidate SWAPs available; is the device connected?")
-            if self._engine == "vector":
-                scores = self._score_candidates(
-                    candidates, front_pairs, extended_pairs, distance, decay
-                )
-                choice = _sequential_tie_break(scores, rng)
-            else:
-                choice = self._select_swap_reference(
-                    candidates, front_pairs, extended_pairs, distance, decay, rng
-                )
-            physical_a = int(candidates[choice, 0])
-            physical_b = int(candidates[choice, 1])
-            output.append(SwapGate(), (physical_a, physical_b), induced=True)
-            _swap_in_arrays(v2p, p2v, physical_a, physical_b)
+            costs = _remapped_distances(permutations, window_phys, distance)
+            scores = costs[:, :num_front].sum(axis=1, dtype=np.float64) / num_front
+            num_extended = len(window) - num_front
+            if num_extended:
+                scores = scores + (
+                    self._extended_set_weight
+                    * costs[:, num_front:].sum(axis=1, dtype=np.float64)
+                ) / num_extended
+            scores *= decay[candidates].max(axis=1)
+            physical_a, physical_b = candidates[_sequential_tie_break(scores, rng)].tolist()
+            swap(physical_a, physical_b)
             swaps_inserted += 1
             stall_counter += 1
             decay[physical_a] += self._decay_increment
@@ -261,13 +264,15 @@ class SabreRouting(TranspilerPass):
             if stall_counter > stall_limit:
                 # Escape pathological stalls by routing the first blocked gate
                 # directly along a shortest path.
-                swaps_inserted += self._force_route(
-                    instructions[front[0]], v2p, p2v, coupling_map, output
-                )
+                virtual_a, virtual_b = pairs[front[0]]
+                path = coupling_map.shortest_path(v2p[virtual_a], v2p[virtual_b])
+                for hop in range(len(path) - 2):
+                    swap(path[hop], path[hop + 1])
+                    swaps_inserted += 1
                 decay[:] = 1.0
                 stall_counter = 0
 
-        final_layout = _layout_from_array(v2p)
+        final_layout = _layout_from_array(v2p_array)
         properties["final_layout"] = final_layout
         properties["routing_swaps"] = swaps_inserted
         properties["routed_circuit"] = output
@@ -275,116 +280,29 @@ class SabreRouting(TranspilerPass):
 
     # -- helpers -----------------------------------------------------------------
 
-    def _extended_set(
-        self, dag: DAGCircuit, front: Sequence[int], v2p: np.ndarray
-    ) -> np.ndarray:
-        """Two-qubit gates just behind the front layer (lookahead window)."""
-        indptr = dag.successor_indptr
-        indices = dag.successor_indices
-        is_two_qubit = dag.two_qubit_mask
-        qubit_pairs = dag.qubit_pairs
-        pairs: List[Tuple[int, int]] = []
+    def _extended_pairs(
+        self,
+        front: Sequence[int],
+        successors: Sequence[Sequence[int]],
+        pairs: Sequence[Tuple[int, int]],
+        is_two_qubit: Sequence[bool],
+    ) -> List[Tuple[int, int]]:
+        """Virtual qubit pairs of the two-qubit gates just behind the front
+        layer (lookahead window), breadth first."""
+        extended: List[Tuple[int, int]] = []
         visited: Set[int] = set()
         queue = deque(front)
-        while queue and len(pairs) < self._extended_set_size:
-            node_index = queue.popleft()
-            for successor in indices[indptr[node_index] : indptr[node_index + 1]].tolist():
+        while queue and len(extended) < self._extended_set_size:
+            for successor in successors[queue.popleft()]:
                 if successor in visited:
                     continue
                 visited.add(successor)
                 if is_two_qubit[successor]:
-                    pairs.append(
-                        (v2p[qubit_pairs[successor, 0]], v2p[qubit_pairs[successor, 1]])
-                    )
+                    extended.append(pairs[successor])
                 queue.append(successor)
-                if len(pairs) >= self._extended_set_size:
+                if len(extended) >= self._extended_set_size:
                     break
-        return np.array(pairs) if pairs else np.empty((0, 2), dtype=int)
-
-    def _score_candidates(
-        self,
-        candidates: np.ndarray,
-        front_pairs: np.ndarray,
-        extended_pairs: np.ndarray,
-        distance: np.ndarray,
-        decay: np.ndarray,
-    ) -> np.ndarray:
-        """Heuristic scores of all candidate SWAPs in one broadcast."""
-        front_costs = _remapped_pair_costs(candidates, front_pairs, distance)
-        scores = front_costs.astype(np.float64) / max(len(front_pairs), 1)
-        if len(extended_pairs):
-            extended_costs = _remapped_pair_costs(candidates, extended_pairs, distance)
-            scores = scores + (
-                self._extended_set_weight * extended_costs.astype(np.float64)
-            ) / len(extended_pairs)
-        scores *= np.maximum(decay[candidates[:, 0]], decay[candidates[:, 1]])
-        return scores
-
-    def _select_swap_reference(
-        self,
-        candidates: np.ndarray,
-        front_pairs: np.ndarray,
-        extended_pairs: np.ndarray,
-        distance: np.ndarray,
-        decay: np.ndarray,
-        rng: np.random.Generator,
-    ) -> int:
-        """The pre-vectorization scorer: a Python loop over candidates.
-
-        Kept as the equivalence oracle for the parity tests and the
-        routing-hot-path benchmark; scores each candidate with the exact
-        float operations of :meth:`_score_candidates`.
-        """
-        best_score = np.inf
-        best_choices: List[int] = []
-        for index in range(len(candidates)):
-            physical_a = int(candidates[index, 0])
-            physical_b = int(candidates[index, 1])
-            front_cost = self._pair_cost(front_pairs, physical_a, physical_b, distance)
-            score = front_cost / max(len(front_pairs), 1)
-            if len(extended_pairs):
-                extended_cost = self._pair_cost(
-                    extended_pairs, physical_a, physical_b, distance
-                )
-                score += self._extended_set_weight * extended_cost / len(extended_pairs)
-            score *= max(decay[physical_a], decay[physical_b])
-            if score < best_score - _TIE_EPS:
-                best_score = score
-                best_choices = [index]
-            elif abs(score - best_score) <= _TIE_EPS:
-                best_choices.append(index)
-        return best_choices[int(rng.integers(len(best_choices)))]
-
-    @staticmethod
-    def _pair_cost(
-        pairs: np.ndarray, physical_a: int, physical_b: int, distance: np.ndarray
-    ) -> float:
-        """Total distance of ``pairs`` after exchanging two physical qubits."""
-        remapped = pairs.copy()
-        mask_a = remapped == physical_a
-        mask_b = remapped == physical_b
-        remapped[mask_a] = physical_b
-        remapped[mask_b] = physical_a
-        return float(distance[remapped[:, 0], remapped[:, 1]].sum())
-
-    @staticmethod
-    def _force_route(
-        instruction: Instruction,
-        v2p: np.ndarray,
-        p2v: np.ndarray,
-        coupling_map: CouplingMap,
-        output: QuantumCircuit,
-    ) -> int:
-        """Bring the two qubits of ``instruction`` adjacent along a shortest path."""
-        physical_a = int(v2p[instruction.qubits[0]])
-        physical_b = int(v2p[instruction.qubits[1]])
-        path = coupling_map.shortest_path(physical_a, physical_b)
-        inserted = 0
-        for hop in range(len(path) - 2):
-            output.append(SwapGate(), (path[hop], path[hop + 1]), induced=True)
-            _swap_in_arrays(v2p, p2v, path[hop], path[hop + 1])
-            inserted += 1
-        return inserted
+        return extended
 
 
 class StochasticRouting(TranspilerPass):

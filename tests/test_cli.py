@@ -100,3 +100,58 @@ class TestExecution:
     def test_chevron_command(self, capsys):
         assert main(["chevron"]) == 0
         assert "exchange period" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """Bad topology names and oversized workloads end in one line, exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def _no_compile(self, monkeypatch):
+        import repro.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a usage error must be reported before compiling")
+
+        monkeypatch.setattr(repro.cli, "run_point", refuse)
+        monkeypatch.setattr(repro.cli, "transpile", refuse)
+
+    def _usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "GHZ", "8", "--topology", "NoSuchTopo"],
+            ["run", "GHZ", "8", "--topology", "Corral1,1", "--scale", "large"],
+            ["qasm", "GHZ", "8", "--transpile-to", "NoSuchTopo"],
+        ],
+    )
+    def test_unknown_topology(self, capsys, argv):
+        line = self._usage_error(capsys, argv)
+        assert line.startswith(f"repro {argv[0]}: unknown topology ")
+        assert "available:" in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "QuantumVolume", "32", "--topology", "Corral1,1"],
+            ["qasm", "GHZ", "32", "--transpile-to", "Corral1,1"],
+        ],
+    )
+    def test_workload_larger_than_device(self, capsys, argv):
+        line = self._usage_error(capsys, argv)
+        assert line == (
+            f"repro {argv[0]}: a 32-qubit workload does not fit topology 'Corral1,1', "
+            "which has 16 qubits at scale 'small'"
+        )
+
+    def test_unknown_basis(self, capsys):
+        line = self._usage_error(capsys, ["run", "GHZ", "8", "--basis", "nosuch"])
+        assert line == "repro run: unknown basis gate 'nosuch'"

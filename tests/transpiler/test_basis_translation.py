@@ -1,13 +1,52 @@
 """Tests for the basis-translation pass."""
 
+import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.decomposition import DecompositionCache, cx_basis, sqiswap_basis, syc_basis
 from repro.linalg.random import random_unitary
 from repro.simulator import circuits_equivalent
-from repro.transpiler import BasisTranslation, BasisTranslationError, PropertySet
-from repro.workloads import quantum_volume_circuit
+from repro.topology import corral_topology
+from repro.transpiler import (
+    BasisTranslation,
+    BasisTranslationError,
+    DenseLayout,
+    PropertySet,
+    SabreRouting,
+)
+from repro.transpiler.passes.decompose_multi import DecomposeMultiQubit
+from repro.workloads import build_workload, quantum_volume_circuit
+
+PAPER_WORKLOADS = ("QuantumVolume", "QFT", "QAOAVanilla", "TIMHamiltonian", "Adder", "GHZ")
+BASES = {"cx": cx_basis, "siswap": sqiswap_basis, "syc": syc_basis}
+
+
+def _independent_translation(circuit, basis):
+    """Count mode by definition: every 2Q instruction becomes
+    ``basis.count(matrix)`` copies of the basis gate on the same qubits, in
+    order (no fingerprint, no cache); everything else passes through."""
+    expected = []
+    for instruction in circuit:
+        if instruction.is_two_qubit:
+            copies = basis.count(instruction.gate.cached_matrix())
+            expected += [(basis.gate(), instruction.qubits, instruction.induced)] * copies
+        else:
+            expected.append((instruction.gate, instruction.qubits, instruction.induced))
+    return expected
+
+
+def _near_duplicates_circuit():
+    """2Q gates whose fingerprints collide with an earlier gate's: parameters
+    and matrix entries differing only below the 1e-10 rounding."""
+    circuit = QuantumCircuit(4)
+    first, second = random_unitary(4, 21), random_unitary(4, 22)
+    phase = np.exp(1j * 3e-12)
+    circuit.unitary(first, (0, 1)).unitary(second, (2, 3)).unitary(first, (1, 2))
+    circuit.unitary(first * phase, (3, 0)).unitary(second, (0, 2))
+    circuit.rzz(0.3, 0, 1).rzz(0.3 + 4e-11, 2, 3).cp(1.1, 1, 3).cp(1.1 - 3e-11, 0, 2)
+    circuit.rxx(0.7, 1, 0).cx(0, 1).siswap(2, 3).swap(1, 3, induced=True)
+    return circuit
 
 
 class TestCountMode:
@@ -85,6 +124,43 @@ class TestCountMode:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             BasisTranslation(cx_basis(), mode="exact")
+
+
+class TestCountModeMatchesIndependentCount:
+    """Count mode against the definition, on the circuits the sweeps translate."""
+
+    def _check(self, circuit, basis_name):
+        basis = BASES[basis_name]()
+        properties = PropertySet()
+        # A fresh cache, then a warm rerun: neither may change the output.
+        translation = BasisTranslation(basis, cache=DecompositionCache())
+        expected = _independent_translation(circuit, basis)
+        for _ in range(2):
+            translated = translation.run(circuit, properties)
+            assert [
+                (inst.gate, inst.qubits, inst.induced) for inst in translated
+            ] == expected
+            assert [inst.name for inst in translated] == [
+                gate.name for gate, _, _ in expected
+            ]
+            assert properties["basis_gate_count"] == sum(
+                1 for gate, _, _ in expected if gate.name == basis.name
+            )
+
+    @pytest.mark.parametrize("basis_name", sorted(BASES))
+    @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
+    def test_routed_paper_workloads(self, workload, basis_name):
+        coupling_map = corral_topology(8, (1, 1))
+        circuit = DecomposeMultiQubit().run(build_workload(workload, 12, seed=3), PropertySet())
+        properties = PropertySet()
+        DenseLayout(coupling_map).run(circuit, properties)
+        routed = SabreRouting(coupling_map, seed=3).run(circuit, properties)
+        assert any(inst.induced for inst in routed)
+        self._check(routed, basis_name)
+
+    @pytest.mark.parametrize("basis_name", sorted(BASES))
+    def test_unitaries_and_parameters_below_fingerprint_rounding(self, basis_name):
+        self._check(_near_duplicates_circuit(), basis_name)
 
 
 class TestSynthesisMode:

@@ -1,21 +1,28 @@
-"""Equivalence of the vectorized SWAP scorer and the legacy reference.
+"""Parity of the production SABRE router with the pre-rewrite oracle.
 
-The vectorized engine must be *bit-identical* to the pre-vectorization
-Python-loop scorer: same scores, same tie sets, same RNG draws, hence the
-same SWAP sequence gate for gate.  These tests pin that contract at fixed
-seeds across the paper's topology families.
+The step-loop router must be *bit-identical* to the router it replaced
+(``tests/oracles.py``), whose per-candidate Python-loop scorer draws from
+the RNG on every decision: same scores, same tie sets, same RNG draws,
+hence the same SWAP sequence gate for gate, the same ``routing_swaps`` and
+the same final layout.  These tests pin that contract at fixed seeds on
+small topologies and on the paper's five large design points, including
+the stall escape that no ordinary input reaches.  The noise-aware router's
+two scorer engines are pinned the same way.
 """
 
 import numpy as np
 import pytest
 
+from oracles import ReferenceSabreRouting
 from repro.circuits import QuantumCircuit
 from repro.circuits.dag import SHARED_DAG_PROPERTY, DAGCircuit
 from repro.core.noise import NoiseModel
 from repro.topology import CouplingMap, corral_topology, square_lattice
-from repro.transpiler import DenseLayout, PropertySet, SabreRouting, StochasticRouting
+from repro.transpiler import DenseLayout, PropertySet, SabreRouting, StochasticRouting, Target
+from repro.transpiler.passes import routing
+from repro.transpiler.passes.decompose_multi import DecomposeMultiQubit
 from repro.transpiler.passes.noise_aware_routing import NoiseAwareRouting
-from repro.workloads import qaoa_vanilla_circuit, quantum_volume_circuit
+from repro.workloads import build_workload, qaoa_vanilla_circuit, quantum_volume_circuit
 
 TOPOLOGIES = {
     "corral": corral_topology(8, (1, 1)),
@@ -23,16 +30,31 @@ TOPOLOGIES = {
     "line": CouplingMap.line(12),
 }
 
+#: The paper's large (84-qubit) design points, Fig. 14.
+LARGE_TOPOLOGIES = ("Heavy-Hex", "Square-Lattice", "Tree", "Tree-RR", "Hypercube")
+PAPER_WORKLOADS = ("QuantumVolume", "QFT", "QAOAVanilla", "TIMHamiltonian", "Adder", "GHZ")
 
-def _route(circuit, coupling_map, **router_options):
+
+def _route(circuit, coupling_map, router=SabreRouting, **router_options):
     properties = PropertySet()
     DenseLayout(coupling_map).run(circuit, properties)
-    routed = SabreRouting(coupling_map, **router_options).run(circuit, properties)
+    routed = router(coupling_map, **router_options).run(circuit, properties)
     return routed, properties
 
 
 def _signature(circuit):
     return [(inst.name, inst.qubits, inst.induced) for inst in circuit]
+
+
+def _assert_matches_oracle(circuit, coupling_map, seed):
+    routed, properties = _route(circuit, coupling_map, seed=seed)
+    expected, expected_props = _route(
+        circuit, coupling_map, router=ReferenceSabreRouting, seed=seed
+    )
+    assert _signature(routed) == _signature(expected)
+    assert properties["routing_swaps"] == expected_props["routing_swaps"]
+    assert properties["final_layout"] == expected_props["final_layout"]
+    return properties
 
 
 class TestSabreEngineParity:
@@ -41,25 +63,29 @@ class TestSabreEngineParity:
     def test_identical_swap_sequence_qv(self, topology, seed):
         coupling_map = TOPOLOGIES[topology]
         circuit = quantum_volume_circuit(min(10, coupling_map.num_qubits), seed=seed)
-        vector, vector_props = _route(circuit, coupling_map, seed=seed)
-        reference, reference_props = _route(
-            circuit, coupling_map, seed=seed, engine="reference"
-        )
-        assert _signature(vector) == _signature(reference)
-        assert vector_props["routing_swaps"] == reference_props["routing_swaps"]
-        assert vector_props["final_layout"] == reference_props["final_layout"]
+        _assert_matches_oracle(circuit, coupling_map, seed)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_identical_swap_sequence_qaoa(self, seed):
-        coupling_map = TOPOLOGIES["lattice"]
-        circuit = qaoa_vanilla_circuit(12, seed=seed)
-        vector, _ = _route(circuit, coupling_map, seed=seed)
-        reference, _ = _route(circuit, coupling_map, seed=seed, engine="reference")
-        assert _signature(vector) == _signature(reference)
+        _assert_matches_oracle(qaoa_vanilla_circuit(12, seed=seed), TOPOLOGIES["lattice"], seed)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SabreRouting(TOPOLOGIES["line"], engine="turbo")
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_identical_swap_sequence_with_three_qubit_gates(self, topology):
+        """Undecomposed Toffolis need coupling in the front layer but stay
+        out of the two-qubit lookahead window, in both routers."""
+        circuit = build_workload("Adder", 10, seed=0)
+        assert any(inst.num_qubits == 3 for inst in circuit)
+        _assert_matches_oracle(circuit, TOPOLOGIES[topology], seed=5)
+
+    def test_oracle_engines_agree(self):
+        """The oracle's broadcast scorer is the per-candidate loop's twin."""
+        coupling_map = TOPOLOGIES["corral"]
+        circuit = quantum_volume_circuit(10, seed=4)
+        loop, _ = _route(circuit, coupling_map, router=ReferenceSabreRouting, seed=4)
+        vector, _ = _route(
+            circuit, coupling_map, router=ReferenceSabreRouting, seed=4, engine="vector"
+        )
+        assert _signature(loop) == _signature(vector)
 
     def test_deterministic_across_calls(self):
         coupling_map = TOPOLOGIES["corral"]
@@ -80,6 +106,96 @@ class TestSabreEngineParity:
         assert properties["routing_swaps"] > 0
         (ccx,) = [inst for inst in routed if inst.name == "ccx"]
         assert coupling_map.has_edge(ccx.qubits[0], ccx.qubits[1])
+
+
+class TestSabreOracleParityLargeDesignPoints:
+    """All six paper workloads at 16 qubits on the five 84-qubit devices."""
+
+    @pytest.fixture(scope="class")
+    def devices(self):
+        return {
+            name: Target.from_names(name, "cx", scale="large").coupling_map
+            for name in LARGE_TOPOLOGIES
+        }
+
+    @pytest.mark.parametrize("topology", LARGE_TOPOLOGIES)
+    @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_identical_routing(self, devices, topology, workload, seed):
+        circuit = DecomposeMultiQubit().run(build_workload(workload, 16, seed=seed), PropertySet())
+        _assert_matches_oracle(circuit, devices[topology], seed)
+
+
+class TestSabreStallEscape:
+    """The shortest-path escape after ``10 * max(4, n)`` fruitless SWAPs."""
+
+    @pytest.mark.parametrize("topology", ["lattice", "line"])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_escape_matches_oracle(self, monkeypatch, topology, seed):
+        # Until the first escape both routers always take their first
+        # candidate SWAP (the same one: ascending edge order), which
+        # oscillates on one edge, so only the escape makes progress.  After
+        # it they score normally, from the state the escape left behind.
+        escapes = []
+        shortest_path = CouplingMap.shortest_path
+
+        def counting_shortest_path(self, qubit_a, qubit_b):
+            escapes.append((qubit_a, qubit_b))
+            return shortest_path(self, qubit_a, qubit_b)
+
+        tie_break = routing._sequential_tie_break
+        select = ReferenceSabreRouting._select_swap_reference
+        monkeypatch.setattr(CouplingMap, "shortest_path", counting_shortest_path)
+        monkeypatch.setattr(
+            routing,
+            "_sequential_tie_break",
+            lambda scores, rng: tie_break(scores, rng) if escapes else 0,
+        )
+        monkeypatch.setattr(
+            ReferenceSabreRouting,
+            "_select_swap_reference",
+            lambda self, *args: select(self, *args) if escapes else 0,
+        )
+        coupling_map = TOPOLOGIES[topology]
+        circuit = quantum_volume_circuit(6, seed=seed)
+        runs = []
+        for router in (SabreRouting, ReferenceSabreRouting):
+            escapes.clear()
+            routed, properties = _route(circuit, coupling_map, router=router, seed=seed)
+            runs.append(
+                (
+                    _signature(routed),
+                    properties["routing_swaps"],
+                    properties["final_layout"],
+                    list(escapes),
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][3], "the stall escape was never reached"
+        assert all(
+            coupling_map.has_edge(*qubits) for _, qubits, _ in runs[0][0] if len(qubits) == 2
+        )
+
+
+class TestTieBreak:
+    def test_unique_minimum_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert routing._sequential_tie_break(np.array([2.0, 1.0, 3.0]), rng) == 1
+        assert rng.bit_generator.state == state
+
+    def test_single_candidate_draw_is_a_no_op(self):
+        """Why the unique-minimum path may skip the draw the walk makes."""
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state
+
+    def test_near_ties_draw_like_the_walk(self):
+        scores = np.array([1.0, 1.0 + 5e-13, 2.0, 1.0])
+        walk = np.random.default_rng(8)
+        expected = [0, 1, 3][int(walk.integers(3))]
+        assert routing._sequential_tie_break(scores, np.random.default_rng(8)) == expected
 
 
 class TestNoiseAwareEngineParity:
