@@ -23,11 +23,15 @@ import pytest
 
 _BENCHMARK_DIR = Path(__file__).resolve().parent
 
+# The speed-up benchmarks time production passes against the test-only
+# reference implementations in ``tests/oracles.py``.
+sys.path.insert(0, str(_BENCHMARK_DIR.parent / "tests"))
+
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):
     """Stamp run provenance into the ``--benchmark-json`` artifact.
 
-    ``repro bench record`` / ``scripts/bench_compare.py`` read this
+    ``repro bench record`` / ``repro bench compare`` read this
     ``repro_run_meta`` block (git SHA, host tag, run timestamp) so every
     recorded trajectory point and every written baseline says which
     commit on which machine produced it.  The same fields are mirrored

@@ -4,13 +4,14 @@ Companion of ``test_bench_routing_hotpath.py`` for this PR's two claims:
 
 * the vectorized :class:`DenseLayout` scorer lays a batch of 48-qubit
   corral QV circuits out at least 3x faster than the legacy Python-loop
-  scorer (``engine="reference"``), selecting bit-identical layouts;
+  scorer of the test-only oracle ``ReferenceDenseLayout``
+  (``tests/oracles.py``), selecting bit-identical layouts;
 * a parallel (``--workers N``) rerun against a warm shared cache dir
   performs **zero** transpiles: every point is served off disk *by the
   pool workers*, whose hits are visible in the parent's ``CacheStats``.
 
 The DAGs are prebuilt outside the timed region (they are shared with the
-routing stage in a real pipeline and identical for both engines), so the
+routing stage in a real pipeline and identical for both scorers), so the
 timer isolates exactly the subset-search + ranking work that was
 vectorized.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 import warnings
 
+from oracles import ReferenceDenseLayout
 from repro.circuits.dag import DAGCircuit
 from repro.core.pipeline import run_sweep
 from repro.runtime import ExperimentRunner, PersistentResultCache
@@ -36,8 +38,8 @@ SWEEP_SEED = 11
 SWEEP_WORKERS = 4
 
 
-def _layout_batch(engine: str):
-    # A fresh CouplingMap per engine: the densest-subset memo never leaks
+def _layout_batch(layout_cls):
+    # A fresh CouplingMap per scorer: the densest-subset memo never leaks
     # across the comparison.
     coupling_map = corral_topology(LAYOUT_QUBITS // 2, (1, 1))
     prepared = []
@@ -46,7 +48,7 @@ def _layout_batch(engine: str):
         properties = PropertySet()
         DAGCircuit.shared(circuit, properties)  # prebuilt, as routing shares it
         prepared.append((circuit, properties))
-    layout_pass = DenseLayout(coupling_map, engine=engine)
+    layout_pass = layout_cls(coupling_map)
     start = time.perf_counter()
     layouts = []
     for circuit, properties in prepared:
@@ -57,9 +59,9 @@ def _layout_batch(engine: str):
 
 
 def test_bench_dense_layout_vectorized_speedup(benchmark, emit):
-    vector_layouts, vector_seconds = _layout_batch("vector")
-    reference_layouts, reference_seconds = _layout_batch("reference")
-    benchmark.pedantic(_layout_batch, args=("vector",), rounds=1, iterations=1)
+    vector_layouts, vector_seconds = _layout_batch(DenseLayout)
+    reference_layouts, reference_seconds = _layout_batch(ReferenceDenseLayout)
+    benchmark.pedantic(_layout_batch, args=(DenseLayout,), rounds=1, iterations=1)
 
     # Same circuits, same device: layout selection must be bit-identical,
     # not merely equally good.

@@ -2,9 +2,10 @@
 
 Two claims are exercised:
 
-* the local-contraction engine beats the legacy full-expansion engine by
-  at least 5x wall-clock on an 8-qubit noisy Quantum Volume circuit (in
-  practice ~40x), with matching output states;
+* the local-contraction engine beats the legacy full-expansion engine of
+  the test-only oracle ``ReferenceDensityMatrixSimulator``
+  (``tests/oracles.py``) by at least 5x wall-clock on an 8-qubit noisy
+  Quantum Volume circuit (in practice ~40x), with matching output states;
 * wall-clock vs qubit count is reported for ideal and noisy runs up to a
   width the legacy engine could not reach (its default ceiling was 10
   qubits), demonstrating the raised ceilings.
@@ -20,6 +21,7 @@ import time
 
 import numpy as np
 
+from oracles import ReferenceDensityMatrixSimulator
 from repro.noise.circuit_noise import CircuitNoiseModel
 from repro.noise.density_matrix import DensityMatrixSimulator
 from repro.workloads import quantum_volume_circuit
@@ -38,9 +40,9 @@ def _noise_model() -> CircuitNoiseModel:
     )
 
 
-def _timed_run(engine: str, width: int, noisy: bool) -> tuple:
+def _timed_run(simulator_cls, width: int, noisy: bool) -> tuple:
     circuit = quantum_volume_circuit(width, seed=SEED)
-    simulator = DensityMatrixSimulator(engine=engine)
+    simulator = simulator_cls()
     model = _noise_model() if noisy else None
     start = time.perf_counter()
     state = simulator.run(circuit, noise_model=model)
@@ -49,9 +51,11 @@ def _timed_run(engine: str, width: int, noisy: bool) -> tuple:
 
 def test_bench_noisy_sim_speedup_vs_legacy(benchmark, run_once, emit):
     fast_seconds, fast_state = run_once(
-        benchmark, _timed_run, "local", SPEEDUP_WIDTH, True
+        benchmark, _timed_run, DensityMatrixSimulator, SPEEDUP_WIDTH, True
     )
-    slow_seconds, slow_state = _timed_run("expand", SPEEDUP_WIDTH, True)
+    slow_seconds, slow_state = _timed_run(
+        ReferenceDensityMatrixSimulator, SPEEDUP_WIDTH, True
+    )
     speedup = slow_seconds / max(fast_seconds, 1e-9)
     emit(
         benchmark,
@@ -74,8 +78,8 @@ def test_bench_noisy_sim_scaling(benchmark, run_once, emit):
     def _scale():
         rows = {}
         for width in widths:
-            ideal_seconds, _ = _timed_run("local", width, noisy=False)
-            noisy_seconds, state = _timed_run("local", width, noisy=True)
+            ideal_seconds, _ = _timed_run(DensityMatrixSimulator, width, noisy=False)
+            noisy_seconds, state = _timed_run(DensityMatrixSimulator, width, noisy=True)
             rows[width] = {
                 "ideal_seconds": round(ideal_seconds, 4),
                 "noisy_seconds": round(noisy_seconds, 4),

@@ -23,10 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-from oracles import ReferenceSabreRouting  # noqa: E402
-
+from oracles import ReferenceSabreRouting
 from repro.core.pipeline import run_sweep
 from repro.runtime import ExperimentRunner, PersistentResultCache
 from repro.topology import corral_topology

@@ -26,7 +26,7 @@ The library is organised bottom-up:
 * :mod:`repro.experiments` — one entry point per paper table / figure plus
   the extension studies.
 * :mod:`repro.bench` — benchmark trajectory history, comparison core and
-  regression gates behind ``repro bench`` and ``scripts/bench_compare.py``.
+  regression gates behind ``repro bench``.
 
 Quick start::
 

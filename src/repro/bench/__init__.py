@@ -11,7 +11,7 @@ from a real erosion.  This package closes the loop with three layers:
   provenance (:class:`RunMeta`: git SHA, timestamp, host tag) and a
   named :class:`MalformedArtifactError` instead of bare ``KeyError``\\ s.
 * :mod:`repro.bench.compare` — the single comparison core shared by
-  ``scripts/bench_compare.py``, the ``repro bench`` CLI verbs and CI:
+  the ``repro bench`` CLI verbs and CI:
   tolerance-band bucketing (:func:`compare`), provenance-carrying
   baseline IO (:func:`write_baseline` / :func:`read_baseline`) and the
   strict-mode rules (regressions, *gone* benchmarks and an empty
@@ -24,7 +24,7 @@ from a real erosion.  This package closes the loop with three layers:
 * :mod:`repro.bench.report` — terminal / markdown trajectory tables
   with sparkline series (:func:`format_report`).
 
-Exit-code contract (``scripts/bench_compare.py`` and ``repro bench``):
+Exit-code contract (``repro bench``):
 ``0`` = no gate violated, ``1`` = regression / gone benchmark / empty
 overlap (strict or ``check``), ``2`` = malformed artifact or usage
 error.  See ``docs/architecture.md`` for the on-disk history format.

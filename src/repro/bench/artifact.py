@@ -178,8 +178,7 @@ def read_artifact(path: Union[str, Path]) -> Artifact:
 def load_means(path: Union[str, Path]) -> Dict[str, float]:
     """``{benchmark name: mean seconds}`` from a pytest-benchmark JSON file.
 
-    The historical ``scripts/bench_compare.py`` entry point, kept as the
-    one-call convenience over :func:`read_artifact` (same hardening).
+    A one-call convenience over :func:`read_artifact` (same hardening).
     """
     return read_artifact(path).means
 

@@ -1,10 +1,9 @@
-"""The single benchmark-comparison core shared by script, CLI and CI.
+"""The single benchmark-comparison core shared by the CLI and CI.
 
-``scripts/bench_compare.py`` (the historical entry point), the ``repro
-bench compare`` / ``repro bench check`` verbs and the CI gate all funnel
-through :func:`compare` + :func:`format_comparison` + :func:`run_compare`
-so that the tolerance-band bucketing and the strict-mode rules cannot
-drift apart between surfaces.
+The ``repro bench compare`` / ``repro bench check`` verbs and the CI gate
+all funnel through :func:`compare` + :func:`format_comparison` +
+:func:`run_compare` so that the tolerance-band bucketing and the
+strict-mode rules cannot drift apart between surfaces.
 
 Strict-mode rules (all pinned by ``tests/bench/``):
 
@@ -288,9 +287,9 @@ def run_compare(
 ) -> int:
     """The full artifact-vs-baseline flow; returns a process exit code.
 
-    This is the one implementation behind ``scripts/bench_compare.py``
-    and ``repro bench compare``.  Exit codes: ``0`` clean (or non-strict
-    warnings), ``1`` strict-mode gate violation, ``2`` malformed input.
+    This is the one implementation behind ``repro bench compare``.  Exit
+    codes: ``0`` clean (or non-strict warnings), ``1`` strict-mode gate
+    violation, ``2`` malformed input.
     """
     artifact_path, baseline_path = Path(artifact_path), Path(baseline_path)
     try:

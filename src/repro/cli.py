@@ -81,6 +81,7 @@ from repro.runtime import (
     verify_cache,
 )
 from repro.snailsim import render_ascii_chevron
+from repro.topology.registry import HEAVY_HEX, HYPERCUBE, large_topologies
 from repro.transpiler import (
     Target,
     available_levels,
@@ -215,7 +216,7 @@ def _fault_report(args: argparse.Namespace) -> Optional[str]:
 def _add_common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=("small", "large"), default="small")
     parser.add_argument("--sizes", type=int, nargs="*", default=None)
-    parser.add_argument("--workloads", nargs="*", default=None)
+    parser.add_argument("--workloads", nargs="*", choices=available_workloads(), default=None)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--csv", default=None, help="write the raw sweep data to a CSV file")
     _add_runtime_arguments(parser)
@@ -262,7 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     schedule.add_argument("--scale", choices=("small", "large"), default="small")
     schedule.add_argument("--sizes", type=int, nargs="*", default=(8, 12, 16))
-    schedule.add_argument("--workloads", nargs="*", default=("QuantumVolume", "GHZ"))
+    schedule.add_argument(
+        "--workloads",
+        nargs="*",
+        choices=available_workloads(),
+        default=("QuantumVolume", "GHZ"),
+    )
     schedule.add_argument("--seed", type=int, default=5)
     _add_runtime_arguments(schedule)
 
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=0.25,
         help="allowed fractional slowdown vs the rolling median "
         "(default: 0.25 — the history is same-host, so tighter than the "
-        "cross-machine bench_compare default)",
+        "cross-machine bench compare default)",
     )
     bench_check.add_argument(
         "--window", type=_positive_int, default=5,
@@ -406,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_compare_parser = bench_commands.add_parser(
         "compare",
-        help="one-shot artifact-vs-baseline diff (same core as "
-        "scripts/bench_compare.py)",
+        help="one-shot artifact-vs-baseline diff against a committed baseline",
     )
     bench_compare_parser.add_argument("artifact", type=Path)
     bench_compare_parser.add_argument(
@@ -492,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         "progress reporting (default: 256)",
     )
     sweep.add_argument(
-        "--workloads", nargs="*", default=("QuantumVolume", "GHZ"),
+        "--workloads", nargs="*", choices=available_workloads(),
+        default=("QuantumVolume", "GHZ"),
         help="workload names (default: QuantumVolume GHZ)",
     )
     sweep.add_argument(
@@ -624,6 +630,17 @@ def _command_codesign(args: argparse.Namespace) -> str:
 
 
 def _command_headline(args: argparse.Namespace) -> str:
+    if args.sizes is not None:
+        # Quantum Volume needs two qubits; every size must fit both devices.
+        devices = large_topologies()
+        width = min(devices[HEAVY_HEX].num_qubits, devices[HYPERCUBE].num_qubits)
+        outside = [size for size in args.sizes if not 2 <= size <= width]
+        if outside or not args.sizes:
+            _usage_error(
+                "headline",
+                f"--sizes must be one or more of 2..{width} (Quantum Volume on "
+                f"{HEAVY_HEX} and {HYPERCUBE}); got {args.sizes}",
+            )
     ratios = headline_study(
         sizes=args.sizes, seed=args.seed, runner=_runner_from_args(args)
     )
@@ -769,8 +786,8 @@ def _command_bench(args: argparse.Namespace) -> str:
     )
 
     if args.bench_command == "compare":
-        # The one-shot diff shares its whole flow (and exit-code contract)
-        # with scripts/bench_compare.py via run_compare.
+        # The one-shot diff: run_compare owns the whole flow and its
+        # exit-code contract.
         code = run_compare(
             args.artifact,
             args.baseline,

@@ -15,9 +15,9 @@ embedding every operator into the full ``2^n x 2^n`` register.  Channels
 are applied through their cached ``4^k x 4^k`` superoperators
 (:meth:`repro.noise.channels.QuantumChannel.superoperator`) in a single
 contraction over the ``2k`` affected axes, so the cost is independent of
-the number of Kraus operators.  The legacy full-expansion path is kept as
-the ``engine="expand"`` reference implementation; the equivalence test
-suite pins the two engines against each other to float tolerance.
+the number of Kraus operators.  The full-register expansion this replaced
+is kept as a test-only oracle (``tests/oracles.py``); the equivalence
+suite holds the simulator to it within 1e-10.
 """
 
 from __future__ import annotations
@@ -255,67 +255,14 @@ def _apply_channel_tensor(
     return apply_matrix_to_axes(tensor, channel.superoperator(), axes)
 
 
-# -- legacy full-expansion engine -------------------------------------------------
-
-
-def _expand_operator(operator: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Embed an operator on ``qubits`` into the full register.
-
-    ``operator`` follows the gate convention (first listed qubit = most
-    significant bit); the returned matrix acts on the little-endian full
-    register.  This is the legacy O(8^n)-per-gate path, kept as the
-    reference implementation for the equivalence tests and benchmarks.
-    """
-    qubits = [int(q) for q in qubits]
-    arity = len(qubits)
-    if operator.shape != (2 ** arity, 2 ** arity):
-        raise ValueError("operator dimension does not match the qubit list")
-    dim = 2 ** num_qubits
-    op_tensor = operator.reshape([2] * (2 * arity))
-    full = np.eye(dim, dtype=complex).reshape([2] * (2 * num_qubits))
-    # Row axis of full for qubit q is (num_qubits - 1 - q).
-    row_axes = [num_qubits - 1 - q for q in qubits]
-    # Contract the operator's input indices with the identity's row axes:
-    # result(out_1..out_k, remaining row axes..., col axes...) then move the
-    # new output axes back into place.
-    contracted = np.tensordot(
-        op_tensor, full, axes=(list(range(arity, 2 * arity)), row_axes)
-    )
-    moved = np.moveaxis(contracted, range(arity), row_axes)
-    return moved.reshape(dim, dim)
-
-
-def _evolve_unitary_expand(
-    matrix: np.ndarray, unitary: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Legacy unitary evolution: embed into the full register, two matmuls."""
-    expanded = _expand_operator(np.asarray(unitary, dtype=complex), qubits, num_qubits)
-    return expanded @ matrix @ expanded.conj().T
-
-
-def _evolve_channel_expand(
-    matrix: np.ndarray, channel: QuantumChannel, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Legacy channel evolution: one full-register expansion per Kraus operator."""
-    result = np.zeros_like(matrix)
-    for op in channel.kraus_operators:
-        expanded = _expand_operator(op, qubits, num_qubits)
-        result += expanded @ matrix @ expanded.conj().T
-    return result
-
-
 class DensityMatrixSimulator:
     """Runs circuits on density matrices, optionally inserting noise channels.
 
-    ``engine`` selects the evolution strategy:
-
-    * ``"local"`` (default) — in-place rank-``2n`` tensor contractions with
-      single-qubit fusion and cached channel superoperators,
-    * ``"expand"`` — the legacy full-register embedding, kept as a slow
-      reference implementation for equivalence testing.
+    Evolution is in-place rank-``2n`` tensor contractions with
+    single-qubit fusion and cached channel superoperators.
     """
 
-    def __init__(self, max_qubits: int = DEFAULT_MAX_QUBITS, engine: str = "local"):
+    def __init__(self, max_qubits: int = DEFAULT_MAX_QUBITS):
         max_qubits = int(max_qubits)
         if max_qubits < 1:
             raise ValueError("max_qubits must be at least 1")
@@ -325,10 +272,7 @@ class DensityMatrixSimulator:
                 f"{HARD_QUBIT_LIMIT} qubits (a 4**{max_qubits}-entry matrix "
                 "cannot be allocated); use a smaller width"
             )
-        if engine not in ("local", "expand"):
-            raise ValueError("engine must be 'local' or 'expand'")
         self._max_qubits = max_qubits
-        self._engine = engine
 
     def run(
         self,
@@ -352,13 +296,9 @@ class DensityMatrixSimulator:
         state = initial_state or DensityMatrix.ground_state(num_qubits)
         if state.num_qubits != num_qubits:
             raise ValueError("initial state size does not match the circuit")
-        if self._engine == "expand":
-            matrix = self._run_expand(circuit, state.matrix, noise_model)
-        else:
-            matrix = self._run_local(circuit, state.matrix, noise_model)
-        return DensityMatrix(matrix)
+        return DensityMatrix(self._evolve(circuit, state.matrix, noise_model))
 
-    def _run_local(
+    def _evolve(
         self,
         circuit: QuantumCircuit,
         matrix: np.ndarray,
@@ -401,33 +341,6 @@ class DensityMatrixSimulator:
                 if idle is not None:
                     tensor = _apply_channel_tensor(tensor, idle, (qubit,), n)
         return tensor.reshape(2 ** n, 2 ** n)
-
-    def _run_expand(
-        self,
-        circuit: QuantumCircuit,
-        matrix: np.ndarray,
-        noise_model: Optional["object"],
-    ) -> np.ndarray:
-        """Legacy evolution: embed every operator into the full register."""
-        n = circuit.num_qubits
-        for instruction in circuit:
-            if instruction.name == "barrier":
-                continue
-            matrix = _evolve_unitary_expand(
-                matrix, instruction.gate.matrix(), instruction.qubits, n
-            )
-            if noise_model is not None:
-                channel = noise_model.channel_for(instruction)
-                if channel is not None:
-                    matrix = _evolve_channel_expand(
-                        matrix, channel, instruction.qubits, n
-                    )
-        if noise_model is not None:
-            for qubit in range(n):
-                idle = noise_model.idle_channel_for(circuit, qubit)
-                if idle is not None:
-                    matrix = _evolve_channel_expand(matrix, idle, (qubit,), n)
-        return matrix
 
     def probabilities(
         self, circuit: QuantumCircuit, noise_model: Optional["object"] = None

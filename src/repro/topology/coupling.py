@@ -70,7 +70,7 @@ class CouplingMap:
         self._adjacency: Optional[np.ndarray] = None
         self._neighbor_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._swap_tables: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._densest_cache: Dict[Tuple[int, str], List[int]] = {}
+        self._densest_cache: Dict[int, List[int]] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -280,37 +280,26 @@ class CouplingMap:
         ]
         return CouplingMap(edges, num_qubits=len(qubits), name=name or f"{self._name}_sub")
 
-    def densest_subset(self, size: int, engine: str = "vector") -> List[int]:
+    def densest_subset(self, size: int) -> List[int]:
         """Greedy densest connected subset of ``size`` qubits.
 
         Used by the dense layout pass: starting from the highest-degree
         qubit, repeatedly add the frontier qubit with the most neighbours
-        already inside the subset.
-
-        ``engine="vector"`` grows every candidate subset with incremental
-        NumPy inside-neighbour counters over :meth:`adjacency_matrix`;
-        ``engine="reference"`` is the original per-candidate Python loop.
-        Both engines select bit-identical subsets (the greedy tie-break key
-        ends in ``-q``, so every choice is unique); results are memoized
-        per ``(size, engine)`` — the subset for a device is a pure function
-        of its topology, and one sweep asks for the same few sizes
-        thousands of times.
+        already inside the subset.  Every candidate subset grows with
+        incremental NumPy inside-neighbour counters over
+        :meth:`adjacency_matrix`; the greedy tie-break key ends in ``-q``,
+        so every choice is unique.  Results are memoized per ``size`` — the
+        subset for a device is a pure function of its topology, and one
+        sweep asks for the same few sizes thousands of times.
         """
-        if engine not in ("vector", "reference"):
-            raise ValueError(f"unknown engine {engine!r}; engines are ('vector', 'reference')")
         if size > self._num_qubits:
             raise ValueError("requested subset larger than the device")
         if size == self._num_qubits:
             return list(range(self._num_qubits))
-        cached = self._densest_cache.get((size, engine))
-        if cached is not None:
-            return list(cached)
-        if engine == "vector":
-            subset = self._densest_subset_vector(size)
-        else:
-            subset = self._densest_subset_reference(size)
-        self._densest_cache[(size, engine)] = subset
-        return list(subset)
+        cached = self._densest_cache.get(size)
+        if cached is None:
+            cached = self._densest_cache[size] = self._densest_subset_vector(size)
+        return list(cached)
 
     def _densest_subset_vector(self, size: int) -> List[int]:
         """Vectorized greedy growth: one argmax over the frontier per step.
@@ -352,42 +341,6 @@ class CouplingMap:
                 best_subset = np.flatnonzero(in_subset)
         assert best_subset is not None
         return [int(q) for q in best_subset]
-
-    def _densest_subset_reference(self, size: int) -> List[int]:
-        """The original per-candidate Python-loop growth (parity oracle)."""
-        best_subset: List[int] = []
-        best_internal = -1
-        degrees = dict(self._graph.degree())
-        seeds = sorted(degrees, key=lambda q: -degrees[q])[: max(4, self._num_qubits // 8)]
-        for seed in seeds:
-            subset = {seed}
-            while len(subset) < size:
-                frontier = {
-                    neighbor
-                    for node in subset
-                    for neighbor in self._graph.neighbors(node)
-                } - subset
-                if not frontier:
-                    remaining = [q for q in range(self._num_qubits) if q not in subset]
-                    frontier = set(remaining[:1])
-                    if not frontier:
-                        break
-                choice = max(
-                    frontier,
-                    key=lambda q: (
-                        sum(1 for nb in self._graph.neighbors(q) if nb in subset),
-                        degrees[q],
-                        -q,
-                    ),
-                )
-                subset.add(choice)
-            internal = sum(
-                1 for a, b in self._graph.edges() if a in subset and b in subset
-            )
-            if internal > best_internal:
-                best_internal = internal
-                best_subset = sorted(subset)
-        return best_subset
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,9 +14,9 @@ cached :meth:`~repro.topology.coupling.CouplingMap.adjacency_matrix` /
 shared DAG's interaction counts (:meth:`~repro.circuits.dag.DAGCircuit.
 qubit_activity` / :meth:`~repro.circuits.dag.DAGCircuit.
 interaction_matrix`) — instead of per-candidate Python loops.  The
-original scorers survive as ``engine="reference"`` and select
-bit-identical layouts (pinned by
-``tests/transpiler/test_layout_vectorized.py``).
+Python-loop scorers they replaced are kept as test-only oracles
+(``tests/oracles.py``) that ``tests/transpiler/test_layout_vectorized.py``
+holds these passes to: bit-identical layouts at every seed.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ from repro.circuits.dag import DAGCircuit
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
-
-_ENGINES = ("vector", "reference")
-
-
-def _check_engine(engine: str) -> str:
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; engines are {_ENGINES}")
-    return engine
 
 
 class TrivialLayout(TranspilerPass):
@@ -70,9 +62,8 @@ class DenseLayout(TranspilerPass):
 
     name = "dense_layout"
 
-    def __init__(self, coupling_map: CouplingMap, engine: str = "vector"):
+    def __init__(self, coupling_map: CouplingMap):
         self._coupling_map = coupling_map
-        self._engine = _check_engine(engine)
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
         device = self._coupling_map
@@ -81,15 +72,11 @@ class DenseLayout(TranspilerPass):
                 f"circuit needs {circuit.num_qubits} qubits but the device has "
                 f"{device.num_qubits}"
             )
-        if self._engine == "vector":
-            layout = self._select_vector(circuit, properties)
-        else:
-            layout = self._select_reference(circuit, properties)
-        properties["layout"] = layout
+        properties["layout"] = self._select(circuit, properties)
         properties["coupling_map"] = device
         return circuit
 
-    def _select_vector(self, circuit: QuantumCircuit, properties: PropertySet) -> Layout:
+    def _select(self, circuit: QuantumCircuit, properties: PropertySet) -> Layout:
         """Subset growth, connectivity ranking and activity ranking on arrays."""
         device = self._coupling_map
         subset = np.asarray(device.densest_subset(circuit.num_qubits), dtype=np.int64)
@@ -110,28 +97,6 @@ class DenseLayout(TranspilerPass):
             {int(virtual): int(physical) for virtual, physical in zip(virtual_ranked, physical_ranked)}
         )
 
-    def _select_reference(self, circuit: QuantumCircuit, properties: PropertySet) -> Layout:
-        """The pre-vectorization scorer (Python loops), kept as parity oracle."""
-        device = self._coupling_map
-        subset = device.densest_subset(circuit.num_qubits, engine="reference")
-        subset_set = set(subset)
-        internal_degree = {
-            qubit: sum(1 for nb in device.neighbors(qubit) if nb in subset_set)
-            for qubit in subset
-        }
-        physical_ranked = sorted(subset, key=lambda q: (-internal_degree[q], q))
-        activity: Dict[int, int] = {q: 0 for q in range(circuit.num_qubits)}
-        interactions = DAGCircuit.shared(circuit, properties).two_qubit_interactions()
-        for pair, count in interactions.items():
-            activity[pair[0]] += count
-            activity[pair[1]] += count
-        virtual_ranked = sorted(
-            range(circuit.num_qubits), key=lambda q: (-activity[q], q)
-        )
-        return Layout(
-            {virtual: physical for virtual, physical in zip(virtual_ranked, physical_ranked)}
-        )
-
 
 class InteractionGraphLayout(TranspilerPass):
     """Greedy interaction-graph embedding (an alternative to DenseLayout).
@@ -143,24 +108,19 @@ class InteractionGraphLayout(TranspilerPass):
 
     name = "interaction_layout"
 
-    def __init__(self, coupling_map: CouplingMap, seed: int = 0, engine: str = "vector"):
+    def __init__(self, coupling_map: CouplingMap, seed: int = 0):
         self._coupling_map = coupling_map
         self._seed = seed
-        self._engine = _check_engine(engine)
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
         device = self._coupling_map
         if circuit.num_qubits > device.num_qubits:
             raise ValueError("circuit does not fit on the device")
-        if self._engine == "vector":
-            placement = self._place_vector(circuit, properties)
-        else:
-            placement = self._place_reference(circuit, properties)
-        properties["layout"] = Layout(placement)
+        properties["layout"] = Layout(self._place(circuit, properties))
         properties["coupling_map"] = device
         return circuit
 
-    def _place_vector(
+    def _place(
         self, circuit: QuantumCircuit, properties: PropertySet
     ) -> Dict[int, int]:
         """Score all free seats for each placement in one gather/matmul.
@@ -198,48 +158,4 @@ class InteractionGraphLayout(TranspilerPass):
             seat_of_virtual[virtual] = choice
             placed.append(int(virtual))
             free_mask[choice] = False
-        return placement
-
-    def _place_reference(
-        self, circuit: QuantumCircuit, properties: PropertySet
-    ) -> Dict[int, int]:
-        """The pre-vectorization placer (Python loops), kept as parity oracle."""
-        device = self._coupling_map
-        rng = np.random.default_rng(self._seed)
-        distance = device.distance_matrix()
-        interactions = DAGCircuit.shared(circuit, properties).two_qubit_interactions()
-        weight: Dict[int, Dict[int, int]] = {}
-        for (a, b), count in interactions.items():
-            weight.setdefault(a, {})[b] = count
-            weight.setdefault(b, {})[a] = count
-        order = sorted(
-            range(circuit.num_qubits),
-            key=lambda q: -sum(weight.get(q, {}).values()),
-        )
-        free = set(range(device.num_qubits))
-        placement: Dict[int, int] = {}
-        for virtual in order:
-            partners = [
-                (placement[other], count)
-                for other, count in weight.get(virtual, {}).items()
-                if other in placement
-            ]
-            if not partners:
-                # Seed unconnected (or first) qubits near the device centre.
-                centre = min(
-                    free,
-                    key=lambda q: float(np.sum(distance[q, list(free)]))
-                    + rng.uniform(0, 1e-6),
-                )
-                placement[virtual] = centre
-            else:
-                best = min(
-                    free,
-                    key=lambda q: sum(
-                        distance[q, physical] * count for physical, count in partners
-                    )
-                    + rng.uniform(0, 1e-6),
-                )
-                placement[virtual] = best
-            free.remove(placement[virtual])
         return placement

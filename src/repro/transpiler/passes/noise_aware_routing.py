@@ -27,7 +27,6 @@ from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes.layout_passes import _check_engine
 from repro.transpiler.passes.routing import (
     _layout_arrays,
     _layout_from_array,
@@ -35,7 +34,6 @@ from repro.transpiler.passes.routing import (
     _sequential_tie_break,
     _swap_candidates,
     _swap_in_arrays,
-    _TIE_EPS,
 )
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 
@@ -49,11 +47,11 @@ class NoiseAwareLayout(TranspilerPass):
     placed where gates are *good*, not merely where they are plentiful.
     Falls back to plain DenseLayout behaviour under a uniform noise model.
 
-    Hot path: ``engine="vector"`` scores subset growth and qubit quality
-    on the :meth:`~repro.core.noise.NoiseModel.fidelity_matrix` array —
+    Hot path: subset growth and qubit quality are scored on the
+    :meth:`~repro.core.noise.NoiseModel.fidelity_matrix` array —
     sequential-order sums via ``cumsum``, so the float scores (and hence
-    every tie-break) are bit-identical to the ``engine="reference"``
-    Python-loop scorer it replaced.
+    every tie-break) are bit-identical to the Python-loop scorer it
+    replaced, which ``tests/oracles.py`` keeps as a parity oracle.
     """
 
     name = "noise_aware_layout"
@@ -62,11 +60,9 @@ class NoiseAwareLayout(TranspilerPass):
         self,
         coupling_map: CouplingMap,
         noise_model: Optional[NoiseModel] = None,
-        engine: str = "vector",
     ):
         self._coupling_map = coupling_map
         self._noise_model = noise_model
-        self._engine = _check_engine(engine)
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
         device = self._coupling_map
@@ -80,14 +76,7 @@ class NoiseAwareLayout(TranspilerPass):
             or properties.get("noise_model")
             or NoiseModel.uniform()
         )
-        if self._engine == "vector":
-            physical_ranked = self._rank_physical_vector(
-                circuit.num_qubits, device, noise_model
-            )
-        else:
-            physical_ranked = self._rank_physical_reference(
-                circuit.num_qubits, device, noise_model
-            )
+        physical_ranked = self._rank_physical(circuit.num_qubits, device, noise_model)
         # Activity ranking from the shared DAG's precomputed count array
         # (same integers the dense/interaction layouts consume, same
         # (-activity, q) order as the old Counter walk).
@@ -101,10 +90,8 @@ class NoiseAwareLayout(TranspilerPass):
         properties["noise_model"] = noise_model
         return circuit
 
-    # -- vectorized scorer ---------------------------------------------------
-
     @staticmethod
-    def _rank_physical_vector(
+    def _rank_physical(
         size: int, device: CouplingMap, noise_model: NoiseModel
     ) -> List[int]:
         """Subset search and quality ranking on the fidelity matrix.
@@ -166,72 +153,6 @@ class NoiseAwareLayout(TranspilerPass):
                 best_subset = [int(q) for q in np.flatnonzero(in_subset)]
         return best_subset
 
-    # -- reference scorer ----------------------------------------------------
-
-    @staticmethod
-    def _rank_physical_reference(
-        size: int, device: CouplingMap, noise_model: NoiseModel
-    ) -> List[int]:
-        """The pre-vectorization scorer (Python loops), kept as parity oracle."""
-        subset = NoiseAwareLayout._best_subset(size, device, noise_model)
-        subset_set = set(subset)
-        # Rank physical qubits by the total fidelity of their couplings
-        # inside the chosen subset.
-        quality = {
-            qubit: sum(
-                noise_model.fidelity(qubit, neighbor)
-                for neighbor in device.neighbors(qubit)
-                if neighbor in subset_set
-            )
-            for qubit in subset
-        }
-        return sorted(subset, key=lambda q: (-quality[q], q))
-
-    @staticmethod
-    def _best_subset(size: int, device: CouplingMap, noise_model: NoiseModel) -> List[int]:
-        """Greedy connected subset maximising total internal edge fidelity."""
-        if size >= device.num_qubits:
-            return list(range(device.num_qubits))
-        best_subset: List[int] = []
-        best_score = -np.inf
-        degrees = {q: device.degree(q) for q in range(device.num_qubits)}
-        seeds = sorted(degrees, key=lambda q: -degrees[q])[: max(4, device.num_qubits // 8)]
-        for seed in seeds:
-            subset = {seed}
-            while len(subset) < size:
-                frontier = {
-                    neighbor
-                    for node in subset
-                    for neighbor in device.neighbors(node)
-                } - subset
-                if not frontier:
-                    remaining = [q for q in range(device.num_qubits) if q not in subset]
-                    if not remaining:
-                        break
-                    frontier = {remaining[0]}
-                choice = max(
-                    frontier,
-                    key=lambda q: (
-                        sum(
-                            noise_model.fidelity(q, neighbor)
-                            for neighbor in device.neighbors(q)
-                            if neighbor in subset
-                        ),
-                        degrees[q],
-                        -q,
-                    ),
-                )
-                subset.add(choice)
-            score = sum(
-                noise_model.fidelity(a, b)
-                for a, b in device.edges()
-                if a in subset and b in subset
-            )
-            if score > best_score:
-                best_score = score
-                best_subset = sorted(subset)
-        return best_subset
-
 
 class NoiseAwareRouting(TranspilerPass):
     """Greedy router whose distance metric penalises low-fidelity edges."""
@@ -245,20 +166,16 @@ class NoiseAwareRouting(TranspilerPass):
         noise_weight: float = 2.0,
         fidelity_floor: float = 0.9,
         seed: int = 0,
-        engine: str = "vector",
     ):
         if noise_weight < 0.0:
             raise ValueError("noise_weight must be non-negative")
         if not 0.0 < fidelity_floor < 1.0:
             raise ValueError("fidelity_floor must lie strictly between 0 and 1")
-        if engine not in ("vector", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
         self._coupling_map = coupling_map
         self._noise_model = noise_model
         self._noise_weight = float(noise_weight)
         self._fidelity_floor = float(fidelity_floor)
         self._seed = int(seed)
-        self._engine = engine
 
     # -- cost model -----------------------------------------------------------
 
@@ -364,16 +281,9 @@ class NoiseAwareRouting(TranspilerPass):
                 continue
             front_pairs = v2p[pairs[front]]
             candidates, permutations = _swap_candidates(front_pairs, coupling_map)
-            if self._engine == "vector":
-                scores = (
-                    _remapped_distances(permutations, front_pairs, distance).sum(axis=1)
-                    + swap_costs[candidates[:, 0], candidates[:, 1]]
-                )
-                choice = _sequential_tie_break(scores, rng)
-            else:
-                choice = self._select_swap_reference(
-                    candidates, front_pairs, noise_model, distance, rng
-                )
+            choice = self._select_swap(
+                candidates, permutations, front_pairs, distance, swap_costs, noise_model, rng
+            )
             best_swap = (int(candidates[choice, 0]), int(candidates[choice, 1]))
             output.append(SwapGate(), best_swap, induced=True)
             _swap_in_arrays(v2p, p2v, *best_swap)
@@ -387,30 +297,25 @@ class NoiseAwareRouting(TranspilerPass):
 
     # -- SWAP selection ----------------------------------------------------------------
 
-    def _select_swap_reference(
+    def _select_swap(
         self,
         candidates: np.ndarray,
+        permutations: np.ndarray,
         front_pairs: np.ndarray,
-        noise_model: NoiseModel,
         distance: np.ndarray,
+        swap_costs: np.ndarray,
+        noise_model: NoiseModel,
         rng: np.random.Generator,
     ) -> int:
-        """The pre-vectorization scorer (Python loop), kept as parity oracle."""
-        best_score = np.inf
-        best_choices: List[int] = []
-        for index in range(len(candidates)):
-            physical_a = int(candidates[index, 0])
-            physical_b = int(candidates[index, 1])
-            remapped = front_pairs.copy()
-            remapped[front_pairs == physical_a] = -1
-            remapped[front_pairs == physical_b] = physical_a
-            remapped[remapped == -1] = physical_b
-            front_cost = float(distance[remapped[:, 0], remapped[:, 1]].sum())
-            swap_cost = 3.0 * self.edge_cost(noise_model, physical_a, physical_b)
-            score = front_cost + swap_cost
-            if score < best_score - _TIE_EPS:
-                best_score = score
-                best_choices = [index]
-            elif abs(score - best_score) <= _TIE_EPS:
-                best_choices.append(index)
-        return best_choices[int(rng.integers(len(best_choices)))]
+        """Index of the candidate SWAP with the lowest front + SWAP cost.
+
+        Every candidate is scored in one gather against its SWAP
+        permutation.  ``swap_costs`` already holds ``3 * edge_cost`` per
+        coupling under ``noise_model``, so the model itself is not read
+        here.
+        """
+        scores = (
+            _remapped_distances(permutations, front_pairs, distance).sum(axis=1)
+            + swap_costs[candidates[:, 0], candidates[:, 1]]
+        )
+        return _sequential_tie_break(scores, rng)

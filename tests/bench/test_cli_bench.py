@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench import BenchHistory, sparkline
+from repro.bench import BenchHistory, read_artifact, sparkline, write_baseline
 from repro.cli import main
 
 
@@ -149,7 +149,44 @@ class TestCheck:
             main(["bench", "check", "--history-dir", str(hist)])
 
 
+def _compare_exit(argv):
+    """Exit code of ``repro bench compare`` (it raises SystemExit on failure)."""
+    try:
+        return main(["bench", "compare", *argv])
+    except SystemExit as error:
+        return error.code
+
+
 class TestCompareVerb:
+    def test_strict_regression_exit(self, make_artifact, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        write_baseline(baseline, read_artifact(make_artifact({"a": 1.0})))
+        artifact = make_artifact({"a": 5.0}, name="BENCH_slow.json")
+        assert _compare_exit([str(artifact), "--baseline", str(baseline)]) == 0
+        assert _compare_exit([str(artifact), "--baseline", str(baseline), "--strict"]) == 1
+
+    def test_strict_gone_and_empty_overlap_exit(self, make_artifact, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        write_baseline(
+            baseline, read_artifact(make_artifact({"a": 1.0, "b": 1.0}))
+        )
+        gone = make_artifact({"a": 1.0}, name="BENCH_gone.json")
+        assert _compare_exit([str(gone), "--baseline", str(baseline), "--strict"]) == 1
+        renamed = make_artifact({"z": 1.0}, name="BENCH_renamed.json")
+        assert _compare_exit([str(renamed), "--baseline", str(baseline), "--strict"]) == 1
+
+    def test_write_baseline_then_self_compare_clean(self, make_artifact, tmp_path):
+        artifact = make_artifact({"a": 1.0, "b": 0.25}, rounds={"a": 3, "b": 5})
+        baseline = tmp_path / "self.json"
+        assert _compare_exit(
+            [str(artifact), "--baseline", str(baseline), "--write-baseline"]
+        ) == 0
+        payload = json.loads(baseline.read_text())
+        assert payload["meta"]["total_rounds"] == 8
+        assert _compare_exit(
+            [str(artifact), "--baseline", str(baseline), "--strict", "--tolerance", "0.01"]
+        ) == 0
+
     def test_compare_shares_the_script_flow(self, make_artifact, tmp_path, capsys):
         artifact = make_artifact({"a": 1.0}, sha="abc")
         baseline = tmp_path / "baseline.json"

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -17,16 +15,6 @@ from repro.bench import (
     run_compare,
     write_baseline,
 )
-
-_SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "bench_compare.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("bench_compare_script", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 class TestCompareBuckets:
     def test_buckets(self):
@@ -189,45 +177,3 @@ class TestRunCompareExitCodes:
         assert run_compare(artifact, baseline, write_baseline_instead=True) == 0
         assert "sha=feedface" in capsys.readouterr().out
         assert json.loads(baseline.read_text())["meta"]["git_sha"] == "feedface"
-
-
-class TestScriptWrapper:
-    """scripts/bench_compare.py is a thin shell over the same core."""
-
-    def test_strict_regression_exit(self, make_artifact, tmp_path):
-        script = _load_script()
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, read_artifact(make_artifact({"a": 1.0})))
-        artifact = make_artifact({"a": 5.0}, name="BENCH_slow.json")
-        assert script.main([str(artifact), "--baseline", str(baseline)]) == 0
-        assert (
-            script.main([str(artifact), "--baseline", str(baseline), "--strict"]) == 1
-        )
-
-    def test_strict_gone_and_empty_overlap_exit(self, make_artifact, tmp_path):
-        script = _load_script()
-        baseline = tmp_path / "baseline.json"
-        write_baseline(
-            baseline, read_artifact(make_artifact({"a": 1.0, "b": 1.0}))
-        )
-        gone = make_artifact({"a": 1.0}, name="BENCH_gone.json")
-        assert script.main([str(gone), "--baseline", str(baseline), "--strict"]) == 1
-        renamed = make_artifact({"z": 1.0}, name="BENCH_renamed.json")
-        assert script.main([str(renamed), "--baseline", str(baseline), "--strict"]) == 1
-
-    def test_write_baseline_then_self_compare_clean(self, make_artifact, tmp_path):
-        script = _load_script()
-        artifact = make_artifact({"a": 1.0, "b": 0.25}, rounds={"a": 3, "b": 5})
-        baseline = tmp_path / "self.json"
-        assert script.main(
-            [str(artifact), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["meta"]["total_rounds"] == 8
-        assert script.main(
-            [str(artifact), "--baseline", str(baseline), "--strict", "--tolerance", "0.01"]
-        ) == 0
-
-    def test_back_compat_reexports(self):
-        script = _load_script()
-        assert script.load_means is not None and script.compare is not None

@@ -1,14 +1,20 @@
 """Equivalence suite: vectorized density engine vs legacy full expansion.
 
-The local-contraction engine (``engine="local"``) must reproduce the
-legacy full-register embedding (``engine="expand"``) to float tolerance on
-randomized circuits and channel insertions; these tests pin that contract
-at 1e-10 so any convention slip in the axis gymnastics fails loudly.
+The local-contraction simulator must reproduce the legacy full-register
+embedding of the test-only oracle (``tests/oracles.py``) to float
+tolerance on randomized circuits and channel insertions; these tests pin
+that contract at 1e-10 so any convention slip in the axis gymnastics fails
+loudly.
 """
 
 import numpy as np
 import pytest
 
+from oracles import (
+    ReferenceDensityMatrixSimulator,
+    _evolve_channel_expand,
+    _evolve_unitary_expand,
+)
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import UnitaryGate
 from repro.linalg.random import random_unitary
@@ -18,12 +24,7 @@ from repro.noise.channels import (
     thermal_relaxation_channel,
 )
 from repro.noise.circuit_noise import CircuitNoiseModel
-from repro.noise.density_matrix import (
-    DensityMatrix,
-    DensityMatrixSimulator,
-    _evolve_channel_expand,
-    _evolve_unitary_expand,
-)
+from repro.noise.density_matrix import DensityMatrix, DensityMatrixSimulator
 
 TOLERANCE = 1e-10
 
@@ -68,7 +69,7 @@ class TestRandomizedEngineEquivalence:
             one_qubit_error=0.01, two_qubit_error=0.04, t1=40.0, t2=35.0
         )
         fast = DensityMatrixSimulator().run(circuit, noise_model=model)
-        slow = DensityMatrixSimulator(engine="expand").run(circuit, noise_model=model)
+        slow = ReferenceDensityMatrixSimulator().run(circuit, noise_model=model)
         assert np.max(np.abs(fast.matrix - slow.matrix)) < TOLERANCE
 
     @pytest.mark.parametrize("num_qubits", [3, 5])
@@ -81,7 +82,7 @@ class TestRandomizedEngineEquivalence:
             one_qubit_error=0.0, two_qubit_error=0.05, t1=50.0, t2=45.0
         )
         fast = DensityMatrixSimulator().run(circuit, noise_model=model)
-        slow = DensityMatrixSimulator(engine="expand").run(circuit, noise_model=model)
+        slow = ReferenceDensityMatrixSimulator().run(circuit, noise_model=model)
         assert np.max(np.abs(fast.matrix - slow.matrix)) < TOLERANCE
 
     def test_three_qubit_gate_and_channel_match_legacy_engine(self):
@@ -97,7 +98,7 @@ class TestRandomizedEngineEquivalence:
             one_qubit_error=0.01, two_qubit_error=0.04, t1=40.0, t2=35.0
         )
         fast = DensityMatrixSimulator().run(circuit, noise_model=model)
-        slow = DensityMatrixSimulator(engine="expand").run(circuit, noise_model=model)
+        slow = ReferenceDensityMatrixSimulator().run(circuit, noise_model=model)
         assert np.max(np.abs(fast.matrix - slow.matrix)) < TOLERANCE
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
@@ -105,7 +106,7 @@ class TestRandomizedEngineEquivalence:
         rng = np.random.default_rng(113 + num_qubits)
         circuit = random_circuit(num_qubits, depth=14, rng=rng)
         fast = DensityMatrixSimulator().run(circuit)
-        slow = DensityMatrixSimulator(engine="expand").run(circuit)
+        slow = ReferenceDensityMatrixSimulator().run(circuit)
         assert np.max(np.abs(fast.matrix - slow.matrix)) < TOLERANCE
 
     @pytest.mark.parametrize("seed", range(6))

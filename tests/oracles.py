@@ -1,34 +1,68 @@
-"""Test-only reference implementations that production passes are held to.
+"""Test-only reference implementations that production code is held to.
 
-:class:`ReferenceSabreRouting` is the SABRE router as it stood before the
-single step loop of :class:`repro.transpiler.passes.routing.SabreRouting`:
-its run loop re-derives the lookahead window, the candidate SWAPs and every
-physical position from the DAG's CSR arrays and NumPy scalars on each
-decision.  ``engine="reference"`` (the default) scores candidates with the
-original per-candidate Python loop; ``engine="vector"`` is the nested-
-``where`` broadcast scorer that was the production path until the rewrite.
-The two engines choose the same SWAP at every decision.
+Each production pass or simulator below has one code path, the fast one.
+The slow implementation it replaced lives here, and the parity suites
+require the two to agree exactly (density matrices within 1e-10).
+Nothing in ``src/`` imports this module.
 
-The parity tests (``tests/transpiler/test_routing_vectorized.py``) require
-the production router to emit exactly this router's gate sequence,
-``routing_swaps`` and final layout, and the routing hot-path benchmark
-times the production router against both engines.  Nothing in ``src/``
-imports this module.
+* :class:`ReferenceSabreRouting` — the SABRE router as it stood before the
+  single step loop of
+  :class:`repro.transpiler.passes.routing.SabreRouting`: its run loop
+  re-derives the lookahead window, the candidate SWAPs and every physical
+  position from the DAG's CSR arrays and NumPy scalars on each decision.
+  ``engine="reference"`` (the default) scores candidates with the original
+  per-candidate Python loop; ``engine="vector"`` is the nested-``where``
+  broadcast scorer that was the production path until the rewrite.  The
+  two engines choose the same SWAP at every decision.  Used by
+  ``tests/transpiler/test_routing_vectorized.py`` and
+  ``benchmarks/test_bench_routing_hotpath.py``.
+
+The remaining oracles subclass the production class and override only its
+one private scorer, so run loops, input checks and property-set plumbing
+stay shared and a parity test isolates exactly the scorer:
+
+* :func:`reference_densest_subset` — the Python-loop greedy growth behind
+  :meth:`repro.topology.coupling.CouplingMap.densest_subset`, with no memo.
+  Used by ``tests/transpiler/test_layout_vectorized.py`` and by
+  :class:`ReferenceDenseLayout`.
+* :class:`ReferenceDenseLayout` (``_select``) and
+  :class:`ReferenceInteractionGraphLayout` (``_place``) — the Python-loop
+  layout scorers.  Used by ``tests/transpiler/test_layout_vectorized.py``
+  (toy devices and the ``fig14-l1`` design points),
+  ``tests/transpiler/test_layout_properties.py`` (hypothesis property) and,
+  for the dense layout, ``benchmarks/test_bench_layout_hotpath.py``.
+* :class:`ReferenceNoiseAwareLayout` (``_rank_physical`` and its
+  ``_best_subset``) — the per-neighbour fidelity sums.  Used by
+  ``tests/transpiler/test_layout_vectorized.py``.
+* :class:`ReferenceNoiseAwareRouting` (``_select_swap``) — the
+  per-candidate Python-loop SWAP scorer.  Used by
+  ``tests/transpiler/test_routing_vectorized.py`` (toy devices and the
+  five large design points).
+* :class:`ReferenceDensityMatrixSimulator` (``_evolve``) and the
+  :func:`_evolve_unitary_expand` / :func:`_evolve_channel_expand`
+  helpers — full-register expansion of every operator (O(8^n) per gate).
+  Used by ``tests/noise/test_density_engine_equivalence.py`` and
+  ``benchmarks/test_bench_noisy_sim.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
 from repro.circuits.instruction import Instruction
+from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
+from repro.noise.channels import QuantumChannel
+from repro.noise.density_matrix import DensityMatrixSimulator
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
+from repro.transpiler.passes.layout_passes import DenseLayout, InteractionGraphLayout
+from repro.transpiler.passes.noise_aware_routing import NoiseAwareLayout, NoiseAwareRouting
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 
 _EXTENDED_SET_SIZE = 20
@@ -37,6 +71,12 @@ _DECAY_INCREMENT = 0.001
 _DECAY_RESET_INTERVAL = 5
 _TIE_EPS = 1e-12
 _ENGINES = ("vector", "reference")
+
+
+def _check_engine(engine: str) -> str:
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; engines are {_ENGINES}")
+    return engine
 
 
 def _layout_arrays(layout: Layout, num_physical: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -134,14 +174,12 @@ class ReferenceSabreRouting(TranspilerPass):
         decay_increment: float = _DECAY_INCREMENT,
         engine: str = "reference",
     ):
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; engines are {_ENGINES}")
         self._coupling_map = coupling_map
         self._seed = int(seed)
         self._extended_set_size = int(extended_set_size)
         self._extended_set_weight = float(extended_set_weight)
         self._decay_increment = float(decay_increment)
-        self._engine = engine
+        self._engine = _check_engine(engine)
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
         coupling_map: CouplingMap = self._coupling_map or properties.require("coupling_map")
@@ -336,3 +374,308 @@ class ReferenceSabreRouting(TranspilerPass):
             _swap_in_arrays(v2p, p2v, path[hop], path[hop + 1])
             inserted += 1
         return inserted
+
+
+# -- layout ------------------------------------------------------------------
+
+
+def reference_densest_subset(coupling_map: CouplingMap, size: int) -> List[int]:
+    """The original per-candidate Python-loop growth (parity oracle)."""
+    graph = coupling_map.graph
+    num_qubits = coupling_map.num_qubits
+    if size > num_qubits:
+        raise ValueError("requested subset larger than the device")
+    if size == num_qubits:
+        return list(range(num_qubits))
+    best_subset: List[int] = []
+    best_internal = -1
+    degrees = dict(graph.degree())
+    seeds = sorted(degrees, key=lambda q: -degrees[q])[: max(4, num_qubits // 8)]
+    for seed in seeds:
+        subset = {seed}
+        while len(subset) < size:
+            frontier = {
+                neighbor
+                for node in subset
+                for neighbor in graph.neighbors(node)
+            } - subset
+            if not frontier:
+                remaining = [q for q in range(num_qubits) if q not in subset]
+                frontier = set(remaining[:1])
+                if not frontier:
+                    break
+            choice = max(
+                frontier,
+                key=lambda q: (
+                    sum(1 for nb in graph.neighbors(q) if nb in subset),
+                    degrees[q],
+                    -q,
+                ),
+            )
+            subset.add(choice)
+        internal = sum(
+            1 for a, b in graph.edges() if a in subset and b in subset
+        )
+        if internal > best_internal:
+            best_internal = internal
+            best_subset = sorted(subset)
+    return best_subset
+
+
+class ReferenceDenseLayout(DenseLayout):
+    """:class:`DenseLayout` with the pre-vectorization scorer."""
+
+    def _select(self, circuit: QuantumCircuit, properties: PropertySet) -> Layout:
+        """The pre-vectorization scorer (Python loops), kept as parity oracle."""
+        device = self._coupling_map
+        subset = reference_densest_subset(device, circuit.num_qubits)
+        subset_set = set(subset)
+        internal_degree = {
+            qubit: sum(1 for nb in device.neighbors(qubit) if nb in subset_set)
+            for qubit in subset
+        }
+        physical_ranked = sorted(subset, key=lambda q: (-internal_degree[q], q))
+        activity: Dict[int, int] = {q: 0 for q in range(circuit.num_qubits)}
+        interactions = DAGCircuit.shared(circuit, properties).two_qubit_interactions()
+        for pair, count in interactions.items():
+            activity[pair[0]] += count
+            activity[pair[1]] += count
+        virtual_ranked = sorted(
+            range(circuit.num_qubits), key=lambda q: (-activity[q], q)
+        )
+        return Layout(
+            {virtual: physical for virtual, physical in zip(virtual_ranked, physical_ranked)}
+        )
+
+
+class ReferenceInteractionGraphLayout(InteractionGraphLayout):
+    """:class:`InteractionGraphLayout` with the pre-vectorization placer."""
+
+    def _place(
+        self, circuit: QuantumCircuit, properties: PropertySet
+    ) -> Dict[int, int]:
+        """The pre-vectorization placer (Python loops), kept as parity oracle."""
+        device = self._coupling_map
+        rng = np.random.default_rng(self._seed)
+        distance = device.distance_matrix()
+        interactions = DAGCircuit.shared(circuit, properties).two_qubit_interactions()
+        weight: Dict[int, Dict[int, int]] = {}
+        for (a, b), count in interactions.items():
+            weight.setdefault(a, {})[b] = count
+            weight.setdefault(b, {})[a] = count
+        order = sorted(
+            range(circuit.num_qubits),
+            key=lambda q: -sum(weight.get(q, {}).values()),
+        )
+        free = set(range(device.num_qubits))
+        placement: Dict[int, int] = {}
+        for virtual in order:
+            partners = [
+                (placement[other], count)
+                for other, count in weight.get(virtual, {}).items()
+                if other in placement
+            ]
+            if not partners:
+                # Seed unconnected (or first) qubits near the device centre.
+                centre = min(
+                    free,
+                    key=lambda q: float(np.sum(distance[q, list(free)]))
+                    + rng.uniform(0, 1e-6),
+                )
+                placement[virtual] = centre
+            else:
+                best = min(
+                    free,
+                    key=lambda q: sum(
+                        distance[q, physical] * count for physical, count in partners
+                    )
+                    + rng.uniform(0, 1e-6),
+                )
+                placement[virtual] = best
+            free.remove(placement[virtual])
+        return placement
+
+
+class ReferenceNoiseAwareLayout(NoiseAwareLayout):
+    """:class:`NoiseAwareLayout` with the pre-vectorization scorer."""
+
+    @staticmethod
+    def _rank_physical(
+        size: int, device: CouplingMap, noise_model: NoiseModel
+    ) -> List[int]:
+        """The pre-vectorization scorer (Python loops), kept as parity oracle."""
+        subset = ReferenceNoiseAwareLayout._best_subset(size, device, noise_model)
+        subset_set = set(subset)
+        # Rank physical qubits by the total fidelity of their couplings
+        # inside the chosen subset.
+        quality = {
+            qubit: sum(
+                noise_model.fidelity(qubit, neighbor)
+                for neighbor in device.neighbors(qubit)
+                if neighbor in subset_set
+            )
+            for qubit in subset
+        }
+        return sorted(subset, key=lambda q: (-quality[q], q))
+
+    @staticmethod
+    def _best_subset(size: int, device: CouplingMap, noise_model: NoiseModel) -> List[int]:
+        """Greedy connected subset maximising total internal edge fidelity."""
+        if size >= device.num_qubits:
+            return list(range(device.num_qubits))
+        best_subset: List[int] = []
+        best_score = -np.inf
+        degrees = {q: device.degree(q) for q in range(device.num_qubits)}
+        seeds = sorted(degrees, key=lambda q: -degrees[q])[: max(4, device.num_qubits // 8)]
+        for seed in seeds:
+            subset = {seed}
+            while len(subset) < size:
+                frontier = {
+                    neighbor
+                    for node in subset
+                    for neighbor in device.neighbors(node)
+                } - subset
+                if not frontier:
+                    remaining = [q for q in range(device.num_qubits) if q not in subset]
+                    if not remaining:
+                        break
+                    frontier = {remaining[0]}
+                choice = max(
+                    frontier,
+                    key=lambda q: (
+                        sum(
+                            noise_model.fidelity(q, neighbor)
+                            for neighbor in device.neighbors(q)
+                            if neighbor in subset
+                        ),
+                        degrees[q],
+                        -q,
+                    ),
+                )
+                subset.add(choice)
+            score = sum(
+                noise_model.fidelity(a, b)
+                for a, b in device.edges()
+                if a in subset and b in subset
+            )
+            if score > best_score:
+                best_score = score
+                best_subset = sorted(subset)
+        return best_subset
+
+
+# -- noise-aware routing -----------------------------------------------------
+
+
+class ReferenceNoiseAwareRouting(NoiseAwareRouting):
+    """:class:`NoiseAwareRouting` with the per-candidate Python-loop scorer."""
+
+    def _select_swap(
+        self,
+        candidates: np.ndarray,
+        permutations: np.ndarray,
+        front_pairs: np.ndarray,
+        distance: np.ndarray,
+        swap_costs: np.ndarray,
+        noise_model: NoiseModel,
+        rng: np.random.Generator,
+    ) -> int:
+        """The pre-vectorization scorer (Python loop), kept as parity oracle."""
+        best_score = np.inf
+        best_choices: List[int] = []
+        for index in range(len(candidates)):
+            physical_a = int(candidates[index, 0])
+            physical_b = int(candidates[index, 1])
+            remapped = front_pairs.copy()
+            remapped[front_pairs == physical_a] = -1
+            remapped[front_pairs == physical_b] = physical_a
+            remapped[remapped == -1] = physical_b
+            front_cost = float(distance[remapped[:, 0], remapped[:, 1]].sum())
+            swap_cost = 3.0 * self.edge_cost(noise_model, physical_a, physical_b)
+            score = front_cost + swap_cost
+            if score < best_score - _TIE_EPS:
+                best_score = score
+                best_choices = [index]
+            elif abs(score - best_score) <= _TIE_EPS:
+                best_choices.append(index)
+        return best_choices[int(rng.integers(len(best_choices)))]
+
+
+# -- density-matrix simulation -----------------------------------------------
+
+
+def _expand_operator(operator: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Embed an operator on ``qubits`` into the full register.
+
+    ``operator`` follows the gate convention (first listed qubit = most
+    significant bit); the returned matrix acts on the little-endian full
+    register.  This is the legacy O(8^n)-per-gate path, kept as the
+    reference implementation for the equivalence tests and benchmarks.
+    """
+    qubits = [int(q) for q in qubits]
+    arity = len(qubits)
+    if operator.shape != (2 ** arity, 2 ** arity):
+        raise ValueError("operator dimension does not match the qubit list")
+    dim = 2 ** num_qubits
+    op_tensor = operator.reshape([2] * (2 * arity))
+    full = np.eye(dim, dtype=complex).reshape([2] * (2 * num_qubits))
+    # Row axis of full for qubit q is (num_qubits - 1 - q).
+    row_axes = [num_qubits - 1 - q for q in qubits]
+    # Contract the operator's input indices with the identity's row axes:
+    # result(out_1..out_k, remaining row axes..., col axes...) then move the
+    # new output axes back into place.
+    contracted = np.tensordot(
+        op_tensor, full, axes=(list(range(arity, 2 * arity)), row_axes)
+    )
+    moved = np.moveaxis(contracted, range(arity), row_axes)
+    return moved.reshape(dim, dim)
+
+
+def _evolve_unitary_expand(
+    matrix: np.ndarray, unitary: np.ndarray, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Legacy unitary evolution: embed into the full register, two matmuls."""
+    expanded = _expand_operator(np.asarray(unitary, dtype=complex), qubits, num_qubits)
+    return expanded @ matrix @ expanded.conj().T
+
+
+def _evolve_channel_expand(
+    matrix: np.ndarray, channel: QuantumChannel, qubits: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    """Legacy channel evolution: one full-register expansion per Kraus operator."""
+    result = np.zeros_like(matrix)
+    for op in channel.kraus_operators:
+        expanded = _expand_operator(op, qubits, num_qubits)
+        result += expanded @ matrix @ expanded.conj().T
+    return result
+
+
+class ReferenceDensityMatrixSimulator(DensityMatrixSimulator):
+    """:class:`DensityMatrixSimulator` with the full-register expansion engine."""
+
+    def _evolve(
+        self,
+        circuit: QuantumCircuit,
+        matrix: np.ndarray,
+        noise_model: Optional["object"],
+    ) -> np.ndarray:
+        """Legacy evolution: embed every operator into the full register."""
+        n = circuit.num_qubits
+        for instruction in circuit:
+            if instruction.name == "barrier":
+                continue
+            matrix = _evolve_unitary_expand(
+                matrix, instruction.gate.matrix(), instruction.qubits, n
+            )
+            if noise_model is not None:
+                channel = noise_model.channel_for(instruction)
+                if channel is not None:
+                    matrix = _evolve_channel_expand(
+                        matrix, channel, instruction.qubits, n
+                    )
+        if noise_model is not None:
+            for qubit in range(n):
+                idle = noise_model.idle_channel_for(circuit, qubit)
+                if idle is not None:
+                    matrix = _evolve_channel_expand(matrix, idle, (qubit,), n)
+        return matrix

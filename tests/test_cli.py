@@ -103,7 +103,7 @@ class TestExecution:
 
 
 class TestUsageErrors:
-    """Bad topology names and oversized workloads end in one line, exit 2."""
+    """Bad names, sizes and oversized workloads exit 2 before compiling."""
 
     @pytest.fixture(autouse=True)
     def _no_compile(self, monkeypatch):
@@ -112,8 +112,16 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("a usage error must be reported before compiling")
 
-        monkeypatch.setattr(repro.cli, "run_point", refuse)
-        monkeypatch.setattr(repro.cli, "transpile", refuse)
+        for entry_point in (
+            "run_point",
+            "transpile",
+            "swap_study",
+            "codesign_study",
+            "scheduling_study",
+            "run_sweep_sharded",
+            "headline_study",
+        ):
+            monkeypatch.setattr(repro.cli, entry_point, refuse)
 
     def _usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -155,3 +163,33 @@ class TestUsageErrors:
     def test_unknown_basis(self, capsys):
         line = self._usage_error(capsys, ["run", "GHZ", "8", "--basis", "nosuch"])
         assert line == "repro run: unknown basis gate 'nosuch'"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swaps", "--workloads", "NoSuch", "--sizes", "8"],
+            ["codesign", "--workloads", "NoSuch", "--sizes", "8"],
+            ["schedule", "--workloads", "GHZ", "NoSuch"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--workloads", "NoSuch"],
+        ],
+    )
+    def test_unknown_workload_in_list(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(
+            f"repro {argv[0]}: error: argument --workloads: invalid choice: 'NoSuch'"
+        )
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("sizes", [["500"], ["1"], ["16", "85"], []])
+    def test_headline_size_out_of_range(self, capsys, sizes):
+        line = self._usage_error(capsys, ["headline", "--sizes", *sizes])
+        assert line.startswith(
+            "repro headline: --sizes must be one or more of 2..84 "
+            "(Quantum Volume on Heavy-Hex and Hypercube); got "
+        )

@@ -114,16 +114,17 @@ def test_every_registered_layout_pass_emits_a_routable_layout(
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_vectorized_and_reference_layouts_agree_on_random_circuits(num_qubits, seed):
-    """Engine parity as a property, not only at hand-picked seeds."""
+    """Oracle parity as a property, not only at hand-picked seeds."""
+    from oracles import ReferenceDenseLayout, ReferenceInteractionGraphLayout
     from repro.transpiler import DenseLayout, InteractionGraphLayout
 
     circuit = random_circuit(num_qubits, seed, with_three_qubit=False)
     for device in (square_lattice(3, 3), corral_topology(5, (1, 1))):
-        for pass_cls, options in (
-            (DenseLayout, {}),
-            (InteractionGraphLayout, {"seed": seed % 101}),
+        for pass_cls, oracle_cls, options in (
+            (DenseLayout, ReferenceDenseLayout, {}),
+            (InteractionGraphLayout, ReferenceInteractionGraphLayout, {"seed": seed % 101}),
         ):
             vector_props, reference_props = PropertySet(), PropertySet()
-            pass_cls(device, engine="vector", **options).run(circuit, vector_props)
-            pass_cls(device, engine="reference", **options).run(circuit, reference_props)
+            pass_cls(device, **options).run(circuit, vector_props)
+            oracle_cls(device, **options).run(circuit, reference_props)
             assert vector_props["layout"] == reference_props["layout"]

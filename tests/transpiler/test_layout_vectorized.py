@@ -1,16 +1,23 @@
 """Equivalence of the vectorized layout scorers and the legacy reference.
 
 Mirror of ``test_routing_vectorized.py`` for the layout stage: the
-vectorized engines of :class:`DenseLayout` and
-:class:`InteractionGraphLayout` (and the vectorized
+vectorized scorers of :class:`DenseLayout`, :class:`InteractionGraphLayout`
+and :class:`NoiseAwareLayout` (and the vectorized
 ``CouplingMap.densest_subset`` they build on) must select *bit-identical*
-layouts to the pre-vectorization Python-loop scorers, pinned at fixed
-seeds across the paper's topology families — including the downstream
-routing result, which consumes the layout.
+layouts to the pre-vectorization Python-loop scorers of the test-only
+oracles (``tests/oracles.py``), pinned at fixed seeds across the paper's
+topology families and at the ``fig14-l1`` benchmark's own design points —
+including the downstream routing result, which consumes the layout.
 """
 
 import pytest
 
+from oracles import (
+    ReferenceDenseLayout,
+    ReferenceInteractionGraphLayout,
+    ReferenceNoiseAwareLayout,
+    reference_densest_subset,
+)
 from repro.circuits.dag import SHARED_DAG_PROPERTY, DAGCircuit
 from repro.topology import CouplingMap, corral_topology, square_lattice
 from repro.transpiler import (
@@ -18,9 +25,16 @@ from repro.transpiler import (
     InteractionGraphLayout,
     PropertySet,
     SabreRouting,
+    Target,
 )
+from repro.transpiler.passes.decompose_multi import DecomposeMultiQubit
 from repro.transpiler.passes.vf2_layout import VF2Layout
-from repro.workloads import ghz_circuit, qaoa_vanilla_circuit, quantum_volume_circuit
+from repro.workloads import (
+    build_workload,
+    ghz_circuit,
+    qaoa_vanilla_circuit,
+    quantum_volume_circuit,
+)
 
 TOPOLOGIES = {
     "corral": corral_topology(8, (1, 1)),
@@ -30,9 +44,15 @@ TOPOLOGIES = {
 }
 
 
-def _layout(pass_cls, coupling_map, circuit, engine, **options):
+#: The ``fig14-l1`` benchmark grid: the paper's large (84-qubit) design
+#: points, Fig. 14, under the six paper workloads at four sizes.
+LARGE_TOPOLOGIES = ("Heavy-Hex", "Square-Lattice", "Tree", "Tree-RR", "Hypercube")
+PAPER_WORKLOADS = ("QuantumVolume", "QFT", "QAOAVanilla", "TIMHamiltonian", "Adder", "GHZ")
+
+
+def _layout(pass_cls, coupling_map, circuit, **options):
     properties = PropertySet()
-    pass_cls(coupling_map, engine=engine, **options).run(circuit, properties)
+    pass_cls(coupling_map, **options).run(circuit, properties)
     return properties["layout"], properties
 
 
@@ -42,16 +62,16 @@ class TestDenseLayoutEngineParity:
     def test_identical_layout_qv(self, topology, seed):
         coupling_map = TOPOLOGIES[topology]
         circuit = quantum_volume_circuit(min(10, coupling_map.num_qubits), seed=seed)
-        vector, _ = _layout(DenseLayout, coupling_map, circuit, "vector")
-        reference, _ = _layout(DenseLayout, coupling_map, circuit, "reference")
+        vector, _ = _layout(DenseLayout, coupling_map, circuit)
+        reference, _ = _layout(ReferenceDenseLayout, coupling_map, circuit)
         assert vector == reference
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_identical_layout_qaoa(self, seed):
         coupling_map = TOPOLOGIES["lattice"]
         circuit = qaoa_vanilla_circuit(12, seed=seed)
-        vector, _ = _layout(DenseLayout, coupling_map, circuit, "vector")
-        reference, _ = _layout(DenseLayout, coupling_map, circuit, "reference")
+        vector, _ = _layout(DenseLayout, coupling_map, circuit)
+        reference, _ = _layout(ReferenceDenseLayout, coupling_map, circuit)
         assert vector == reference
 
     def test_identical_layout_without_two_qubit_gates(self):
@@ -62,8 +82,8 @@ class TestDenseLayoutEngineParity:
         for qubit in range(5):
             circuit.append(HGate(), (qubit,))
         coupling_map = TOPOLOGIES["corral"]
-        vector, _ = _layout(DenseLayout, coupling_map, circuit, "vector")
-        reference, _ = _layout(DenseLayout, coupling_map, circuit, "reference")
+        vector, _ = _layout(DenseLayout, coupling_map, circuit)
+        reference, _ = _layout(ReferenceDenseLayout, coupling_map, circuit)
         assert vector == reference
 
     @pytest.mark.parametrize("topology", ["corral", "lattice"])
@@ -72,18 +92,37 @@ class TestDenseLayoutEngineParity:
         coupling_map = TOPOLOGIES[topology]
         circuit = quantum_volume_circuit(10, seed=5)
         outputs = {}
-        for engine in ("vector", "reference"):
-            _, properties = _layout(DenseLayout, coupling_map, circuit, engine)
+        for pass_cls in (DenseLayout, ReferenceDenseLayout):
+            _, properties = _layout(pass_cls, coupling_map, circuit)
             routed = SabreRouting(coupling_map, seed=5).run(circuit, properties)
-            outputs[engine] = (
+            outputs[pass_cls] = (
                 [(inst.name, inst.qubits, inst.induced) for inst in routed],
                 properties["routing_swaps"],
             )
-        assert outputs["vector"] == outputs["reference"]
+        assert outputs[DenseLayout] == outputs[ReferenceDenseLayout]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            DenseLayout(TOPOLOGIES["line"], engine="turbo")
+
+class TestDenseLayoutOracleParityLargeDesignPoints:
+    """Every (design point, workload, size) layout of the ``fig14-l1`` grid."""
+
+    @pytest.fixture(scope="class")
+    def devices(self):
+        return {
+            name: Target.from_names(name, "cx", scale="large").coupling_map
+            for name in LARGE_TOPOLOGIES
+        }
+
+    @pytest.mark.parametrize("topology", LARGE_TOPOLOGIES)
+    @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
+    def test_identical_layouts(self, devices, topology, workload):
+        coupling_map = devices[topology]
+        for size in (16, 24, 32, 40):
+            circuit = DecomposeMultiQubit().run(
+                build_workload(workload, size, seed=1), PropertySet()
+            )
+            vector, _ = _layout(DenseLayout, coupling_map, circuit)
+            reference, _ = _layout(ReferenceDenseLayout, coupling_map, circuit)
+            assert vector == reference, f"{workload}-{size} on {topology}"
 
 
 class TestInteractionLayoutEngineParity:
@@ -92,11 +131,9 @@ class TestInteractionLayoutEngineParity:
     def test_identical_layout_qv(self, topology, seed):
         coupling_map = TOPOLOGIES[topology]
         circuit = quantum_volume_circuit(min(10, coupling_map.num_qubits), seed=seed)
-        vector, _ = _layout(
-            InteractionGraphLayout, coupling_map, circuit, "vector", seed=seed
-        )
+        vector, _ = _layout(InteractionGraphLayout, coupling_map, circuit, seed=seed)
         reference, _ = _layout(
-            InteractionGraphLayout, coupling_map, circuit, "reference", seed=seed
+            ReferenceInteractionGraphLayout, coupling_map, circuit, seed=seed
         )
         assert vector == reference
 
@@ -105,11 +142,9 @@ class TestInteractionLayoutEngineParity:
         """GHZ interacts only along a chain: exercises the centre branch."""
         coupling_map = TOPOLOGIES["lattice"]
         circuit = ghz_circuit(9)
-        vector, _ = _layout(
-            InteractionGraphLayout, coupling_map, circuit, "vector", seed=seed
-        )
+        vector, _ = _layout(InteractionGraphLayout, coupling_map, circuit, seed=seed)
         reference, _ = _layout(
-            InteractionGraphLayout, coupling_map, circuit, "reference", seed=seed
+            ReferenceInteractionGraphLayout, coupling_map, circuit, seed=seed
         )
         assert vector == reference
 
@@ -121,15 +156,9 @@ class TestInteractionLayoutEngineParity:
         circuit = QuantumCircuit(6)
         circuit.append(CXGate(), (0, 1))  # qubits 2..5 stay idle
         coupling_map = TOPOLOGIES["lattice"]
-        vector, _ = _layout(InteractionGraphLayout, coupling_map, circuit, "vector")
-        reference, _ = _layout(
-            InteractionGraphLayout, coupling_map, circuit, "reference"
-        )
+        vector, _ = _layout(InteractionGraphLayout, coupling_map, circuit)
+        reference, _ = _layout(ReferenceInteractionGraphLayout, coupling_map, circuit)
         assert vector == reference
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            InteractionGraphLayout(TOPOLOGIES["line"], engine="fast")
 
 
 class TestNoiseAwareLayoutEngineParity:
@@ -142,11 +171,9 @@ class TestNoiseAwareLayoutEngineParity:
         coupling_map = TOPOLOGIES[topology]
         noise = NoiseModel.random(coupling_map, seed=seed)
         circuit = quantum_volume_circuit(min(10, coupling_map.num_qubits), seed=seed)
-        vector, _ = _layout(
-            NoiseAwareLayout, coupling_map, circuit, "vector", noise_model=noise
-        )
+        vector, _ = _layout(NoiseAwareLayout, coupling_map, circuit, noise_model=noise)
         reference, _ = _layout(
-            NoiseAwareLayout, coupling_map, circuit, "reference", noise_model=noise
+            ReferenceNoiseAwareLayout, coupling_map, circuit, noise_model=noise
         )
         assert vector == reference
 
@@ -159,11 +186,9 @@ class TestNoiseAwareLayoutEngineParity:
         coupling_map = TOPOLOGIES[topology]
         noise = NoiseModel.uniform()
         circuit = quantum_volume_circuit(min(9, coupling_map.num_qubits), seed=2)
-        vector, _ = _layout(
-            NoiseAwareLayout, coupling_map, circuit, "vector", noise_model=noise
-        )
+        vector, _ = _layout(NoiseAwareLayout, coupling_map, circuit, noise_model=noise)
         reference, _ = _layout(
-            NoiseAwareLayout, coupling_map, circuit, "reference", noise_model=noise
+            ReferenceNoiseAwareLayout, coupling_map, circuit, noise_model=noise
         )
         assert vector == reference
 
@@ -176,7 +201,7 @@ class TestNoiseAwareLayoutEngineParity:
         noise = NoiseModel.random(coupling_map, seed=7)
         weights = noise.fidelity_matrix(coupling_map)
         assert NoiseAwareLayout._best_subset_vector(size, coupling_map, weights) == (
-            NoiseAwareLayout._best_subset(size, coupling_map, noise)
+            ReferenceNoiseAwareLayout._best_subset(size, coupling_map, noise)
         )
 
     def test_downstream_routing_identical(self):
@@ -188,22 +213,14 @@ class TestNoiseAwareLayoutEngineParity:
         noise = NoiseModel.random(coupling_map, seed=9)
         circuit = quantum_volume_circuit(10, seed=9)
         outputs = {}
-        for engine in ("vector", "reference"):
-            _, properties = _layout(
-                NoiseAwareLayout, coupling_map, circuit, engine, noise_model=noise
-            )
+        for pass_cls in (NoiseAwareLayout, ReferenceNoiseAwareLayout):
+            _, properties = _layout(pass_cls, coupling_map, circuit, noise_model=noise)
             routed = NoiseAwareRouting(coupling_map, seed=9).run(circuit, properties)
-            outputs[engine] = (
+            outputs[pass_cls] = (
                 [(inst.name, inst.qubits, inst.induced) for inst in routed],
                 properties["routing_swaps"],
             )
-        assert outputs["vector"] == outputs["reference"]
-
-    def test_unknown_engine_rejected(self):
-        from repro.transpiler import NoiseAwareLayout
-
-        with pytest.raises(ValueError, match="engine"):
-            NoiseAwareLayout(TOPOLOGIES["line"], engine="turbo")
+        assert outputs[NoiseAwareLayout] == outputs[ReferenceNoiseAwareLayout]
 
 
 class TestDensestSubsetEngines:
@@ -211,8 +228,8 @@ class TestDensestSubsetEngines:
     def test_engines_agree_for_every_size(self, topology):
         coupling_map = TOPOLOGIES[topology]
         for size in range(1, coupling_map.num_qubits + 1):
-            assert coupling_map.densest_subset(size, engine="vector") == (
-                coupling_map.densest_subset(size, engine="reference")
+            assert coupling_map.densest_subset(size) == (
+                reference_densest_subset(coupling_map, size)
             )
 
     def test_memoized_subset_is_copied(self):
@@ -220,10 +237,6 @@ class TestDensestSubsetEngines:
         first = coupling_map.densest_subset(4)
         first.append(99)  # mutating the returned list must not poison the cache
         assert 99 not in coupling_map.densest_subset(4)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            TOPOLOGIES["line"].densest_subset(3, engine="warp")
 
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError):
@@ -233,8 +246,8 @@ class TestDensestSubsetEngines:
         """Two components: the greedy growth falls back to unplaced qubits."""
         coupling_map = CouplingMap([(0, 1), (2, 3)], num_qubits=4)
         for size in (2, 3):
-            assert coupling_map.densest_subset(size, engine="vector") == (
-                coupling_map.densest_subset(size, engine="reference")
+            assert coupling_map.densest_subset(size) == (
+                reference_densest_subset(coupling_map, size)
             )
 
 

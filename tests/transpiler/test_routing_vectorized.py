@@ -6,14 +6,16 @@ the RNG on every decision: same scores, same tie sets, same RNG draws,
 hence the same SWAP sequence gate for gate, the same ``routing_swaps`` and
 the same final layout.  These tests pin that contract at fixed seeds on
 small topologies and on the paper's five large design points, including
-the stall escape that no ordinary input reaches.  The noise-aware router's
-two scorer engines are pinned the same way.
+the stall escape that no ordinary input reaches.  The noise-aware router
+is pinned the same way to its oracle's per-candidate Python-loop scorer,
+on small topologies and at the ``l3-noisy`` benchmark's large QFT/QAOA
+design points.
 """
 
 import numpy as np
 import pytest
 
-from oracles import ReferenceSabreRouting
+from oracles import ReferenceNoiseAwareRouting, ReferenceSabreRouting
 from repro.circuits import QuantumCircuit
 from repro.circuits.dag import SHARED_DAG_PROPERTY, DAGCircuit
 from repro.core.noise import NoiseModel
@@ -55,6 +57,25 @@ def _assert_matches_oracle(circuit, coupling_map, seed):
     assert properties["routing_swaps"] == expected_props["routing_swaps"]
     assert properties["final_layout"] == expected_props["final_layout"]
     return properties
+
+
+def _assert_noise_aware_matches_oracle(circuit, coupling_map, noise_model, seed):
+    options = {"noise_model": noise_model, "seed": seed}
+    routed, properties = _route(circuit, coupling_map, router=NoiseAwareRouting, **options)
+    expected, expected_props = _route(
+        circuit, coupling_map, router=ReferenceNoiseAwareRouting, **options
+    )
+    assert _signature(routed) == _signature(expected)
+    assert properties["routing_swaps"] == expected_props["routing_swaps"]
+    return properties
+
+
+@pytest.fixture(scope="module")
+def large_devices():
+    return {
+        name: Target.from_names(name, "cx", scale="large").coupling_map
+        for name in LARGE_TOPOLOGIES
+    }
 
 
 class TestSabreEngineParity:
@@ -111,19 +132,12 @@ class TestSabreEngineParity:
 class TestSabreOracleParityLargeDesignPoints:
     """All six paper workloads at 16 qubits on the five 84-qubit devices."""
 
-    @pytest.fixture(scope="class")
-    def devices(self):
-        return {
-            name: Target.from_names(name, "cx", scale="large").coupling_map
-            for name in LARGE_TOPOLOGIES
-        }
-
     @pytest.mark.parametrize("topology", LARGE_TOPOLOGIES)
     @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_identical_routing(self, devices, topology, workload, seed):
+    def test_identical_routing(self, large_devices, topology, workload, seed):
         circuit = DecomposeMultiQubit().run(build_workload(workload, 16, seed=seed), PropertySet())
-        _assert_matches_oracle(circuit, devices[topology], seed)
+        _assert_matches_oracle(circuit, large_devices[topology], seed)
 
 
 class TestSabreStallEscape:
@@ -211,21 +225,24 @@ class TestNoiseAwareEngineParity:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_identical_swap_sequence(self, topology, seed):
         coupling_map = TOPOLOGIES[topology]
-        noise_model = self._noise_model(coupling_map)
         circuit = quantum_volume_circuit(10, seed=seed)
-        outputs = {}
-        for engine in ("vector", "reference"):
-            properties = PropertySet()
-            DenseLayout(coupling_map).run(circuit, properties)
-            routed = NoiseAwareRouting(
-                coupling_map, noise_model=noise_model, seed=seed, engine=engine
-            ).run(circuit, properties)
-            outputs[engine] = (_signature(routed), properties["routing_swaps"])
-        assert outputs["vector"] == outputs["reference"]
+        _assert_noise_aware_matches_oracle(
+            circuit, coupling_map, self._noise_model(coupling_map), seed
+        )
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            NoiseAwareRouting(TOPOLOGIES["corral"], engine="fast")
+
+class TestNoiseAwareOracleParityLargeDesignPoints:
+    """QFT and QAOA at 16 qubits on the five 84-qubit devices, random noise."""
+
+    @pytest.mark.parametrize("topology", LARGE_TOPOLOGIES)
+    @pytest.mark.parametrize("workload", ["QFT", "QAOAVanilla"])
+    def test_identical_routing(self, large_devices, topology, workload):
+        coupling_map = large_devices[topology]
+        circuit = DecomposeMultiQubit().run(build_workload(workload, 16, seed=1), PropertySet())
+        properties = _assert_noise_aware_matches_oracle(
+            circuit, coupling_map, NoiseModel.random(coupling_map, seed=3), seed=1
+        )
+        assert properties["routing_swaps"] > 0
 
 
 class TestSharedDag:
