@@ -1,11 +1,16 @@
 """Benchmark: layout hot path and the worker-shared result cache.
 
-Companion of ``test_bench_routing_hotpath.py`` for this PR's two claims:
+Companion of ``test_bench_routing_hotpath.py`` for three claims:
 
 * the vectorized :class:`DenseLayout` scorer lays a batch of 48-qubit
   corral QV circuits out at least 3x faster than the legacy Python-loop
   scorer of the test-only oracle ``ReferenceDenseLayout``
   (``tests/oracles.py``), selecting bit-identical layouts;
+* the in-tree VF2 search
+  (:func:`~repro.transpiler.passes.vf2_layout.first_monomorphism`) runs
+  every search of the ``l3-noisy`` grid (seed 1) at least 2.5x faster than
+  networkx's ``GraphMatcher`` (the oracle
+  ``reference_first_monomorphism``) and returns the same embeddings;
 * a parallel (``--workers N``) rerun against a warm shared cache dir
   performs **zero** transpiles: every point is served off disk *by the
   pool workers*, whose hits are visible in the parent's ``CacheStats``.
@@ -21,12 +26,14 @@ from __future__ import annotations
 import time
 import warnings
 
-from oracles import ReferenceDenseLayout
+from l3_noisy_grid import vf2_searches
+from oracles import ReferenceDenseLayout, reference_first_monomorphism
 from repro.circuits.dag import DAGCircuit
 from repro.core.pipeline import run_sweep
 from repro.runtime import ExperimentRunner, PersistentResultCache
 from repro.topology import corral_topology
 from repro.transpiler import DenseLayout, PropertySet, make_target
+from repro.transpiler.passes.vf2_layout import first_monomorphism
 from repro.workloads import quantum_volume_circuit
 
 LAYOUT_QUBITS = 48  # Corral with 24 posts — the acceptance-bar device
@@ -80,6 +87,42 @@ def test_bench_dense_layout_vectorized_speedup(benchmark, emit):
         },
     )
     assert speedup >= 3.0
+
+
+VF2_SEED = 1  # the l3-noisy benchmark seed whose grid is searched
+
+
+def _search_all(search, searches):
+    start = time.perf_counter()
+    mappings = [search(device.graph, pattern) for _, device, pattern in searches]
+    return mappings, time.perf_counter() - start
+
+
+def test_bench_vf2_search(benchmark, emit):
+    """Every search the pre-check lets through on the l3-noisy grid."""
+    searches = vf2_searches(VF2_SEED)
+    mappings, seconds = _search_all(first_monomorphism, searches)
+    reference, reference_seconds = _search_all(reference_first_monomorphism, searches)
+    benchmark.pedantic(_search_all, args=(first_monomorphism, searches), rounds=1, iterations=1)
+
+    # Same first embedding, insertion order included: the layout the pass
+    # derives from it must not depend on which search ran.
+    assert [None if m is None else list(m.items()) for m in mappings] == [
+        None if m is None else list(m.items()) for m in reference
+    ]
+    speedup = reference_seconds / max(seconds, 1e-9)
+    emit(
+        benchmark,
+        f"In-tree VF2 search vs networkx GraphMatcher (l3-noisy grid, seed {VF2_SEED})",
+        {
+            "searches": len(searches),
+            "embeddings": sum(m is not None for m in mappings),
+            "networkx_seconds": round(reference_seconds, 4),
+            "search_seconds": round(seconds, 4),
+            "speedup_vs_networkx": round(speedup, 2),
+        },
+    )
+    assert speedup >= 2.5
 
 
 def _parallel_sweep(cache_dir):

@@ -32,8 +32,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence
 
+from repro.circuits import QuantumCircuit
 from repro.core import (
     ReliabilityModel,
     design_targets,
@@ -81,7 +82,7 @@ from repro.runtime import (
     verify_cache,
 )
 from repro.snailsim import render_ascii_chevron
-from repro.topology.registry import HEAVY_HEX, HYPERCUBE, large_topologies
+from repro.topology.registry import HEAVY_HEX, HYPERCUBE, large_topologies, small_topologies
 from repro.transpiler import (
     Target,
     available_levels,
@@ -94,9 +95,18 @@ from repro.workloads import available_workloads, build_workload
 
 
 def _positive_int(value: str) -> int:
+    """argparse type of counts and circuit widths: an integer >= 1."""
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return number
+
+
+def _seed(value: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0 (NumPy rejects negatives)."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return number
 
 
@@ -215,9 +225,9 @@ def _fault_report(args: argparse.Namespace) -> Optional[str]:
 
 def _add_common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=("small", "large"), default="small")
-    parser.add_argument("--sizes", type=int, nargs="*", default=None)
+    parser.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
     parser.add_argument("--workloads", nargs="*", choices=available_workloads(), default=None)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=_seed, default=11)
     parser.add_argument("--csv", default=None, help="write the raw sweep data to a CSV file")
     _add_runtime_arguments(parser)
 
@@ -241,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_sweep_arguments(codesign)
 
     headline = commands.add_parser("headline", help="headline QV ratios (abstract)")
-    headline.add_argument("--sizes", type=int, nargs="*", default=None)
-    headline.add_argument("--seed", type=int, default=11)
+    headline.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
+    headline.add_argument("--seed", type=_seed, default=11)
     _add_runtime_arguments(headline)
 
     sensitivity = commands.add_parser("sensitivity", help="n-root iSWAP study (Fig. 15)")
-    sensitivity.add_argument("--seed", type=int, default=2022)
+    sensitivity.add_argument("--seed", type=_seed, default=2022)
     _add_runtime_arguments(sensitivity)
 
     chevron = commands.add_parser("chevron", help="SNAIL exchange chevron (Fig. 6)")
@@ -262,32 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule", help="duration-aware co-design study (physical pulse lengths)"
     )
     schedule.add_argument("--scale", choices=("small", "large"), default="small")
-    schedule.add_argument("--sizes", type=int, nargs="*", default=(8, 12, 16))
+    schedule.add_argument("--sizes", type=_positive_int, nargs="*", default=(8, 12, 16))
     schedule.add_argument(
         "--workloads",
         nargs="*",
         choices=available_workloads(),
         default=("QuantumVolume", "GHZ"),
     )
-    schedule.add_argument("--seed", type=int, default=5)
+    schedule.add_argument("--seed", type=_seed, default=5)
     _add_runtime_arguments(schedule)
 
     reliability = commands.add_parser(
         "reliability", help="wall-clock reliability ranking of the design points"
     )
     reliability.add_argument("workload", choices=available_workloads())
-    reliability.add_argument("size", type=int)
+    reliability.add_argument("size", type=_positive_int)
     reliability.add_argument("--scale", choices=("small", "large"), default="small")
     reliability.add_argument("--two-qubit-fidelity", type=float, default=0.995)
     reliability.add_argument("--t1-us", type=float, default=100.0)
     reliability.add_argument("--t2-us", type=float, default=100.0)
-    reliability.add_argument("--seed", type=int, default=0)
+    reliability.add_argument("--seed", type=_seed, default=0)
     _add_runtime_arguments(reliability)
 
     qasm = commands.add_parser("qasm", help="export a workload circuit as OpenQASM 2")
     qasm.add_argument("workload", choices=available_workloads())
-    qasm.add_argument("size", type=int)
-    qasm.add_argument("--seed", type=int, default=0)
+    qasm.add_argument("size", type=_positive_int)
+    qasm.add_argument("--seed", type=_seed, default=0)
     qasm.add_argument(
         "--transpile-to",
         default=None,
@@ -502,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload names (default: QuantumVolume GHZ)",
     )
     sweep.add_argument(
-        "--sizes", type=int, nargs="*", default=(4, 8, 12),
+        "--sizes", type=_positive_int, nargs="*", default=(4, 8, 12),
         help="circuit widths (default: 4 8 12)",
     )
     sweep.add_argument(
@@ -528,13 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--level", type=int, choices=available_levels(), default=1
     )
-    sweep.add_argument("--seed", type=int, default=11)
+    sweep.add_argument("--seed", type=_seed, default=11)
     sweep.add_argument("--csv", default=None, help="write the sweep records to a CSV file")
     _add_runtime_arguments(sweep)
 
     run = commands.add_parser("run", help="transpile one workload on one design point")
     run.add_argument("workload", choices=available_workloads())
-    run.add_argument("size", type=int)
+    run.add_argument("size", type=_positive_int)
     run.add_argument("--topology", default="Corral1,1")
     run.add_argument("--basis", default="siswap")
     run.add_argument("--scale", choices=("small", "large"), default="small")
@@ -561,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level: 0 fastest, 1 paper flow (default), "
         "2 adds gate cancellation, 3 adds noise-aware routing + scheduling",
     )
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument(
         "--timing",
         action="store_true",
@@ -597,6 +607,11 @@ def _command_swaps(args: argparse.Namespace) -> str:
     topologies = FIG11_TOPOLOGIES if args.scale == "small" else FIG12_TOPOLOGIES
     if args.scale == "large" and args.workloads is None:
         topologies = FIG4_TOPOLOGIES
+    if args.sizes:
+        registry = small_topologies() if args.scale == "small" else large_topologies()
+        _check_grid_sizes(
+            "swaps", args.sizes, [registry[name].num_qubits for name in topologies], args.scale
+        )
     result = swap_study(
         args.scale,
         topologies,
@@ -614,6 +629,8 @@ def _command_swaps(args: argparse.Namespace) -> str:
 
 
 def _command_codesign(args: argparse.Namespace) -> str:
+    if args.sizes:
+        _check_grid_sizes("codesign", args.sizes, _design_widths(args.scale), args.scale)
     result = codesign_study(
         args.scale,
         workloads=args.workloads,
@@ -670,6 +687,7 @@ def _command_frequency(args: argparse.Namespace) -> str:
 
 
 def _command_schedule(args: argparse.Namespace) -> str:
+    _check_grid_sizes("schedule", args.sizes, _design_widths(args.scale), args.scale)
     rows = scheduling_study(
         scale=args.scale,
         workloads=tuple(args.workloads),
@@ -685,6 +703,7 @@ def _command_reliability(args: argparse.Namespace) -> str:
         two_qubit_fidelity=args.two_qubit_fidelity, t1_us=args.t1_us, t2_us=args.t2_us
     )
     targets = list(design_targets(args.scale).values())
+    _checked_workload("reliability", args.workload, args.size, args.seed)
     ranking = reliability_ranking(
         targets,
         args.workload,
@@ -700,6 +719,33 @@ def _usage_error(verb: str, message: object) -> NoReturn:
     """Report bad user input as one line on stderr and exit with code 2."""
     print(f"repro {verb}: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _checked_workload(verb: str, workload: str, size: int, seed: int) -> QuantumCircuit:
+    """The workload circuit; a width its builder rejects is a usage error."""
+    try:
+        return build_workload(workload, size, seed=seed)
+    except ValueError as error:
+        _usage_error(verb, error)
+
+
+def _design_widths(scale: str) -> List[int]:
+    """Qubit counts of the co-design points at ``scale``."""
+    return [target.num_qubits for target in design_targets(scale).values()]
+
+
+def _check_grid_sizes(verb: str, sizes: Sequence[int], widths: Sequence[int], scale: str) -> None:
+    """Refuse a grid in which no requested size fits any selected design point.
+
+    The sweep skips every point wider than its device, so such a grid
+    would compile nothing and print an empty report.
+    """
+    if not any(size <= width for size in sizes for width in widths):
+        _usage_error(
+            verb,
+            f"no size in --sizes {list(sizes)} fits a selected design point "
+            f"(at most {max(widths)} qubits at scale {scale!r})",
+        )
 
 
 def _checked_target(verb: str, topology: str, basis: str, scale: str, size: int) -> Target:
@@ -725,7 +771,7 @@ def _command_qasm(args: argparse.Namespace) -> str:
     target = None
     if args.transpile_to is not None:
         target = _checked_target("qasm", args.transpile_to, args.basis, args.scale, args.size)
-    circuit = build_workload(args.workload, args.size, seed=args.seed)
+    circuit = _checked_workload("qasm", args.workload, args.size, args.seed)
     if target is not None:
         circuit = transpile(circuit, target, translation_mode="synthesis").circuit
     return circuit_to_qasm(circuit)
@@ -870,6 +916,9 @@ def _command_sweep(args: argparse.Namespace) -> str:
         ]
     else:
         targets = list(design_targets(args.scale).values())
+    _check_grid_sizes(
+        "sweep", args.sizes, [target.num_qubits for target in targets], args.scale
+    )
     statuses = {"restored": 0, "computed": 0}
 
     def _shard_progress(index: int, total: int, status: str, points: int) -> None:
@@ -938,6 +987,9 @@ def _command_serve(args: argparse.Namespace) -> str:
 
 def _command_run(args: argparse.Namespace) -> str:
     target = _checked_target("run", args.topology, args.basis, args.scale, args.size)
+    # run_point builds the circuit again; building it here first turns a
+    # width the workload rejects into a usage error before compiling.
+    _checked_workload("run", args.workload, args.size, args.seed)
     metrics = run_point(
         args.workload,
         args.size,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
@@ -121,6 +120,10 @@ class TemplateDecomposer:
         self, target: np.ndarray, applications: int
     ) -> ApproximateDecomposition:
         """Best template with exactly ``applications`` basis gates."""
+        # Imported here so that ``import repro`` and every compile stay
+        # free of scipy; only synthesis-mode translation optimises.
+        from scipy import optimize
+
         target = np.asarray(target, dtype=complex)
         if target.shape != (4, 4):
             raise ValueError("the target must be a two-qubit (4x4) unitary")

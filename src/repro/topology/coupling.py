@@ -14,36 +14,31 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on import
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
-except ImportError:  # pragma: no cover - scipy ships with the toolchain
-    csr_matrix = None
-    _csgraph_shortest_path = None
-
 
 def _bfs_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
     """All-pairs hop distances by frontier BFS on a boolean adjacency matrix.
 
-    Fallback used when scipy is unavailable: each iteration advances every
-    source's frontier one hop via a single boolean matrix product, so the
-    loop runs ``diameter`` times rather than ``n**2``.
+    Each iteration advances every source's frontier one hop with a single
+    float32 matrix product, which NumPy hands to BLAS (the products count
+    neighbours, small integers that float32 holds exactly), so the loop
+    runs ``diameter`` times rather than ``n**2``.  Unreachable pairs stay
+    ``inf``.
     """
     n = adjacency.shape[0]
     distance = np.full((n, n), np.inf)
     np.fill_diagonal(distance, 0.0)
-    frontier = np.eye(n, dtype=bool)
-    visited = frontier.copy()
+    weights = adjacency.astype(np.float32)
+    frontier = np.eye(n, dtype=np.float32)
+    visited = np.eye(n, dtype=bool)
     hops = 0
-    while frontier.any():
+    while True:
         hops += 1
-        reached = (frontier @ adjacency) & ~visited
+        reached = (frontier @ weights > 0) & ~visited
         if not reached.any():
-            break
+            return distance
         distance[reached] = hops
         visited |= reached
-        frontier = reached
-    return distance
+        frontier = reached.astype(np.float32)
 
 
 class CouplingMap:
@@ -212,25 +207,14 @@ class CouplingMap:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances (hops); cached, read-only.
 
-        Computed via ``scipy.sparse.csgraph`` (vectorized BFS fallback when
-        scipy is absent) instead of networkx dict-of-dicts.  Connected
-        graphs are stored as compact ``uint16`` — the form every router
-        gathers from millions of times per sweep; a disconnected graph
-        keeps the float matrix so unreachable pairs stay ``inf``.
+        Computed by a vectorized frontier BFS over :meth:`adjacency_matrix`
+        instead of networkx dict-of-dicts.  Connected graphs are stored as
+        compact ``uint16`` — the form every router gathers from millions
+        of times per sweep; a disconnected graph keeps the float matrix so
+        unreachable pairs stay ``inf``.
         """
         if self._distance is None:
-            n = self._num_qubits
-            if n == 0:
-                matrix = np.zeros((0, 0))
-            elif _csgraph_shortest_path is not None:
-                sparse = csr_matrix(
-                    self.adjacency_matrix().astype(np.int8), shape=(n, n)
-                )
-                matrix = _csgraph_shortest_path(
-                    sparse, method="D", directed=False, unweighted=True
-                )
-            else:
-                matrix = _bfs_distance_matrix(self.adjacency_matrix())
+            matrix = _bfs_distance_matrix(self.adjacency_matrix())
             if matrix.size and np.all(np.isfinite(matrix)) and matrix.max() < 2**16:
                 matrix = matrix.astype(np.uint16)
             matrix.setflags(write=False)

@@ -12,11 +12,17 @@ low-fidelity couplings when an almost-as-short alternative exists.
 The cost of using an edge is ``1 - log(fidelity) / log(fidelity_floor)``
 scaled into a SWAP-count-comparable unit, i.e. a perfect edge costs 1 hop
 and an edge at the floor fidelity costs ``1 + noise_weight`` hops.
+
+The router's two cost tables (all-pairs weighted distances and per-edge
+SWAP costs) depend only on the device, the noise model's fidelities and
+the two cost parameters, while a sweep compiles many circuits against few
+noisy targets.  :data:`COST_TABLE_CACHE` therefore builds them once per
+distinct content and serves read-only copies to every later run.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -25,6 +31,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
 from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
+from repro.linalg.cache import LRUCache
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.routing import (
@@ -36,6 +43,15 @@ from repro.transpiler.passes.routing import (
     _swap_in_arrays,
 )
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
+
+#: Process-wide memo of :meth:`NoiseAwareRouting._cost_tables`.  It
+#: outlives pass instances because the pass registry builds a new router
+#: for every compiled circuit; each pool worker builds its own.  Keys hold
+#: content, not object identity: a :class:`~repro.core.noise.NoiseModel`
+#: can be mutated between runs, and pool workers receive unpickled copies
+#: of each target.  One sweep of the level-3 benchmark grid needs 11
+#: entries; an 84-qubit entry holds two 56 KiB arrays.
+COST_TABLE_CACHE = LRUCache(maxsize=16)
 
 
 class NoiseAwareLayout(TranspilerPass):
@@ -208,6 +224,38 @@ class NoiseAwareRouting(TranspilerPass):
             cost[a, b] = cost[b, a] = self.edge_cost(noise_model, a, b)
         return cost
 
+    def _cost_tables(
+        self, coupling_map: CouplingMap, noise_model: NoiseModel
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(distance, swap_costs)`` tables, memoized by content.
+
+        ``swap_costs`` is ``3 * edge_cost`` per coupling (a SWAP is three
+        two-qubit gates).  The key holds every input of the two tables:
+        the router class (a subclass may price edges differently), its
+        cost parameters, the device's qubit count and edges, and the noise
+        model's edge fidelities and default fidelity.
+        """
+        edge_pairs = coupling_map.swap_arrays()[0]
+        key: Hashable = (
+            type(self),
+            self._noise_weight,
+            self._fidelity_floor,
+            coupling_map.num_qubits,
+            edge_pairs.tobytes(),
+            frozenset(noise_model.edge_fidelity.items()),
+            noise_model.default_fidelity,
+        )
+        tables = COST_TABLE_CACHE.get(key)
+        if tables is None:
+            tables = (
+                self._weighted_distance(coupling_map, noise_model),
+                3.0 * self._edge_cost_matrix(coupling_map, noise_model),
+            )
+            for table in tables:
+                table.setflags(write=False)
+            COST_TABLE_CACHE.put(key, tables)
+        return tables
+
     # -- pass entry point ---------------------------------------------------------
 
     def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
@@ -219,8 +267,7 @@ class NoiseAwareRouting(TranspilerPass):
         )
         layout: Layout = properties.require("layout")
         rng = np.random.default_rng(self._seed)
-        distance = self._weighted_distance(coupling_map, noise_model)
-        swap_costs = 3.0 * self._edge_cost_matrix(coupling_map, noise_model)
+        distance, swap_costs = self._cost_tables(coupling_map, noise_model)
 
         dag = DAGCircuit.shared(circuit, properties)
         instructions = dag.instructions

@@ -16,6 +16,12 @@ Many failed searches are decided before VF2 starts: :func:`embedding_impossible`
 tests necessary conditions of an embedding (edge count and the sorted
 degree sequences), so e.g. the complete interaction graph of a 16-qubit QFT
 is rejected on a degree-8 device without enumerating partial mappings.
+
+The search itself is :func:`first_monomorphism`, a depth-first VF2
+monomorphism search over plain Python lists.  It visits candidate pairs in
+the order of networkx's VF2 matcher and so returns the same first
+embedding, hence the same layout; ``tests/oracles.py`` keeps the networkx
+call as its parity oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import networkx as nx
-from networkx.algorithms import isomorphism
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -75,6 +80,125 @@ def embedding_impossible(pattern: nx.Graph, device: nx.Graph) -> bool:
         needed > available
         for needed, available in zip(_degrees_descending(pattern), _degrees_descending(device))
     )
+
+
+def first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optional[Dict[int, int]]:
+    """The first subgraph monomorphism of ``pattern`` into ``device``, or None.
+
+    The result maps device nodes to pattern nodes and equals, insertion
+    order included, the first mapping networkx's VF2 matcher yields from
+    ``subgraph_monomorphisms_iter()`` for ``(device, pattern)`` (its
+    ``"mono"`` mode; the test oracle ``reference_first_monomorphism``),
+    because the search visits candidate pairs in its order:
+
+    * When both terminal sets are non-empty, the candidates are the
+      unmapped device terminals in the order they became terminals, each
+      paired with the smallest unmapped pattern terminal (pattern node
+      order).  Otherwise they are the unmapped device nodes in device node
+      order, paired with the smallest unmapped pattern node.
+    * A pair is feasible when every mapped pattern neighbour of the
+      pattern node maps onto a device neighbour of the device node.
+    * A step makes the unmapped neighbours of the new device node
+      terminals.  networkx appends them in the iteration order of a set it
+      rebuilds from the unmapped neighbours of every mapped device node,
+      read in adjacency order; that set is rebuilt here too whenever the
+      order matters, i.e. when a step adds two or more terminals.
+
+    The pattern's terminals are only ever asked for their minimum, so they
+    are kept as a membership list that each step grows and its undo
+    shrinks.  The search is an explicit stack: it needs no recursion
+    limit and leaves no global state behind.  Both graphs are simple
+    (no self-loops, as :class:`~repro.topology.coupling.CouplingMap` and
+    :func:`interaction_graph` guarantee) and the device's nodes are the
+    integers ``0..n-1``, in any insertion order.
+    """
+    pattern_nodes = list(pattern)
+    size = len(pattern_nodes)
+    if size == 0:
+        return {}
+    position = {node: index for index, node in enumerate(pattern_nodes)}
+    pattern_adjacency = [[position[other] for other in pattern.adj[node]] for node in pattern_nodes]
+    device_order = list(device)
+    if sorted(device_order) != list(range(len(device_order))):
+        raise ValueError("device nodes must be the integers 0..n-1")
+    device_adjacency: List[Tuple[int, ...]] = [()] * len(device_order)
+    for node in device_order:
+        device_adjacency[node] = tuple(device.adj[node])
+    device_neighbours = [frozenset(neighbours) for neighbours in device_adjacency]
+
+    core_device = [-1] * len(device_order)  # device node -> pattern position
+    core_pattern = [-1] * size  # pattern position -> device node
+    mapped: List[int] = []  # device nodes in the order they were mapped
+    # networkx's inout sets: nodes that are mapped or terminal.  The device
+    # side keeps its entry order; the pattern side is a membership list.
+    terminals: List[int] = []
+    is_terminal = [False] * len(device_order)
+    pattern_seen = [False] * size
+    undo: List[Tuple[int, List[int]]] = []  # per step: len(terminals) before it, pattern entries
+
+    def candidates() -> Tuple[List[int], int]:
+        device_side = [node for node in terminals if core_device[node] < 0]
+        pattern_side = next(
+            (q for q in range(size) if pattern_seen[q] and core_pattern[q] < 0), -1
+        )
+        if device_side and pattern_side >= 0:
+            return device_side, pattern_side
+        return [node for node in device_order if core_device[node] < 0], core_pattern.index(-1)
+
+    stack = [[*candidates(), 0]]
+    while stack:
+        frame = stack[-1]
+        options, target, index = frame
+        needed = pattern_adjacency[target]
+        while index < len(options):
+            node = options[index]
+            index += 1
+            neighbours = device_neighbours[node]
+            for other in needed:
+                image = core_pattern[other]
+                if image >= 0 and image not in neighbours:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            if undo:
+                mark, seen = undo.pop()
+                node = mapped.pop()
+                core_pattern[core_device[node]] = -1
+                core_device[node] = -1
+                for other in terminals[mark:]:
+                    is_terminal[other] = False
+                del terminals[mark:]
+                for other in seen:
+                    pattern_seen[other] = False
+            continue
+        frame[2] = index
+        core_device[node] = target
+        core_pattern[target] = node
+        mapped.append(node)
+        if len(mapped) == size:
+            return {device_node: pattern_nodes[core_device[device_node]] for device_node in mapped}
+        mark = len(terminals)
+        if not is_terminal[node]:
+            terminals.append(node)
+        fresh = [other for other in device_adjacency[node] if not is_terminal[other]]
+        if len(fresh) > 1:
+            reached = set()
+            for mapped_node in mapped:
+                reached.update(
+                    [other for other in device_adjacency[mapped_node] if core_device[other] < 0]
+                )
+            fresh = [other for other in reached if not is_terminal[other]]
+        terminals.extend(fresh)
+        for other in terminals[mark:]:
+            is_terminal[other] = True
+        seen = [other for other in (target, *needed) if not pattern_seen[other]]
+        for other in seen:
+            pattern_seen[other] = True
+        undo.append((mark, seen))
+        stack.append([*candidates(), 0])
+    return None
 
 
 class VF2Layout(TranspilerPass):
@@ -140,11 +264,10 @@ class VF2Layout(TranspilerPass):
         device = self._coupling_map.graph
         if embedding_impossible(pattern, device):
             return None
-        matcher = isomorphism.GraphMatcher(device, pattern)
-        mapping = next(matcher.subgraph_monomorphisms_iter(), None)
+        mapping = first_monomorphism(device, pattern)
         if mapping is None:
             return None
-        # networkx returns device-node -> pattern-node; invert it.  Every
+        # The search returns device-node -> pattern-node; invert it.  Every
         # virtual qubit is a pattern node, idle ones included, so the
         # monomorphism seats them all.
         return {virtual: physical for physical, virtual in mapping.items()}

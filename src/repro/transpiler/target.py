@@ -155,7 +155,11 @@ class Target:
 
         The edge list participates through a digest so that two targets
         that merely share a name never collide; the noise model
-        participates through its edge-fidelity table.
+        participates through its edge-fidelity table.  Explicit
+        ``durations`` add a digest of every field a schedule reads (the
+        report label ``name`` is not one); targets on the modulator preset
+        keep the five-part key, so existing cache directories and sweep
+        checkpoints stay valid.
         """
         edges = ",".join(f"{a}-{b}" for a, b in self.coupling_map.edges())
         edge_digest = hashlib.sha256(edges.encode("ascii")).hexdigest()[:16]
@@ -169,13 +173,24 @@ class Target:
                 )
             )
         noise_digest = hashlib.sha256(noise_token.encode("utf-8")).hexdigest()[:16]
-        return (
+        key = (
             self.name,
             self.basis.name,
             self.coupling_map.num_qubits,
             edge_digest,
             noise_digest,
         )
+        if self.durations is None:
+            return key
+        durations_token = repr(
+            (
+                self.durations.one_qubit,
+                self.durations.two_qubit_default,
+                sorted(self.durations.by_name.items()),
+                self.durations.iswap_full,
+            )
+        )
+        return key + (hashlib.sha256(durations_token.encode("utf-8")).hexdigest()[:16],)
 
     # -- compilation ---------------------------------------------------------
 

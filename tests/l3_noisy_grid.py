@@ -1,0 +1,81 @@
+"""The ``l3-noisy`` benchmark grid, rebuilt for suites that check all of it.
+
+``perfbench/run.py::l3_job`` draws one noise seed per design point (five
+large, then six small) and then the circuit seed from
+``random.Random(f"l3-noisy:{seed}")``.  It compiles QFT and QAOA at 16
+and 24 qubits on the large points and the six paper workloads at 6 and 10
+qubits on the small ones, all at ``optimization_level=3``.  The helpers
+below repeat that derivation, so a suite can cover exactly the VF2
+searches and noisy targets that one benchmark run exercises.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Tuple
+
+import networkx as nx
+
+from repro.circuits.dag import DAGCircuit
+from repro.core.codesign import LARGE_DESIGN_POINTS, SMALL_DESIGN_POINTS
+from repro.core.noise import NoiseModel
+from repro.topology.coupling import CouplingMap
+from repro.transpiler import Target
+from repro.transpiler.passmanager import PropertySet
+from repro.transpiler.passes import DecomposeMultiQubit
+from repro.transpiler.passes.vf2_layout import embedding_impossible, interaction_graph
+from repro.workloads import PAPER_WORKLOADS, build_workload
+
+#: ``(workloads, sizes, scale, design points)`` of the two sub-grids.
+GRIDS = (
+    (("QFT", "QAOAVanilla"), (16, 24), "large", LARGE_DESIGN_POINTS),
+    (tuple(PAPER_WORKLOADS), (6, 10), "small", SMALL_DESIGN_POINTS),
+)
+
+
+def _seeds(seed: int) -> Tuple[List[int], int]:
+    """Per-design-point noise seeds and the circuit seed of benchmark seed ``seed``."""
+    rng = random.Random(f"l3-noisy:{seed}")
+    noise_seeds = [
+        rng.randrange(2**31) for _ in range(len(LARGE_DESIGN_POINTS) + len(SMALL_DESIGN_POINTS))
+    ]
+    return noise_seeds, rng.randrange(2**31)
+
+
+def noisy_targets(seed: int) -> List[Target]:
+    """The 11 noisy targets of benchmark seed ``seed``, large points first."""
+    noise_seeds = iter(_seeds(seed)[0])
+    targets = []
+    for _, _, scale, points in GRIDS:
+        for point in points:
+            target = point.target(scale)
+            model = NoiseModel.random(target.coupling_map, seed=next(noise_seeds))
+            targets.append(target.with_noise(model))
+    return targets
+
+
+def vf2_searches(seed: int) -> List[Tuple[str, CouplingMap, nx.Graph]]:
+    """``(label, device, pattern)`` of every search the pre-check lets through.
+
+    The pattern is the interaction graph ``VF2Layout`` builds after the
+    level-3 init stage; searches that ``embedding_impossible`` rejects, and
+    gate-free patterns, never reach the search and are left out.
+    """
+    circuit_seed = _seeds(seed)[1]
+    searches = []
+    for workloads, sizes, scale, points in GRIDS:
+        devices = [point.target(scale).coupling_map for point in points]
+        for workload in workloads:
+            for size in sizes:
+                circuit = DecomposeMultiQubit().run(
+                    build_workload(workload, size, seed=circuit_seed), PropertySet()
+                )
+                pattern = interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
+                for device in devices:
+                    if (
+                        size <= device.num_qubits
+                        and pattern.number_of_edges() > 0
+                        and not embedding_impossible(pattern, device.graph)
+                    ):
+                        searches.append((f"{workload}-{size}@{device.name}", device, pattern))
+    return searches

@@ -43,6 +43,16 @@ stay shared and a parity test isolates exactly the scorer:
   helpers — full-register expansion of every operator (O(8^n) per gate).
   Used by ``tests/noise/test_density_engine_equivalence.py`` and
   ``benchmarks/test_bench_noisy_sim.py``.
+
+One oracle is the library call a search replaced:
+
+* :func:`reference_first_monomorphism` — networkx's VF2 ``GraphMatcher``,
+  which :func:`repro.transpiler.passes.vf2_layout.first_monomorphism`
+  must reproduce embedding for embedding.  Used by
+  ``tests/transpiler/test_vf2_layout.py`` (seeded random graph pairs,
+  every search of the ``l3-noisy`` grid at seeds 1-3, and the pre-check
+  suites ``TestEmbeddingPrecheck``/``TestPrecheckParity``) and
+  ``benchmarks/test_bench_layout_hotpath.py::test_bench_vf2_search``.
 """
 
 from __future__ import annotations
@@ -50,7 +60,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import networkx as nx
 import numpy as np
+from networkx.algorithms import isomorphism
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -562,6 +574,22 @@ class ReferenceNoiseAwareLayout(NoiseAwareLayout):
                 best_score = score
                 best_subset = sorted(subset)
         return best_subset
+
+
+# -- VF2 layout --------------------------------------------------------------
+
+
+def reference_first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optional[Dict]:
+    """networkx's first device -> pattern subgraph monomorphism, or None.
+
+    ``GraphMatcher`` raises the interpreter's recursion limit for large
+    patterns and never lowers it again; the oracle puts it back.
+    """
+    matcher = isomorphism.GraphMatcher(device, pattern)
+    try:
+        return next(matcher.subgraph_monomorphisms_iter(), None)
+    finally:
+        matcher.reset_recursion_limit()
 
 
 # -- noise-aware routing -----------------------------------------------------

@@ -120,6 +120,7 @@ class TestUsageErrors:
             "scheduling_study",
             "run_sweep_sharded",
             "headline_study",
+            "reliability_ranking",
         ):
             monkeypatch.setattr(repro.cli, entry_point, refuse)
 
@@ -132,6 +133,16 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         return lines[0]
+
+    def _argparse_error(self, capsys, argv):
+        """Exit 2 with argparse's usage block; returns its last (error) line."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err.splitlines()[-1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -193,3 +204,64 @@ class TestUsageErrors:
             "repro headline: --sizes must be one or more of 2..84 "
             "(Quantum Volume on Heavy-Hex and Hypercube); got "
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "QFT", "0"],
+            ["run", "QFT", "-3"],
+            ["qasm", "QFT", "0"],
+            ["reliability", "QFT", "0"],
+        ],
+    )
+    def test_width_below_one(self, capsys, argv):
+        line = self._argparse_error(capsys, argv)
+        assert line == f"repro {argv[0]}: error: argument size: must be a positive integer"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swaps", "--sizes", "0"],
+            ["schedule", "--sizes", "0"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "0"],
+        ],
+    )
+    def test_sizes_below_one(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+        line = self._argparse_error(capsys, argv)
+        assert line == f"repro {argv[0]}: error: argument --sizes: must be a positive integer"
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_negative_seed(self, capsys):
+        line = self._argparse_error(capsys, ["run", "QFT", "8", "--seed", "-1"])
+        assert line == "repro run: error: argument --seed: must be a non-negative integer"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "Adder", "3"], "the smallest CDKM adder uses four qubits"),
+            (["run", "QuantumVolume", "1"], "Quantum Volume circuits need at least two qubits"),
+            (["qasm", "Adder", "2"], "the smallest CDKM adder uses four qubits"),
+            (["reliability", "Adder", "3"], "the smallest CDKM adder uses four qubits"),
+        ],
+    )
+    def test_width_the_workload_rejects(self, capsys, argv, message):
+        assert self._usage_error(capsys, argv) == f"repro {argv[0]}: {message}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swaps", "--sizes", "500"],
+            ["codesign", "--sizes", "500"],
+            ["schedule", "--sizes", "500"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "500"],
+        ],
+    )
+    def test_no_size_fits_any_design_point(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+        line = self._usage_error(capsys, argv)
+        assert line == (
+            f"repro {argv[0]}: no size in --sizes [500] fits a selected design point "
+            "(at most 20 qubits at scale 'small')"
+        )
+        assert not (tmp_path / "ckpt").exists()

@@ -1,10 +1,33 @@
 """Tests of the top-level package surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: Imports the package and compiles at levels 1 and 3 (VF2 layout and
+#: noise-aware routing on a noisy target), then lists the scipy modules.
+_COMPILE_AND_LIST_SCIPY = """
+import sys
+
+import repro
+from repro.core.noise import NoiseModel
+from repro.transpiler import Target, transpile
+from repro.workloads import build_workload
+
+target = Target.from_names("Corral1,1", "siswap")
+transpile(build_workload("QFT", 8, seed=1), target, optimization_level=1)
+noisy = target.with_noise(NoiseModel.random(target.coupling_map, seed=1))
+for workload in ("GHZ", "QFT"):
+    result = transpile(build_workload(workload, 8, seed=1), noisy, optimization_level=3)
+    assert result.properties["perfect_layout"] is (workload == "GHZ")
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
 
 
 class TestPublicAPI:
@@ -63,3 +86,19 @@ class TestPublicAPI:
 
         assert main(["tables"]) == 0
         assert "Table 1" in capsys.readouterr().out
+
+
+class TestColdStart:
+    def test_import_and_compiles_load_no_scipy(self):
+        """scipy is only for synthesis-mode optimisation, never a compile."""
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", _COMPILE_AND_LIST_SCIPY],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"

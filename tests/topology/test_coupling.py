@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.topology import CouplingMap
+from repro.topology.registry import large_topologies, small_topologies
 
 
 class TestConstruction:
@@ -61,6 +62,37 @@ class TestQueries:
     def test_edges_sorted_and_normalised(self):
         cmap = CouplingMap([(2, 1), (0, 1)])
         assert cmap.edges() == [(0, 1), (1, 2)]
+
+
+def _registered_topologies():
+    return [
+        pytest.param(coupling_map, id=f"{scale}-{name}")
+        for scale, registry in (("small", small_topologies()), ("large", large_topologies()))
+        for name, coupling_map in registry.items()
+    ]
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("coupling_map", _registered_topologies())
+    def test_bfs_matches_networkx(self, coupling_map):
+        matrix = coupling_map.distance_matrix()
+        assert matrix.dtype == np.uint16
+        expected = np.zeros_like(matrix)
+        for source, lengths in nx.all_pairs_shortest_path_length(coupling_map.graph):
+            for target, length in lengths.items():
+                expected[source, target] = length
+        assert np.array_equal(matrix, expected)
+
+    def test_disconnected_map_keeps_inf(self):
+        cmap = CouplingMap([(0, 1), (2, 3)], num_qubits=5)
+        matrix = cmap.distance_matrix()
+        assert matrix.dtype == np.float64
+        assert matrix[0, 1] == 1.0 and matrix[2, 3] == 1.0
+        assert np.isinf(matrix[0, 2]) and np.isinf(matrix[4, 0]) and matrix[4, 4] == 0.0
+        assert not matrix.flags.writeable
+
+    def test_empty_map(self):
+        assert CouplingMap([], num_qubits=0).distance_matrix().shape == (0, 0)
 
 
 class TestMetrics:

@@ -1,13 +1,17 @@
 """Tests for the noise-aware router."""
 
+import pickle
+
+import numpy as np
 import pytest
+from l3_noisy_grid import noisy_targets
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.noise import NoiseModel
 from repro.topology import CouplingMap, get_topology
 from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.passes.layout_passes import TrivialLayout
-from repro.transpiler.passes.noise_aware_routing import NoiseAwareRouting
+from repro.transpiler.passes.noise_aware_routing import COST_TABLE_CACHE, NoiseAwareRouting
 from repro.workloads import build_workload
 
 
@@ -36,6 +40,103 @@ class TestConstruction:
         router = NoiseAwareRouting(noise_weight=2.0, fidelity_floor=0.9)
         noisy = NoiseModel(edge_fidelity={(0, 1): 0.92}, default_fidelity=0.999)
         assert router.edge_cost(noisy, 0, 1) > router.edge_cost(noisy, 2, 3)
+
+
+def _fresh_tables(router, device, noise_model):
+    """Both cost tables computed from scratch, bypassing the cache."""
+    return (
+        router._weighted_distance(device, noise_model),
+        3.0 * router._edge_cost_matrix(device, noise_model),
+    )
+
+
+def _equal_tables(tables, expected):
+    return all(np.array_equal(table, other) for table, other in zip(tables, expected))
+
+
+class TestCostTableCache:
+    """Cost tables are built once per content, bounded and read-only."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        COST_TABLE_CACHE.clear()
+        yield
+        COST_TABLE_CACHE.clear()
+
+    def test_tables_equal_fresh_dijkstra_on_l3_noisy_targets(self):
+        # Seeds share devices but not noise models, so a key that missed
+        # the fidelities would serve one seed's tables to another.
+        router = NoiseAwareRouting()
+        for seed in (1, 2, 3):
+            for target in noisy_targets(seed):
+                device, model = target.coupling_map, target.noise_model
+                cold = router._cost_tables(device, model)
+                warm = router._cost_tables(device, model)
+                assert warm[0] is cold[0] and warm[1] is cold[1]
+                assert _equal_tables(cold, _fresh_tables(router, device, model)), target.name
+        stats = COST_TABLE_CACHE.stats()
+        assert (stats.misses, stats.hits) == (33, 33)
+
+    def test_mutated_noise_model_gets_new_tables(self):
+        device = get_topology("Heavy-Hex", scale="small")
+        model = NoiseModel.random(device, seed=4)
+        router = NoiseAwareRouting()
+        before = router._cost_tables(device, model)
+        model.edge_fidelity[device.edges()[0]] = 0.91
+        after = router._cost_tables(device, model)
+        assert not np.array_equal(before[1], after[1])
+        assert _equal_tables(after, _fresh_tables(router, device, model))
+        model.default_fidelity = 0.95
+        model.edge_fidelity.pop(device.edges()[1])
+        assert _equal_tables(
+            router._cost_tables(device, model), _fresh_tables(router, device, model)
+        )
+
+    def test_equal_content_copy_hits(self):
+        device = get_topology("Tree", scale="large")
+        model = NoiseModel.random(device, seed=5)
+        tables = NoiseAwareRouting()._cost_tables(device, model)
+        copy_device, copy_model = pickle.loads(pickle.dumps((device, model)))
+        hits = COST_TABLE_CACHE.stats().hits
+        copied = NoiseAwareRouting()._cost_tables(copy_device, copy_model)
+        assert copied[0] is tables[0] and copied[1] is tables[1]
+        assert COST_TABLE_CACHE.stats().hits == hits + 1
+
+    def test_cost_parameters_are_part_of_the_key(self):
+        device = get_topology("Square-Lattice", scale="small")
+        model = NoiseModel.random(device, seed=6, spread=0.02)
+        default = NoiseAwareRouting()._cost_tables(device, model)
+        heavier = NoiseAwareRouting(noise_weight=5.0)._cost_tables(device, model)
+        assert not np.array_equal(default[1], heavier[1])
+        assert _equal_tables(
+            heavier, _fresh_tables(NoiseAwareRouting(noise_weight=5.0), device, model)
+        )
+
+    def test_bounded_and_read_only(self):
+        device = CouplingMap.line(5)
+        router = NoiseAwareRouting()
+        maxsize = COST_TABLE_CACHE.stats().maxsize
+        for step in range(maxsize + 3):
+            tables = router._cost_tables(device, NoiseModel.uniform(fidelity=0.99 - 1e-3 * step))
+        assert len(COST_TABLE_CACHE) == maxsize
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 1] = 0.0
+
+    def test_routing_after_mutation_matches_a_fresh_model(self):
+        device = get_topology("Square-Lattice", scale="small")
+        circuit = build_workload("QFT", 10, seed=2)
+        model = NoiseModel.random(device, seed=7)
+        route(circuit, device, model)
+        for edge in device.edges()[::2]:
+            model.edge_fidelity[edge] = 0.9
+        mutated, _ = route(circuit, device, model)
+        COST_TABLE_CACHE.clear()
+        fresh, _ = route(circuit, device, pickle.loads(pickle.dumps(model)))
+        assert [(i.gate.name, i.qubits) for i in mutated] == [
+            (i.gate.name, i.qubits) for i in fresh
+        ]
 
 
 class TestRoutingBehaviour:

@@ -1,12 +1,16 @@
 """Tests for the Target design-point abstraction."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core import Backend, make_backend
 from repro.core.noise import NoiseModel
+from repro.core.pipeline import run_sweep
 from repro.decomposition import get_basis
+from repro.runtime import ResultCache
+from repro.runtime.runner import serial_runner
 from repro.topology import corral_topology, square_lattice
 from repro.transpiler import Target, make_target
 from repro.transpiler.scheduling import GateDurations
@@ -135,3 +139,47 @@ class TestCacheKey:
         a = Target.from_names("Hypercube", "siswap")
         b = Target.from_names("Hypercube", "siswap")
         assert a.cache_key() == b.cache_key()
+
+    def test_preset_durations_key_unchanged(self):
+        # Existing cache directories and checkpoint manifests hold this key.
+        assert Target.from_names("Corral1,1", "siswap").cache_key() == (
+            "Corral1,1-siswap",
+            "siswap",
+            16,
+            "855bf8601d1cebdc",
+            "e3b0c44298fc1c14",
+        )
+
+    def test_durations_distinguish_keys(self):
+        base = Target.from_names("Corral1,1", "siswap", durations=GateDurations.snail())
+        slower = Target.from_names(
+            "Corral1,1", "siswap", durations=replace(GateDurations.snail(), iswap_full=800.0)
+        )
+        relabelled = Target.from_names(
+            "Corral1,1", "siswap", durations=replace(GateDurations.snail(), name="renamed")
+        )
+        assert base.cache_key() != slower.cache_key()
+        assert base.cache_key() != Target.from_names("Corral1,1", "siswap").cache_key()
+        assert base.cache_key() == relabelled.cache_key()
+
+    def test_result_cache_keeps_schedules_apart(self):
+        """Two targets differing only in durations each get their own schedule."""
+        fast = Target.from_names("Corral1,1", "siswap")
+        slow = Target.from_names(
+            "Corral1,1",
+            "siswap",
+            durations=GateDurations(
+                one_qubit=100.0,
+                two_qubit_default=2000.0,
+                by_name={"swap": 3000.0, "siswap": 1000.0},
+                iswap_full=2000.0,
+            ),
+        )
+        runner = serial_runner(result_cache=ResultCache())
+        cached = [
+            run_sweep(["GHZ"], [8], [target], optimization_level=3, runner=runner).records[0]
+            for target in (fast, slow)
+        ]
+        fresh = run_sweep(["GHZ"], [8], [slow], optimization_level=3).records[0]
+        assert cached[1].extra["duration_ns"] == fresh.extra["duration_ns"]
+        assert cached[1].extra["duration_ns"] != cached[0].extra["duration_ns"]

@@ -1,12 +1,15 @@
 """Tests for the VF2 perfect-layout pass."""
 
 import itertools
+import random
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from networkx.algorithms import isomorphism
+from l3_noisy_grid import vf2_searches
+from oracles import reference_first_monomorphism
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -18,6 +21,7 @@ from repro.transpiler.passes import DecomposeMultiQubit, DenseLayout
 from repro.transpiler.passes.vf2_layout import (
     VF2Layout,
     embedding_impossible,
+    first_monomorphism,
     interaction_graph,
 )
 from repro.workloads import PAPER_WORKLOADS, build_workload
@@ -130,16 +134,12 @@ small_graphs = st.integers(min_value=1, max_value=7).flatmap(
 )
 
 
-def _first_monomorphism(device, pattern):
-    return next(isomorphism.GraphMatcher(device, pattern).subgraph_monomorphisms_iter(), None)
-
-
 class TestEmbeddingPrecheck:
     @given(pattern=small_graphs, device=small_graphs)
     @settings(max_examples=300, deadline=None)
     def test_rejection_means_no_monomorphism(self, pattern, device):
         if embedding_impossible(pattern, device):
-            assert _first_monomorphism(device, pattern) is None
+            assert reference_first_monomorphism(device, pattern) is None
 
     def test_complete_pattern_rejected_on_sparse_device(self):
         device = get_topology("Hypercube", scale="large").graph
@@ -157,7 +157,7 @@ def _oracle_layout(circuit, coupling_map):
     """An unconditional VF2 search on the pass's pattern, else the dense fallback."""
     pattern = interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
     assert pattern.number_of_edges() > 0
-    mapping = _first_monomorphism(coupling_map.graph, pattern)
+    mapping = reference_first_monomorphism(coupling_map.graph, pattern)
     if mapping is not None:
         return {virtual: physical for physical, virtual in mapping.items()}, True
     properties = PropertySet()
@@ -190,6 +190,84 @@ class TestPrecheckParity:
                 layout, perfect = _oracle_layout(circuit, coupling_map)
                 assert properties["perfect_layout"] is perfect, (workload, size)
                 assert properties["layout"].to_dict() == layout, (workload, size)
+
+
+def _shuffled_graph(rng, num_nodes, edge_probability):
+    """Random simple graph on 0..n-1 with shuffled node and edge insertion order.
+
+    Insertion order is what makes adjacency order differ from sorted order,
+    and the search must follow adjacency order as networkx does.
+    """
+    nodes = list(range(num_nodes))
+    rng.shuffle(nodes)
+    edges = [
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for a, b in itertools.combinations(range(num_nodes), 2)
+        if rng.random() < edge_probability
+    ]
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return graph
+
+
+def _same_embedding(found, expected):
+    """Equal mappings with equal insertion order (``None`` only equals ``None``)."""
+    if found is None or expected is None:
+        return found is expected
+    return list(found.items()) == list(expected.items())
+
+
+class TestFirstMonomorphismParity:
+    """The in-tree search returns networkx's first embedding, order included."""
+
+    def test_random_pairs_match_networkx(self):
+        # Devices of up to 10 nodes: at 8 or fewer, a search that inserts
+        # new terminals in sorted order is indistinguishable from networkx.
+        rng = random.Random(20231015)
+        outcomes = {True: 0, False: 0}
+        for trial in range(3000):
+            device = _shuffled_graph(rng, rng.randint(6, 10), rng.uniform(0.3, 0.7))
+            pattern = _shuffled_graph(
+                rng, rng.randint(2, device.number_of_nodes()), rng.uniform(0.1, 0.4)
+            )
+            expected = reference_first_monomorphism(device, pattern)
+            found = first_monomorphism(device, pattern)
+            assert _same_embedding(found, expected), (trial, found, expected)
+            outcomes[expected is not None] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_l3_noisy_grid_searches_match_networkx(self, seed):
+        searches = vf2_searches(seed)
+        found = 0
+        for label, device, pattern in searches:
+            expected = reference_first_monomorphism(device.graph, pattern)
+            result = first_monomorphism(device.graph, pattern)
+            assert _same_embedding(result, expected), label
+            found += expected is not None
+        assert 0 < found < len(searches)
+
+    def test_empty_pattern_maps_nothing(self):
+        assert first_monomorphism(nx.path_graph(3), nx.Graph()) == {}
+        assert first_monomorphism(nx.Graph(), nx.Graph()) == {}
+
+    def test_pattern_larger_than_device(self):
+        assert first_monomorphism(nx.path_graph(3), nx.path_graph(4)) is None
+
+    def test_device_nodes_must_be_indices(self):
+        with pytest.raises(ValueError):
+            first_monomorphism(nx.path_graph(["a", "b"]), nx.path_graph(2))
+
+    def test_deep_search_leaves_recursion_limit_alone(self):
+        # networkx recurses once per pattern node and raises the limit to
+        # 1.5x the pattern size for good; the explicit stack needs neither.
+        limit = sys.getrecursionlimit()
+        size = 2 * limit
+        mapping = first_monomorphism(nx.path_graph(size), nx.path_graph(size))
+        assert mapping == {node: node for node in range(size)}
+        assert sys.getrecursionlimit() == limit
 
 
 class TestVF2InTranspileFlow:
