@@ -6,12 +6,27 @@ counting / depth machinery the paper's evaluation is built on: total gate
 counts, two-qubit gate counts, and *critical-path* counts (the longest
 dependency chain through the circuit, weighting only the instructions a
 predicate selects — e.g. only SWAPs, or only two-qubit basis gates).
+
+Every paper counter comes from one walk over the instructions
+(:func:`_paper_counters`), cached on the circuit until the next append.
+The per-metric walks it replaced are the test oracle
+``reference_circuit_metrics`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -19,8 +34,129 @@ from repro.circuits.gate import Barrier, Gate, UnitaryGate
 from repro.circuits.instruction import Instruction
 
 
+class _PaperCounters(NamedTuple):
+    """Every counter the metric views read, from one instruction walk."""
+
+    size: int
+    two_qubit: int
+    swaps: int
+    induced_swaps: int
+    depth: float
+    critical_swaps: int
+    critical_induced_swaps: int
+    critical_two_qubit: int
+    weighted_duration: float
+
+
+def _synchronise(frontier: List[float], qubits: Sequence[int], weight: float) -> None:
+    """One step of :meth:`QuantumCircuit.depth` on one frontier."""
+    end = max(frontier[q] for q in qubits) + weight
+    for qubit in qubits:
+        frontier[qubit] = end
+
+
+def _paper_counters(instructions: Sequence[Instruction], num_qubits: int) -> _PaperCounters:
+    """All paper counters in one pass, equal to the per-metric walks.
+
+    Five longest-path frontiers advance together: plain depth (1 per
+    non-barrier), all SWAPs, induced SWAPs, two-qubit gates (1 per
+    selected instruction, else 0) and pulse duration
+    (:meth:`Gate.duration`).  Each step adds the same weight to the same
+    start as :meth:`QuantumCircuit.depth` would, so every value is
+    bit-identical.  A zero-weight step on several qubits still
+    synchronises them (barriers; non-SWAP gates on the SWAP frontiers);
+    only a zero-weight single-qubit step is a no-op and is skipped.
+    Weights are never negative, so frontiers never decrease and each
+    longest path is the largest final frontier entry.
+    """
+    depth = [0.0] * num_qubits
+    swap = [0.0] * num_qubits
+    induced = [0.0] * num_qubits
+    two = [0.0] * num_qubits
+    duration = [0.0] * num_qubits
+    size = two_qubit = swaps = induced_swaps = 0
+    for instruction in instructions:
+        gate = instruction.gate
+        qubits = instruction.qubits
+        name = gate.name
+        if len(qubits) == 2 and name != "barrier":
+            a, b = qubits
+            size += 1
+            two_qubit += 1
+            x, y = depth[a], depth[b]
+            depth[a] = depth[b] = (x if x > y else y) + 1.0
+            x, y = two[a], two[b]
+            two[a] = two[b] = (x if x > y else y) + 1.0
+            x, y = duration[a], duration[b]
+            duration[a] = duration[b] = (x if x > y else y) + gate.duration()
+            x, y = swap[a], swap[b]
+            if name == "swap":
+                swaps += 1
+                swap[a] = swap[b] = (x if x > y else y) + 1.0
+                x, y = induced[a], induced[b]
+                if instruction.induced:
+                    induced_swaps += 1
+                    induced[a] = induced[b] = (x if x > y else y) + 1.0
+                elif x != y:
+                    induced[a] = induced[b] = x if x > y else y
+            else:
+                if x != y:
+                    swap[a] = swap[b] = x if x > y else y
+                x, y = induced[a], induced[b]
+                if x != y:
+                    induced[a] = induced[b] = x if x > y else y
+        elif len(qubits) == 1 and name != "barrier" and name != "swap":
+            (qubit,) = qubits
+            size += 1
+            depth[qubit] += 1.0
+            weight = gate.duration()
+            if weight:
+                duration[qubit] += weight
+        else:
+            # Barriers and gates on three or more qubits (never a two-qubit
+            # gate): the general step on every frontier.
+            barrier = name == "barrier"
+            is_swap = name == "swap"
+            is_induced_swap = is_swap and bool(instruction.induced)
+            size += not barrier
+            swaps += is_swap
+            induced_swaps += is_induced_swap
+            _synchronise(depth, qubits, 0.0 if barrier else 1.0)
+            _synchronise(swap, qubits, 1.0 if is_swap else 0.0)
+            _synchronise(induced, qubits, 1.0 if is_induced_swap else 0.0)
+            _synchronise(two, qubits, 0.0)
+            _synchronise(duration, qubits, gate.duration())
+    return _PaperCounters(
+        size=size,
+        two_qubit=two_qubit,
+        swaps=swaps,
+        induced_swaps=induced_swaps,
+        depth=max(depth),
+        critical_swaps=int(max(swap)),
+        critical_induced_swaps=int(max(induced)),
+        critical_two_qubit=int(max(two)),
+        weighted_duration=float(max(duration)),
+    )
+
+
 class QuantumCircuit:
-    """An ordered sequence of gate applications on ``num_qubits`` qubits."""
+    """An ordered sequence of gate applications on ``num_qubits`` qubits.
+
+    Trusted appends: the public :meth:`append`, :meth:`extend` and
+    :meth:`compose` cast and range-check every qubit.  Passes that only
+    re-emit instructions they already hold (decomposition, routing, count
+    translation, cancellation) use :meth:`_append_trusted`, which skips
+    those checks, so its callers guarantee what they would: every qubit is
+    an in-range Python ``int``.  NumPy integers are not allowed, since
+    :func:`~repro.transpiler.batch.circuit_fingerprint` hashes
+    ``repr(qubits)``.
+
+    The paper counters are cached in ``_profile`` until the next append.
+    """
+
+    #: Cached :class:`_PaperCounters`; ``None`` until a metric is read.
+    #: Declared here so circuits pickled without it still answer metrics.
+    _profile: Optional[_PaperCounters] = None
 
     def __init__(self, num_qubits: int, name: Optional[str] = None):
         if num_qubits < 1:
@@ -59,6 +195,13 @@ class QuantumCircuit:
             f"instructions={len(self._instructions)})"
         )
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The counter cache is rebuilt on demand, so pickles keep the
+        # plain container format.
+        state = dict(self.__dict__)
+        state.pop("_profile", None)
+        return state
+
     # -- construction --------------------------------------------------------
 
     def append(
@@ -75,7 +218,16 @@ class QuantumCircuit:
                     f"qubit index {qubit} out of range for {self._num_qubits}-qubit circuit"
                 )
         self._instructions.append(Instruction(gate, qubits, induced=induced))
+        self._profile = None
         return self
+
+    def _append_trusted(self, instruction: Instruction) -> None:
+        """Append an instruction already valid on this register, unchecked.
+
+        See the class docstring for the contract the caller keeps.
+        """
+        self._instructions.append(instruction)
+        self._profile = None
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
         """Append pre-built instructions (validated against this circuit)."""
@@ -274,9 +426,16 @@ class QuantumCircuit:
         """Histogram of gate names."""
         return dict(Counter(inst.name for inst in self._instructions))
 
+    def _counters(self) -> _PaperCounters:
+        """The paper counters, walked once and cached until the next append."""
+        profile = self._profile
+        if profile is None:
+            profile = self._profile = _paper_counters(self._instructions, self._num_qubits)
+        return profile
+
     def size(self) -> int:
         """Total number of instructions (barriers excluded)."""
-        return sum(1 for inst in self._instructions if inst.name != "barrier")
+        return self._counters().size
 
     def num_nonlocal_gates(self) -> int:
         """Number of instructions acting on two or more qubits."""
@@ -288,15 +447,12 @@ class QuantumCircuit:
 
     def two_qubit_gate_count(self) -> int:
         """Number of two-qubit instructions."""
-        return sum(1 for inst in self._instructions if inst.is_two_qubit)
+        return self._counters().two_qubit
 
     def swap_count(self, induced_only: bool = False) -> int:
         """Number of SWAP instructions, optionally only transpiler-induced ones."""
-        return sum(
-            1
-            for inst in self._instructions
-            if inst.name == "swap" and (inst.induced or not induced_only)
-        )
+        counters = self._counters()
+        return counters.induced_swaps if induced_only else counters.swaps
 
     def depth(self, weight: Optional[Callable[[Instruction], float]] = None) -> float:
         """Longest dependency path through the circuit.
@@ -306,7 +462,7 @@ class QuantumCircuit:
                 non-barrier instruction (ordinary circuit depth).
         """
         if weight is None:
-            weight = lambda inst: 0.0 if inst.name == "barrier" else 1.0
+            return self._counters().depth
         frontier = [0.0] * self._num_qubits
         longest = 0.0
         for instruction in self._instructions:
@@ -328,13 +484,12 @@ class QuantumCircuit:
 
     def critical_path_swaps(self, induced_only: bool = False) -> int:
         """Critical-path SWAP count (paper Figs. 4, 11, 12 bottom rows)."""
-        return self.critical_path_count(
-            lambda inst: inst.name == "swap" and (inst.induced or not induced_only)
-        )
+        counters = self._counters()
+        return counters.critical_induced_swaps if induced_only else counters.critical_swaps
 
     def critical_path_two_qubit(self) -> int:
         """Critical-path two-qubit gate count (paper Figs. 13, 14 bottom rows)."""
-        return self.critical_path_count(lambda inst: inst.is_two_qubit)
+        return self._counters().critical_two_qubit
 
     def weighted_duration(self) -> float:
         """Critical-path duration using each gate's relative pulse duration.
@@ -343,7 +498,7 @@ class QuantumCircuit:
         two-qubit gates contribute :meth:`Gate.duration`, so e.g. an
         ``n``-th-root iSWAP contributes ``1/n``.
         """
-        return float(self.depth(weight=lambda inst: inst.gate.duration()))
+        return self._counters().weighted_duration
 
     # -- analysis ---------------------------------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, NoReturn, Optional, Sequence
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from repro.circuits import QuantumCircuit
 from repro.core import (
@@ -67,6 +67,7 @@ from repro.experiments.swap_study import (
     FIG4_TOPOLOGIES,
     FIG11_TOPOLOGIES,
     FIG12_TOPOLOGIES,
+    default_sizes,
 )
 from repro.qasm import circuit_to_qasm
 from repro.runtime import (
@@ -91,7 +92,7 @@ from repro.transpiler import (
     transpile,
 )
 from repro.visualization import sweep_to_csv
-from repro.workloads import available_workloads, build_workload
+from repro.workloads import PAPER_WORKLOADS, available_workloads, build_workload
 
 
 def _positive_int(value: str) -> int:
@@ -607,16 +608,21 @@ def _command_swaps(args: argparse.Namespace) -> str:
     topologies = FIG11_TOPOLOGIES if args.scale == "small" else FIG12_TOPOLOGIES
     if args.scale == "large" and args.workloads is None:
         topologies = FIG4_TOPOLOGIES
-    if args.sizes:
-        registry = small_topologies() if args.scale == "small" else large_topologies()
-        _check_grid_sizes(
-            "swaps", args.sizes, [registry[name].num_qubits for name in topologies], args.scale
-        )
+    registry = small_topologies() if args.scale == "small" else large_topologies()
+    workloads, sizes = _study_grid(args)
+    _check_grid(
+        "swaps",
+        workloads,
+        sizes,
+        [registry[name].num_qubits for name in topologies],
+        args.scale,
+        args.seed,
+    )
     result = swap_study(
         args.scale,
         topologies,
-        workloads=args.workloads,
-        sizes=args.sizes,
+        workloads=workloads,
+        sizes=sizes,
         seed=args.seed,
         runner=_runner_from_args(args),
     )
@@ -629,12 +635,12 @@ def _command_swaps(args: argparse.Namespace) -> str:
 
 
 def _command_codesign(args: argparse.Namespace) -> str:
-    if args.sizes:
-        _check_grid_sizes("codesign", args.sizes, _design_widths(args.scale), args.scale)
+    workloads, sizes = _study_grid(args)
+    _check_grid("codesign", workloads, sizes, _design_widths(args.scale), args.scale, args.seed)
     result = codesign_study(
         args.scale,
-        workloads=args.workloads,
-        sizes=args.sizes,
+        workloads=workloads,
+        sizes=sizes,
         seed=args.seed,
         runner=_runner_from_args(args),
     )
@@ -687,7 +693,9 @@ def _command_frequency(args: argparse.Namespace) -> str:
 
 
 def _command_schedule(args: argparse.Namespace) -> str:
-    _check_grid_sizes("schedule", args.sizes, _design_widths(args.scale), args.scale)
+    _check_grid(
+        "schedule", args.workloads, args.sizes, _design_widths(args.scale), args.scale, args.seed
+    )
     rows = scheduling_study(
         scale=args.scale,
         workloads=tuple(args.workloads),
@@ -734,18 +742,42 @@ def _design_widths(scale: str) -> List[int]:
     return [target.num_qubits for target in design_targets(scale).values()]
 
 
-def _check_grid_sizes(verb: str, sizes: Sequence[int], widths: Sequence[int], scale: str) -> None:
-    """Refuse a grid in which no requested size fits any selected design point.
+def _check_grid(
+    verb: str,
+    workloads: Sequence[str],
+    sizes: Sequence[int],
+    widths: Sequence[int],
+    scale: str,
+    seed: int,
+) -> None:
+    """Refuse a grid that would fail or compile nothing, before compiling.
 
-    The sweep skips every point wider than its device, so such a grid
-    would compile nothing and print an empty report.
+    The sweep skips every point wider than its device, so a grid in which
+    no requested size fits any selected design point would print an empty
+    report.  A workload builder rejects only widths below its minimum (see
+    :func:`~repro.workloads.registry.register_workload`), so building each
+    workload once, at the smallest size that fits, finds every width the
+    sweep would fail on.
     """
-    if not any(size <= width for size in sizes for width in widths):
+    fitting = [size for size in sizes if size <= max(widths)]
+    if not fitting:
         _usage_error(
             verb,
             f"no size in --sizes {list(sizes)} fits a selected design point "
             f"(at most {max(widths)} qubits at scale {scale!r})",
         )
+    for workload in workloads:
+        _checked_workload(verb, workload, min(fitting), seed)
+
+
+def _study_grid(args: argparse.Namespace) -> Tuple[List[str], List[int]]:
+    """The workloads and sizes of a ``swaps`` / ``codesign`` grid.
+
+    Decided once, so the grid check and the study see the same lists.
+    """
+    workloads = list(args.workloads or PAPER_WORKLOADS)
+    sizes = list(args.sizes or default_sizes(args.scale))
+    return workloads, sizes
 
 
 def _checked_target(verb: str, topology: str, basis: str, scale: str, size: int) -> Target:
@@ -916,8 +948,13 @@ def _command_sweep(args: argparse.Namespace) -> str:
         ]
     else:
         targets = list(design_targets(args.scale).values())
-    _check_grid_sizes(
-        "sweep", args.sizes, [target.num_qubits for target in targets], args.scale
+    _check_grid(
+        "sweep",
+        args.workloads,
+        args.sizes,
+        [target.num_qubits for target in targets],
+        args.scale,
+        args.seed,
     )
     statuses = {"restored": 0, "computed": 0}
 

@@ -31,9 +31,25 @@ from repro.topology.registry import HEAVY_HEX, HYPERCUBE, large_topologies
 from repro.workloads.registry import QUANTUM_VOLUME
 
 
+#: The record field behind each ratio.  The paper's 6.11 is the
+#: *duration-dependent* critical-path 2Q ratio, so it is compared with
+#: ``weighted_duration`` (a sqrt(iSWAP) counts half a CNOT pulse), not with
+#: the unweighted ``critical_2q``.
+_RATIO_FIELDS = {
+    "total_swaps_ratio": "total_swaps",
+    "critical_swaps_ratio": "critical_swaps",
+    "total_2q_ratio": "total_2q",
+    "critical_2q_ratio": "weighted_duration",
+}
+
+
 @dataclass(frozen=True)
 class HeadlineRatios:
-    """Measured aggregate ratios with the paper's values alongside."""
+    """Measured aggregate ratios with the paper's values alongside.
+
+    ``critical_2q_ratio`` is the duration-weighted critical-path ratio
+    (from ``weighted_duration``; see :data:`_RATIO_FIELDS`).
+    """
 
     total_swaps_ratio: float
     critical_swaps_ratio: float
@@ -97,18 +113,10 @@ def headline_study(
     ]
     result = run_sweep([QUANTUM_VOLUME], sizes, targets, seed=seed, runner=runner)
     return HeadlineRatios(
-        total_swaps_ratio=_mean_ratio(
-            result, "total_swaps", "Heavy-Hex-CX", "Hypercube-siswap"
-        ),
-        critical_swaps_ratio=_mean_ratio(
-            result, "critical_swaps", "Heavy-Hex-CX", "Hypercube-siswap"
-        ),
-        total_2q_ratio=_mean_ratio(
-            result, "total_2q", "Heavy-Hex-CX", "Hypercube-siswap"
-        ),
-        critical_2q_ratio=_mean_ratio(
-            result, "critical_2q", "Heavy-Hex-CX", "Hypercube-siswap"
-        ),
+        **{
+            name: _mean_ratio(result, metric, "Heavy-Hex-CX", "Hypercube-siswap")
+            for name, metric in _RATIO_FIELDS.items()
+        },
         sizes=tuple(sizes),
     )
 

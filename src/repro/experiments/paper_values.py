@@ -40,6 +40,8 @@ HEADLINE_RATIOS: Dict[str, float] = {
     "hypercube_vs_heavyhex_total_swaps": 2.57,
     "hypercube_vs_heavyhex_critical_swaps": 5.63,
     # Hypercube + sqrt(iSWAP) vs Heavy-Hex + CNOT (full co-design, 2Q counts).
+    # The critical-path ratio is duration-dependent: a sqrt(iSWAP) is half a
+    # pulse, so it is measured on ``weighted_duration``.
     "hypercube_siswap_vs_heavyhex_cx_total_2q": 3.16,
     "hypercube_siswap_vs_heavyhex_cx_critical_2q": 6.11,
     # Heavy-Hex vs other topologies, 80-qubit QAOA critical-path SWAPs.

@@ -66,18 +66,22 @@ class BasisTranslation(TranspilerPass):
         translated = QuantumCircuit(
             circuit.num_qubits, name=f"{circuit.name}[{self._basis.name}]"
         )
-        # Gates are immutable, so one basis-gate instance serves every
-        # instruction of the run, and a fingerprint's count never changes.
+        # Gates and instructions are immutable: one basis-gate instance
+        # serves the whole run, a fingerprint's count never changes, the
+        # instructions that need no translation are re-emitted as they
+        # are, and count mode appends one basis instruction per source
+        # gate ``k`` times.  All of them are already valid on this register.
         basis_gate = self._basis.gate()
+        append = translated._append_trusted
         counts: Dict[Hashable, int] = {}
         basis_gate_count = 0
         for instruction in circuit:
             gate = instruction.gate
             if not instruction.is_two_qubit:
-                translated.append(gate, instruction.qubits, induced=instruction.induced)
+                append(instruction)
                 continue
             if gate.name == basis_gate.name and gate == basis_gate:
-                translated.append(gate, instruction.qubits, induced=instruction.induced)
+                append(instruction)
                 basis_gate_count += 1
                 continue
             fingerprint = self._fingerprint(instruction)
@@ -85,10 +89,11 @@ class BasisTranslation(TranspilerPass):
                 applications = counts.get(fingerprint)
                 if applications is None:
                     applications = counts[fingerprint] = self._count(instruction, fingerprint)
+                basis_instruction = Instruction(
+                    basis_gate, instruction.qubits, induced=instruction.induced
+                )
                 for _ in range(applications):
-                    translated.append(
-                        basis_gate, instruction.qubits, induced=instruction.induced
-                    )
+                    append(basis_instruction)
                 basis_gate_count += applications
             else:
                 block = self._synthesize(instruction, fingerprint)

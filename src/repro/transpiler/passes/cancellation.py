@@ -55,7 +55,7 @@ class CancelAdjacentInverses(TranspilerPass):
         result = QuantumCircuit(circuit.num_qubits, name=circuit.name)
         for instruction in kept:
             if instruction is not None:
-                result.append(instruction.gate, instruction.qubits, induced=instruction.induced)
+                result._append_trusted(instruction)
         properties["cancelled_gates"] = properties.get("cancelled_gates", 0) + cancelled
         return result
 

@@ -168,7 +168,7 @@ class CommutativeCancellation(TranspilerPass):
         result = QuantumCircuit(circuit.num_qubits, name=circuit.name)
         for instruction in kept:
             if instruction is not None:
-                result.append(instruction.gate, instruction.qubits, induced=instruction.induced)
+                result._append_trusted(instruction)
         properties["commutative_cancelled"] = (
             properties.get("commutative_cancelled", 0) + cancelled
         )

@@ -9,6 +9,7 @@ using the exact rules in :mod:`repro.decomposition.exact`.
 from __future__ import annotations
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.instruction import Instruction
 from repro.decomposition.exact import expand_named_gate
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 
@@ -24,10 +25,14 @@ class DecomposeMultiQubit(TranspilerPass):
         expanded = QuantumCircuit(circuit.num_qubits, name=circuit.name)
         for instruction in circuit:
             if instruction.num_qubits <= 2 or instruction.name == "barrier":
-                expanded.append(instruction.gate, instruction.qubits, induced=instruction.induced)
+                expanded._append_trusted(instruction)
                 continue
+            # Each rule instruction names operand positions of the expanded
+            # gate, so its mapped qubits stay in range.
             rule = expand_named_gate(instruction.gate)
             for sub in rule:
-                mapped = tuple(instruction.qubits[q] for q in sub.qubits)
-                expanded.append(sub.gate, mapped, induced=instruction.induced)
+                mapped = tuple([instruction.qubits[q] for q in sub.qubits])
+                expanded._append_trusted(
+                    Instruction(sub.gate, mapped, induced=instruction.induced)
+                )
         return expanded

@@ -29,12 +29,14 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
+from repro.circuits.instruction import Instruction
 from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
 from repro.linalg.cache import LRUCache
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.routing import (
+    _check_layout_covers,
     _layout_arrays,
     _layout_from_array,
     _remapped_distances,
@@ -278,6 +280,7 @@ class NoiseAwareRouting(TranspilerPass):
         pairs = dag.qubit_pairs
         adjacency = coupling_map.adjacency_matrix()
         v2p, p2v = _layout_arrays(layout, coupling_map.num_qubits)
+        _check_layout_covers(instructions, v2p, circuit.num_qubits)
         front: List[int] = dag.front_layer()
         output = QuantumCircuit(
             coupling_map.num_qubits, name=f"{circuit.name}@{coupling_map.name}"
@@ -286,10 +289,14 @@ class NoiseAwareRouting(TranspilerPass):
         stall_counter = 0
         stall_limit = 10 * max(4, coupling_map.num_qubits)
 
+        # Qubits are cast to Python ``int`` before the trusted appends.
+        append = output._append_trusted
+        swap_gate = SwapGate()
+
         def emit(node_index: int) -> None:
             instruction = instructions[node_index]
-            physical = tuple(int(v2p[q]) for q in instruction.qubits)
-            output.append(instruction.gate, physical, induced=instruction.induced)
+            physical = tuple([int(v2p[q]) for q in instruction.qubits])
+            append(Instruction(instruction.gate, physical, induced=instruction.induced))
 
         def advance(executed: Sequence[int]) -> None:
             for node_index in executed:
@@ -321,7 +328,7 @@ class NoiseAwareRouting(TranspilerPass):
                     int(v2p[instruction.qubits[0]]), int(v2p[instruction.qubits[1]])
                 )
                 for hop in range(len(path) - 2):
-                    output.append(SwapGate(), (path[hop], path[hop + 1]), induced=True)
+                    append(Instruction(swap_gate, (path[hop], path[hop + 1]), induced=True))
                     _swap_in_arrays(v2p, p2v, path[hop], path[hop + 1])
                     swaps_inserted += 1
                 stall_counter = 0
@@ -332,7 +339,7 @@ class NoiseAwareRouting(TranspilerPass):
                 candidates, permutations, front_pairs, distance, swap_costs, noise_model, rng
             )
             best_swap = (int(candidates[choice, 0]), int(candidates[choice, 1]))
-            output.append(SwapGate(), best_swap, induced=True)
+            append(Instruction(swap_gate, best_swap, induced=True))
             _swap_in_arrays(v2p, p2v, *best_swap)
             swaps_inserted += 1
             stall_counter += 1

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
+from repro.circuits.instruction import Instruction
 from repro.gates import SwapGate
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
@@ -75,6 +76,24 @@ def _layout_arrays(layout: Layout, num_physical: int) -> Tuple[np.ndarray, np.nd
         v2p[virtual] = physical
         p2v[physical] = virtual
     return v2p, p2v
+
+
+def _check_layout_covers(
+    instructions: Sequence[Instruction], v2p: Sequence[int], num_virtual: int
+) -> None:
+    """Refuse a layout that leaves a qubit some instruction acts on unmapped.
+
+    The routers emit through the unchecked append, so the ``-1`` that
+    :func:`_layout_arrays` holds for an unmapped virtual qubit must be
+    caught once, before routing, rather than emitted.
+    """
+    unmapped = {virtual for virtual in range(num_virtual) if v2p[virtual] < 0}
+    if unmapped:
+        used = unmapped.intersection(
+            qubit for instruction in instructions for qubit in instruction.qubits
+        )
+        if used:
+            raise ValueError(f"the layout leaves virtual qubits {sorted(used)} unmapped")
 
 
 def _layout_from_array(v2p: np.ndarray) -> Layout:
@@ -184,9 +203,16 @@ class SabreRouting(TranspilerPass):
         v2p_array, p2v_array = _layout_arrays(layout, coupling_map.num_qubits)
         v2p = v2p_array.tolist()
         p2v = p2v_array.tolist()
+        _check_layout_covers(instructions, v2p, circuit.num_qubits)
 
         front: List[int] = dag.front_layer()
         output = _physical_circuit(coupling_map.num_qubits, f"{circuit.name}@{coupling_map.name}")
+        # Every emitted qubit comes from the ``v2p`` / ``p2v`` lists (no
+        # ``-1`` on a used qubit, see above), a ``tolist()`` of candidate
+        # edges or a shortest path over the coupling graph's ``int`` nodes,
+        # so it is an in-range Python ``int``: the trusted append's
+        # contract holds without re-checking.
+        emit = output._append_trusted
         swap_gate = SwapGate()
         decay = np.ones(coupling_map.num_qubits)
         swaps_inserted = 0
@@ -197,7 +223,7 @@ class SabreRouting(TranspilerPass):
         num_front = 0
 
         def swap(a: int, b: int) -> None:
-            output.append(swap_gate, (a, b), induced=True)
+            emit(Instruction(swap_gate, (a, b), induced=True))
             va, vb = p2v[a], p2v[b]
             p2v[a], p2v[b] = vb, va
             if va >= 0:
@@ -215,10 +241,12 @@ class SabreRouting(TranspilerPass):
             if ready:
                 for node in ready:
                     instruction = instructions[node]
-                    output.append(
-                        instruction.gate,
-                        [v2p[q] for q in instruction.qubits],
-                        induced=instruction.induced,
+                    emit(
+                        Instruction(
+                            instruction.gate,
+                            tuple([v2p[q] for q in instruction.qubits]),
+                            induced=instruction.induced,
+                        )
                     )
                 for node in ready:
                     front.remove(node)

@@ -5,6 +5,10 @@ ripple-carry adder from Qiskit plus QAOA-Vanilla, TIM Hamiltonian
 simulation and GHZ from SupermarQ, all parameterised by qubit count.  The
 registry exposes them behind one uniform ``build(name, num_qubits, seed)``
 interface used by the experiment harness and the benchmarks.
+
+A sweep compares every design point on the same circuit instances, so
+:func:`build_workload` keeps the last few built instances in
+:data:`WORKLOAD_CACHE` and hands each caller its own copy.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.linalg.cache import LRUCache
 from repro.workloads.adder import adder_circuit_for_width
 from repro.workloads.bernstein_vazirani import bernstein_vazirani_circuit
 from repro.workloads.ghz import ghz_circuit
@@ -70,19 +75,48 @@ def available_workloads() -> List[str]:
     return sorted(_BUILDERS)
 
 
+#: Process-wide memo of :func:`build_workload`, keyed on
+#: ``(name, num_qubits, seed, builder)``.  The builder object is part of
+#: the key, so a workload re-registered with ``overwrite=True`` is never
+#: served the old builder's circuit.  A sweep visits its design points
+#: innermost, so every repeat of an instance follows its first build; each
+#: pool worker keeps its own memo.
+WORKLOAD_CACHE = LRUCache(maxsize=16)
+
+
 def build_workload(name: str, num_qubits: int, seed: int = 0) -> QuantumCircuit:
-    """Build a workload instance by name and width."""
+    """Build a workload instance by name and width.
+
+    Instances are memoized in :data:`WORKLOAD_CACHE`.  Every call returns
+    a fresh shallow copy (instructions are immutable), so a caller that
+    appends to its circuit never changes the next caller's.  A builder
+    that raises caches nothing.
+    """
     if name not in _BUILDERS:
         raise KeyError(
             f"unknown workload {name!r}; available: {available_workloads()}"
         )
-    return _BUILDERS[name](num_qubits, seed)
+    builder = _BUILDERS[name]
+    key = (name, num_qubits, seed, builder)
+    circuit = WORKLOAD_CACHE.get(key)
+    if circuit is None:
+        circuit = builder(num_qubits, seed)
+        WORKLOAD_CACHE.put(key, circuit)
+    return circuit.copy()
 
 
 def register_workload(
     name: str, builder: Callable[[int, int], QuantumCircuit], overwrite: bool = False
 ) -> None:
-    """Register a custom workload builder (for user extensions)."""
+    """Register a custom workload builder (for user extensions).
+
+    ``builder(num_qubits, seed)`` must be deterministic in its two
+    arguments: :func:`build_workload` memoizes what it returns, and the
+    runtime's result cache (``point_cache_key``) already keys points on
+    ``(workload, size, seed)`` alone.  It may reject (``ValueError``) only
+    the widths below some minimum, as every built-in builder does: the CLI
+    checks a grid by building each workload at its smallest requested width.
+    """
     if name in _BUILDERS and not overwrite:
         raise ValueError(f"workload {name!r} is already registered")
     _BUILDERS[name] = builder

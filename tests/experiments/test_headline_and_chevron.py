@@ -55,3 +55,59 @@ class TestChevronExperiment:
         summary = chevron_summary(data)
         assert "exchange period" in summary
         assert "pulse lengths" in summary
+
+
+class TestHeadlineFields:
+    """Each headline ratio is computed from the record field the paper means."""
+
+    #: Paper key -> record field.  The 6.11 row is the paper's
+    #: duration-dependent critical-path ratio, i.e. ``weighted_duration``.
+    PINNED = {
+        "hypercube_vs_heavyhex_total_swaps": "total_swaps",
+        "hypercube_vs_heavyhex_critical_swaps": "critical_swaps",
+        "hypercube_siswap_vs_heavyhex_cx_total_2q": "total_2q",
+        "hypercube_siswap_vs_heavyhex_cx_critical_2q": "weighted_duration",
+    }
+
+    #: A distinct Heavy-Hex / Hypercube ratio per field, so a ratio read
+    #: from the wrong field cannot match.
+    FIELD_RATIOS = {
+        "total_swaps": 2.0,
+        "critical_swaps": 3.0,
+        "total_2q": 5.0,
+        "critical_2q": 7.0,
+        "weighted_duration": 11.0,
+    }
+
+    def _record(self, backend, size, values):
+        from repro.transpiler.metrics import TranspileMetrics
+
+        return TranspileMetrics(
+            circuit_name=f"QV-{size}",
+            circuit_qubits=size,
+            topology=backend,
+            basis="cx",
+            total_gates=1,
+            depth=1,
+            extra={"workload": "QuantumVolume", "backend": backend},
+            **values,
+        )
+
+    def test_every_reported_key_reads_its_pinned_field(self, monkeypatch):
+        from repro.core.pipeline import SweepResult
+        from repro.experiments import headline
+
+        ones = {field: 1 for field in self.FIELD_RATIOS}
+
+        def fake_sweep(workloads, sizes, targets, **kwargs):
+            return SweepResult(
+                [self._record("Heavy-Hex-CX", size, self.FIELD_RATIOS) for size in sizes]
+                + [self._record("Hypercube-siswap", size, ones) for size in sizes]
+            )
+
+        monkeypatch.setattr(headline, "run_sweep", fake_sweep)
+        reported = headline.headline_study(sizes=[16, 32]).as_dict()
+        assert set(reported) == set(self.PINNED)
+        assert set(reported) <= set(HEADLINE_RATIOS)
+        for key, field in self.PINNED.items():
+            assert reported[key] == self.FIELD_RATIOS[field], key

@@ -53,12 +53,23 @@ One oracle is the library call a search replaced:
   every search of the ``l3-noisy`` grid at seeds 1-3, and the pre-check
   suites ``TestEmbeddingPrecheck``/``TestPrecheckParity``) and
   ``benchmarks/test_bench_layout_hotpath.py::test_bench_vf2_search``.
+
+One oracle is the set of walks a single walk replaced:
+
+* :func:`reference_circuit_metrics` — every paper counter of a circuit by
+  its own walk: three counting loops and one
+  :meth:`~repro.circuits.circuit.QuantumCircuit.depth`-style
+  longest-path walk per critical-path metric, as ``QuantumCircuit``
+  computed them before its one cached walk.  :data:`CIRCUIT_METRIC_VIEWS`
+  names the public method behind each key, which must return the same
+  value (``==``).  Used by ``tests/circuits/test_circuit_core.py`` and
+  ``benchmarks/test_bench_circuit_core.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -590,6 +601,59 @@ def reference_first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optiona
         return next(matcher.subgraph_monomorphisms_iter(), None)
     finally:
         matcher.reset_recursion_limit()
+
+
+# -- circuit metrics ---------------------------------------------------------
+
+
+def reference_circuit_metrics(circuit: QuantumCircuit) -> Dict[str, float]:
+    """Every paper counter, each from its own walk over the instructions."""
+    instructions = list(circuit)
+
+    def longest_path(weight: Callable[[Instruction], float]) -> float:
+        frontier = [0.0] * circuit.num_qubits
+        longest = 0.0
+        for instruction in instructions:
+            start = max(frontier[q] for q in instruction.qubits)
+            end = start + weight(instruction)
+            for qubit in instruction.qubits:
+                frontier[qubit] = end
+            longest = max(longest, end)
+        return longest
+
+    def critical_path_count(predicate: Callable[[Instruction], bool]) -> int:
+        return int(longest_path(lambda inst: 1.0 if predicate(inst) else 0.0))
+
+    return {
+        "size": sum(1 for inst in instructions if inst.name != "barrier"),
+        "two_qubit": sum(1 for inst in instructions if inst.is_two_qubit),
+        "swaps": sum(1 for inst in instructions if inst.name == "swap"),
+        "induced_swaps": sum(
+            1 for inst in instructions if inst.name == "swap" and inst.induced
+        ),
+        "depth": longest_path(lambda inst: 0.0 if inst.name == "barrier" else 1.0),
+        "critical_swaps": critical_path_count(lambda inst: inst.name == "swap"),
+        "critical_induced_swaps": critical_path_count(
+            lambda inst: inst.name == "swap" and inst.induced
+        ),
+        "critical_two_qubit": critical_path_count(lambda inst: inst.is_two_qubit),
+        "weighted_duration": float(longest_path(lambda inst: inst.gate.duration())),
+    }
+
+
+#: The public :class:`QuantumCircuit` view behind each
+#: :func:`reference_circuit_metrics` key.
+CIRCUIT_METRIC_VIEWS: Dict[str, Callable[[QuantumCircuit], float]] = {
+    "size": lambda circuit: circuit.size(),
+    "two_qubit": lambda circuit: circuit.two_qubit_gate_count(),
+    "swaps": lambda circuit: circuit.swap_count(),
+    "induced_swaps": lambda circuit: circuit.swap_count(induced_only=True),
+    "depth": lambda circuit: circuit.depth(),
+    "critical_swaps": lambda circuit: circuit.critical_path_swaps(),
+    "critical_induced_swaps": lambda circuit: circuit.critical_path_swaps(induced_only=True),
+    "critical_two_qubit": lambda circuit: circuit.critical_path_two_qubit(),
+    "weighted_duration": lambda circuit: circuit.weighted_duration(),
+}
 
 
 # -- noise-aware routing -----------------------------------------------------

@@ -265,3 +265,54 @@ class TestUsageErrors:
             "(at most 20 qubits at scale 'small')"
         )
         assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["swaps", "--sizes", "2", "--workloads", "Adder"],
+            ["codesign", "--sizes", "2", "--workloads", "Adder"],
+            ["schedule", "--sizes", "2", "--workloads", "Adder"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "2", "--workloads", "Adder"],
+            ["swaps", "--sizes", "8", "3", "--workloads", "GHZ", "Adder"],
+        ],
+    )
+    def test_grid_width_the_workload_rejects(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro {argv[0]}: the smallest CDKM adder uses four qubits"
+        ]
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "command, study", [("swaps", "swap_study"), ("codesign", "codesign_study")]
+    )
+    def test_grid_check_and_study_share_one_grid(self, monkeypatch, command, study):
+        """The default grid is decided once; the check builds one instance per workload."""
+        import repro.cli
+        from repro.experiments.swap_study import default_sizes
+        from repro.workloads import PAPER_WORKLOADS
+
+        built, studied = [], {}
+
+        class Studied(Exception):
+            pass
+
+        def record_study(scale, *args, workloads, sizes, **kwargs):
+            studied.update(workloads=workloads, sizes=sizes)
+            raise Studied
+
+        monkeypatch.setattr(
+            repro.cli, "build_workload", lambda name, size, seed: built.append((name, size))
+        )
+        monkeypatch.setattr(repro.cli, study, record_study)
+        with pytest.raises(Studied):
+            main([command])
+        sizes = list(default_sizes("small"))
+        assert studied == {"workloads": list(PAPER_WORKLOADS), "sizes": sizes}
+        assert built == [(workload, min(sizes)) for workload in PAPER_WORKLOADS]
