@@ -5,6 +5,9 @@ The slow implementation it replaced lives here, and the parity suites
 require the two to agree exactly (density matrices within 1e-10).
 Nothing in ``src/`` imports this module.
 
+Two oracles keep a whole run loop, so a parity test holds the production
+loop to the one it replaced, not only the scorer:
+
 * :class:`ReferenceSabreRouting` — the SABRE router as it stood before the
   single step loop of
   :class:`repro.transpiler.passes.routing.SabreRouting`: its run loop
@@ -15,6 +18,15 @@ Nothing in ``src/`` imports this module.
   broadcast scorer that was the production path until the rewrite.  The
   two engines choose the same SWAP at every decision.  Used by
   ``tests/transpiler/test_routing_vectorized.py`` and
+  ``benchmarks/test_bench_routing_hotpath.py``.
+* :class:`ReferenceNoiseAwareRouting` — the noise-aware router as its own
+  greedy loop, before it became a scorer on SABRE's step loop: NumPy
+  scalars per gate, the stall limit checked at the top of the next
+  blocked step, and the per-candidate Python-loop scorer (``_select_swap``).
+  It keeps only the constructor and the cost tables of
+  :class:`repro.transpiler.passes.noise_aware_routing.NoiseAwareRouting`.
+  Used by ``tests/transpiler/test_routing_vectorized.py`` (toy devices,
+  the five large design points and the stall escape) and
   ``benchmarks/test_bench_routing_hotpath.py``.
 
 The remaining oracles subclass the production class and override only its
@@ -34,10 +46,6 @@ stay shared and a parity test isolates exactly the scorer:
 * :class:`ReferenceNoiseAwareLayout` (``_rank_physical`` and its
   ``_best_subset``) — the per-neighbour fidelity sums.  Used by
   ``tests/transpiler/test_layout_vectorized.py``.
-* :class:`ReferenceNoiseAwareRouting` (``_select_swap``) — the
-  per-candidate Python-loop SWAP scorer.  Used by
-  ``tests/transpiler/test_routing_vectorized.py`` (toy devices and the
-  five large design points).
 * :class:`ReferenceDensityMatrixSimulator` (``_evolve``) and the
   :func:`_evolve_unitary_expand` / :func:`_evolve_channel_expand`
   helpers — full-register expansion of every operator (O(8^n) per gate).
@@ -660,19 +668,107 @@ CIRCUIT_METRIC_VIEWS: Dict[str, Callable[[QuantumCircuit], float]] = {
 
 
 class ReferenceNoiseAwareRouting(NoiseAwareRouting):
-    """:class:`NoiseAwareRouting` with the per-candidate Python-loop scorer."""
+    """:class:`NoiseAwareRouting` as its own greedy loop, before the merge.
+
+    The run loop is the noise-aware router's own copy of the step loop, as
+    it stood before the router became a scorer on SABRE's: NumPy scalars
+    per gate, the front's physical pairs re-derived on every decision, and
+    the stall limit checked at the top of the next blocked step.  It
+    shares only the constructor and the cost tables with production.
+    """
+
+    def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
+        coupling_map: CouplingMap = self._coupling_map or properties.require("coupling_map")
+        noise_model: NoiseModel = (
+            self._noise_model
+            or properties.get("noise_model")
+            or NoiseModel.uniform()
+        )
+        layout: Layout = properties.require("layout")
+        rng = np.random.default_rng(self._seed)
+        distance, _ = self._cost_tables(coupling_map, noise_model)
+        edge_index = _edge_index_arrays(coupling_map)
+
+        dag = DAGCircuit.shared(circuit, properties)
+        instructions = dag.instructions
+        remaining = dag.predecessor_counts()
+        succ_indptr = dag.successor_indptr
+        succ_indices = dag.successor_indices
+        needs_coupling = dag.coupling_mask
+        pairs = dag.qubit_pairs
+        adjacency = coupling_map.adjacency_matrix()
+        v2p, p2v = _layout_arrays(layout, coupling_map.num_qubits)
+        front: List[int] = dag.front_layer()
+        output = QuantumCircuit(
+            coupling_map.num_qubits, name=f"{circuit.name}@{coupling_map.name}"
+        )
+        swaps_inserted = 0
+        stall_counter = 0
+        stall_limit = 10 * max(4, coupling_map.num_qubits)
+
+        def emit(node_index: int) -> None:
+            instruction = instructions[node_index]
+            physical = tuple(int(v2p[q]) for q in instruction.qubits)
+            output.append(instruction.gate, physical, induced=instruction.induced)
+
+        def advance(executed: Sequence[int]) -> None:
+            for node_index in executed:
+                front.remove(node_index)
+                start, stop = succ_indptr[node_index], succ_indptr[node_index + 1]
+                for successor in succ_indices[start:stop]:
+                    remaining[successor] -= 1
+                    if remaining[successor] == 0:
+                        front.append(int(successor))
+
+        while front:
+            ready = [
+                index
+                for index in front
+                if not needs_coupling[index]
+                or adjacency[v2p[pairs[index, 0]], v2p[pairs[index, 1]]]
+            ]
+            if ready:
+                for node_index in ready:
+                    emit(node_index)
+                advance(ready)
+                stall_counter = 0
+                continue
+            if stall_counter > stall_limit:
+                # Escape rare greedy oscillations by routing the first
+                # blocked gate directly along a shortest (hop-count) path.
+                instruction = instructions[front[0]]
+                path = coupling_map.shortest_path(
+                    int(v2p[instruction.qubits[0]]), int(v2p[instruction.qubits[1]])
+                )
+                for hop in range(len(path) - 2):
+                    output.append(SwapGate(), (path[hop], path[hop + 1]), induced=True)
+                    _swap_in_arrays(v2p, p2v, path[hop], path[hop + 1])
+                    swaps_inserted += 1
+                stall_counter = 0
+                continue
+            front_pairs = v2p[pairs[front]]
+            candidates = _candidate_swap_array(front_pairs, edge_index)
+            choice = self._select_swap(candidates, front_pairs, distance, noise_model, rng)
+            best_swap = (int(candidates[choice, 0]), int(candidates[choice, 1]))
+            output.append(SwapGate(), best_swap, induced=True)
+            _swap_in_arrays(v2p, p2v, *best_swap)
+            swaps_inserted += 1
+            stall_counter += 1
+
+        properties["final_layout"] = _layout_from_array(v2p)
+        properties["routing_swaps"] = swaps_inserted
+        properties["routed_circuit"] = output
+        return output
 
     def _select_swap(
         self,
         candidates: np.ndarray,
-        permutations: np.ndarray,
         front_pairs: np.ndarray,
         distance: np.ndarray,
-        swap_costs: np.ndarray,
         noise_model: NoiseModel,
         rng: np.random.Generator,
     ) -> int:
-        """The pre-vectorization scorer (Python loop), kept as parity oracle."""
+        """The per-candidate scorer: front distance plus ``3 * edge_cost``."""
         best_score = np.inf
         best_choices: List[int] = []
         for index in range(len(candidates)):

@@ -67,6 +67,7 @@ def _assert_noise_aware_matches_oracle(circuit, coupling_map, noise_model, seed)
     )
     assert _signature(routed) == _signature(expected)
     assert properties["routing_swaps"] == expected_props["routing_swaps"]
+    assert properties["final_layout"] == expected_props["final_layout"]
     return properties
 
 
