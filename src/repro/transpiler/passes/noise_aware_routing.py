@@ -3,11 +3,15 @@
 The paper's related work (its reference [34], Murali et al.) maps circuits
 with awareness of per-edge error rates; the paper itself sidesteps the
 issue by assuming uniform fidelity.  This pass closes that gap for the
-heterogeneous-noise extension studies: it is the SABRE-style distance
-heuristic of :class:`~repro.transpiler.passes.routing.SabreRouting`
-augmented with an edge-cost term derived from a
-:class:`~repro.core.noise.NoiseModel`, so that routing avoids SWAPs on
-low-fidelity couplings when an almost-as-short alternative exists.
+heterogeneous-noise extension studies: it runs the step loop of
+:class:`~repro.transpiler.passes.routing.SabreRouting`, without lookahead
+or decay, with a scorer that adds an edge-cost term derived from a
+:class:`~repro.core.noise.NoiseModel` to the front distance, so that
+routing avoids SWAPs on low-fidelity couplings when an almost-as-short
+alternative exists.  The loop checks the stall limit right after the
+SWAP that crosses it, as SABRE does; :class:`NoiseAwareRouting` says
+where that differs from this router's former loop, which
+``tests/oracles.py`` keeps as a parity oracle.
 
 The cost of using an edge is ``1 - log(fidelity) / log(fidelity_floor)``
 scaled into a SWAP-count-comparable unit, i.e. a perfect edge costs 1 hop
@@ -22,28 +26,18 @@ distinct content and serves read-only copies to every later run.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
-from repro.circuits.instruction import Instruction
 from repro.core.noise import NoiseModel
-from repro.gates import SwapGate
 from repro.linalg.cache import LRUCache
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes.routing import (
-    _check_layout_covers,
-    _layout_arrays,
-    _layout_from_array,
-    _remapped_distances,
-    _sequential_tie_break,
-    _swap_candidates,
-    _swap_in_arrays,
-)
+from repro.transpiler.passes.routing import SabreRouting, Scorer
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 
 #: Process-wide memo of :meth:`NoiseAwareRouting._cost_tables`.  It
@@ -172,8 +166,18 @@ class NoiseAwareLayout(TranspilerPass):
         return best_subset
 
 
-class NoiseAwareRouting(TranspilerPass):
-    """Greedy router whose distance metric penalises low-fidelity edges."""
+class NoiseAwareRouting(SabreRouting):
+    """Greedy router whose distance metric penalises low-fidelity edges.
+
+    It runs SABRE's step loop with no lookahead (extended-set size 0) and
+    no decay (increment 0.0, so every decay factor stays exactly 1.0) and
+    its own scorer (:meth:`_scorer`).  The loop checks the stall limit
+    right after the SWAP that crosses it, where this router's own loop
+    used to check at the top of the next blocked step.  The two differ in
+    one case only: when that SWAP (more than ``10 * max(4, n)`` SWAPs with
+    no gate executed) unblocks a front gate other than the first, the
+    router now escapes along the first gate's shortest path, as SABRE does.
+    """
 
     name = "noise_aware_routing"
 
@@ -189,11 +193,10 @@ class NoiseAwareRouting(TranspilerPass):
             raise ValueError("noise_weight must be non-negative")
         if not 0.0 < fidelity_floor < 1.0:
             raise ValueError("fidelity_floor must lie strictly between 0 and 1")
-        self._coupling_map = coupling_map
+        super().__init__(coupling_map, seed=seed, extended_set_size=0, decay_increment=0.0)
         self._noise_model = noise_model
         self._noise_weight = float(noise_weight)
         self._fidelity_floor = float(fidelity_floor)
-        self._seed = int(seed)
 
     # -- cost model -----------------------------------------------------------
 
@@ -258,118 +261,26 @@ class NoiseAwareRouting(TranspilerPass):
             COST_TABLE_CACHE.put(key, tables)
         return tables
 
-    # -- pass entry point ---------------------------------------------------------
+    # -- scoring ---------------------------------------------------------------------
 
-    def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
-        coupling_map: CouplingMap = self._coupling_map or properties.require("coupling_map")
+    def _scorer(
+        self, coupling_map: CouplingMap, properties: PropertySet
+    ) -> Tuple[np.ndarray, Scorer]:
+        """The weighted distance table and a front + SWAP-cost scorer.
+
+        A candidate scores the total weighted distance of the front pairs
+        after it plus its ``swap_costs`` entry, which already holds
+        ``3 * edge_cost``.  The noise model is the router's own, else the
+        property set's, else the uniform model.
+        """
         noise_model: NoiseModel = (
             self._noise_model
             or properties.get("noise_model")
             or NoiseModel.uniform()
         )
-        layout: Layout = properties.require("layout")
-        rng = np.random.default_rng(self._seed)
         distance, swap_costs = self._cost_tables(coupling_map, noise_model)
 
-        dag = DAGCircuit.shared(circuit, properties)
-        instructions = dag.instructions
-        remaining = dag.predecessor_counts()
-        succ_indptr = dag.successor_indptr
-        succ_indices = dag.successor_indices
-        needs_coupling = dag.coupling_mask
-        pairs = dag.qubit_pairs
-        adjacency = coupling_map.adjacency_matrix()
-        v2p, p2v = _layout_arrays(layout, coupling_map.num_qubits)
-        _check_layout_covers(instructions, v2p, circuit.num_qubits)
-        front: List[int] = dag.front_layer()
-        output = QuantumCircuit(
-            coupling_map.num_qubits, name=f"{circuit.name}@{coupling_map.name}"
-        )
-        swaps_inserted = 0
-        stall_counter = 0
-        stall_limit = 10 * max(4, coupling_map.num_qubits)
+        def score(costs: np.ndarray, num_front: int, candidates: np.ndarray) -> np.ndarray:
+            return costs.sum(axis=1) + swap_costs[candidates[:, 0], candidates[:, 1]]
 
-        # Qubits are cast to Python ``int`` before the trusted appends.
-        append = output._append_trusted
-        swap_gate = SwapGate()
-
-        def emit(node_index: int) -> None:
-            instruction = instructions[node_index]
-            physical = tuple([int(v2p[q]) for q in instruction.qubits])
-            append(Instruction(instruction.gate, physical, induced=instruction.induced))
-
-        def advance(executed: Sequence[int]) -> None:
-            for node_index in executed:
-                front.remove(node_index)
-                start, stop = succ_indptr[node_index], succ_indptr[node_index + 1]
-                for successor in succ_indices[start:stop]:
-                    remaining[successor] -= 1
-                    if remaining[successor] == 0:
-                        front.append(int(successor))
-
-        while front:
-            ready = [
-                index
-                for index in front
-                if not needs_coupling[index]
-                or adjacency[v2p[pairs[index, 0]], v2p[pairs[index, 1]]]
-            ]
-            if ready:
-                for node_index in ready:
-                    emit(node_index)
-                advance(ready)
-                stall_counter = 0
-                continue
-            if stall_counter > stall_limit:
-                # Escape rare greedy oscillations by routing the first
-                # blocked gate directly along a shortest (hop-count) path.
-                instruction = instructions[front[0]]
-                path = coupling_map.shortest_path(
-                    int(v2p[instruction.qubits[0]]), int(v2p[instruction.qubits[1]])
-                )
-                for hop in range(len(path) - 2):
-                    append(Instruction(swap_gate, (path[hop], path[hop + 1]), induced=True))
-                    _swap_in_arrays(v2p, p2v, path[hop], path[hop + 1])
-                    swaps_inserted += 1
-                stall_counter = 0
-                continue
-            front_pairs = v2p[pairs[front]]
-            candidates, permutations = _swap_candidates(front_pairs, coupling_map)
-            choice = self._select_swap(
-                candidates, permutations, front_pairs, distance, swap_costs, noise_model, rng
-            )
-            best_swap = (int(candidates[choice, 0]), int(candidates[choice, 1]))
-            append(Instruction(swap_gate, best_swap, induced=True))
-            _swap_in_arrays(v2p, p2v, *best_swap)
-            swaps_inserted += 1
-            stall_counter += 1
-
-        properties["final_layout"] = _layout_from_array(v2p)
-        properties["routing_swaps"] = swaps_inserted
-        properties["routed_circuit"] = output
-        return output
-
-    # -- SWAP selection ----------------------------------------------------------------
-
-    def _select_swap(
-        self,
-        candidates: np.ndarray,
-        permutations: np.ndarray,
-        front_pairs: np.ndarray,
-        distance: np.ndarray,
-        swap_costs: np.ndarray,
-        noise_model: NoiseModel,
-        rng: np.random.Generator,
-    ) -> int:
-        """Index of the candidate SWAP with the lowest front + SWAP cost.
-
-        Every candidate is scored in one gather against its SWAP
-        permutation.  ``swap_costs`` already holds ``3 * edge_cost`` per
-        coupling under ``noise_model``, so the model itself is not read
-        here.
-        """
-        scores = (
-            _remapped_distances(permutations, front_pairs, distance).sum(axis=1)
-            + swap_costs[candidates[:, 0], candidates[:, 1]]
-        )
-        return _sequential_tie_break(scores, rng)
+        return distance, score

@@ -34,12 +34,21 @@ scalar is indexed per gate.  The pre-rewrite router is kept as a
 test-only oracle (``tests/oracles.py``) that
 ``tests/transpiler/test_routing_vectorized.py`` holds this one to: the
 same SWAP sequence, ``routing_swaps`` and final layout at every seed.
+
+This is the only routing step loop of the greedy routers.  It takes its
+distance table and candidate scorer from one hook,
+:meth:`SabreRouting._scorer`;
+:class:`~repro.transpiler.passes.noise_aware_routing.NoiseAwareRouting`
+overrides that hook and runs the loop with an extended-set size of 0 and
+a decay increment of 0.0.  After each SWAP the loop checks the stall
+limit (``10 * max(4, n)`` SWAPs with no gate executed) and, once it is
+crossed, brings the first front gate together along a shortest path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,6 +67,9 @@ _DECAY_RESET_INTERVAL = 5
 
 #: Score-comparison tolerance of the sequential tie-break.
 _TIE_EPS = 1e-12
+
+#: ``score(costs, num_front, candidates)`` of :meth:`SabreRouting._scorer`.
+Scorer = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
 
 
 class RoutingError(RuntimeError):
@@ -188,7 +200,7 @@ class SabreRouting(TranspilerPass):
         coupling_map: CouplingMap = self._coupling_map or properties.require("coupling_map")
         layout: Layout = properties.require("layout")
         rng = np.random.default_rng(self._seed)
-        distance = coupling_map.distance_matrix()
+        distance, score = self._scorer(coupling_map, properties)
         adjacency = coupling_map.adjacency_matrix().tolist()
 
         dag = DAGCircuit.shared(circuit, properties)
@@ -270,14 +282,9 @@ class SabreRouting(TranspilerPass):
             candidates, permutations = _swap_candidates(window_phys[:num_front], coupling_map)
             if not len(candidates):  # pragma: no cover - connected devices always have candidates
                 raise RoutingError("no candidate SWAPs available; is the device connected?")
-            costs = _remapped_distances(permutations, window_phys, distance)
-            scores = costs[:, :num_front].sum(axis=1, dtype=np.float64) / num_front
-            num_extended = len(window) - num_front
-            if num_extended:
-                scores = scores + (
-                    self._extended_set_weight
-                    * costs[:, num_front:].sum(axis=1, dtype=np.float64)
-                ) / num_extended
+            scores = score(
+                _remapped_distances(permutations, window_phys, distance), num_front, candidates
+            )
             scores *= decay[candidates].max(axis=1)
             physical_a, physical_b = candidates[_sequential_tie_break(scores, rng)].tolist()
             swap(physical_a, physical_b)
@@ -307,6 +314,29 @@ class SabreRouting(TranspilerPass):
         return output
 
     # -- helpers -----------------------------------------------------------------
+
+    def _scorer(
+        self, coupling_map: CouplingMap, properties: PropertySet
+    ) -> Tuple[np.ndarray, Scorer]:
+        """The distance table candidates are scored on, and the scorer.
+
+        ``score(costs, num_front, candidates)`` turns the (C, P) distances
+        of the lookahead pairs after each of the C candidate SWAPs (front
+        pairs first) into C scores, before decay: the mean front distance
+        plus the weighted mean extended-set distance.
+        """
+        weight = self._extended_set_weight
+
+        def score(costs: np.ndarray, num_front: int, candidates: np.ndarray) -> np.ndarray:
+            scores = costs[:, :num_front].sum(axis=1, dtype=np.float64) / num_front
+            num_extended = costs.shape[1] - num_front
+            if num_extended:
+                scores = scores + (
+                    weight * costs[:, num_front:].sum(axis=1, dtype=np.float64)
+                ) / num_extended
+            return scores
+
+        return coupling_map.distance_matrix(), score
 
     def _extended_pairs(
         self,

@@ -192,6 +192,61 @@ class TestSabreStallEscape:
         )
 
 
+class TestNoiseAwareStallEscape:
+    """The same escape in the noise-aware router, held to its pre-merge loop."""
+
+    @pytest.mark.parametrize("topology", ["lattice", "line"])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_escape_matches_oracle(self, monkeypatch, topology, seed):
+        # As in TestSabreStallEscape, both routers take their first
+        # candidate until the first escape.  The step loop checks the stall
+        # limit right after the SWAP that crosses it, the oracle at the top
+        # of the next blocked step; on an oscillation that SWAP unblocks
+        # nothing, so both escape from the same state.
+        escapes = []
+        shortest_path = CouplingMap.shortest_path
+
+        def counting_shortest_path(self, qubit_a, qubit_b):
+            escapes.append((qubit_a, qubit_b))
+            return shortest_path(self, qubit_a, qubit_b)
+
+        tie_break = routing._sequential_tie_break
+        select = ReferenceNoiseAwareRouting._select_swap
+        monkeypatch.setattr(CouplingMap, "shortest_path", counting_shortest_path)
+        monkeypatch.setattr(
+            routing,
+            "_sequential_tie_break",
+            lambda scores, rng: tie_break(scores, rng) if escapes else 0,
+        )
+        monkeypatch.setattr(
+            ReferenceNoiseAwareRouting,
+            "_select_swap",
+            lambda self, *args: select(self, *args) if escapes else 0,
+        )
+        coupling_map = TOPOLOGIES[topology]
+        circuit = quantum_volume_circuit(6, seed=seed)
+        noise_model = NoiseModel.random(coupling_map, spread=0.02, seed=seed)
+        runs = []
+        for router in (NoiseAwareRouting, ReferenceNoiseAwareRouting):
+            escapes.clear()
+            routed, properties = _route(
+                circuit, coupling_map, router=router, noise_model=noise_model, seed=seed
+            )
+            runs.append(
+                (
+                    _signature(routed),
+                    properties["routing_swaps"],
+                    properties["final_layout"],
+                    list(escapes),
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][3], "the stall escape was never reached"
+        assert all(
+            coupling_map.has_edge(*qubits) for _, qubits, _ in runs[0][0] if len(qubits) == 2
+        )
+
+
 class TestTieBreak:
     def test_unique_minimum_draws_nothing(self):
         rng = np.random.default_rng(3)
