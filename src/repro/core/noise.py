@@ -29,21 +29,44 @@ from repro.topology.coupling import CouplingMap
 Edge = Tuple[int, int]
 
 
+def _check_fidelity(name: str, value: float) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} fidelity must lie in (0, 1], got {value}")
+
+
 @dataclass
 class NoiseModel:
     """Per-edge two-qubit fidelities plus an idle-decoherence rate.
 
     Attributes:
-        edge_fidelity: mapping from (sorted) physical edge to the fidelity
-            of one native two-qubit gate on that edge.
+        edge_fidelity: mapping from physical edge to the fidelity of one
+            native two-qubit gate on that edge.  An edge may be written in
+            either orientation; construction stores it as ``(min, max)``.
         default_fidelity: fidelity assumed for edges not in the map.
         idle_fidelity_per_pulse: multiplicative fidelity factor charged per
             unit of pulse-duration-weighted critical path (decoherence).
+
+    Every fidelity must lie in (0, 1], and an edge written both ways must
+    carry one value; construction raises ``ValueError`` otherwise.
     """
 
     edge_fidelity: Dict[Edge, float] = field(default_factory=dict)
     default_fidelity: float = 0.995
     idle_fidelity_per_pulse: float = 0.999
+
+    def __post_init__(self) -> None:
+        edge_fidelity: Dict[Edge, float] = {}
+        for (a, b), value in self.edge_fidelity.items():
+            edge = (a, b) if a <= b else (b, a)
+            _check_fidelity(f"edge {edge}", value)
+            if edge in edge_fidelity and edge_fidelity[edge] != value:
+                raise ValueError(
+                    f"edge {edge} has two fidelities: {edge_fidelity[edge]} and {value}"
+                )
+            edge_fidelity[edge] = value
+        _check_fidelity("default", self.default_fidelity)
+        _check_fidelity("idle", self.idle_fidelity_per_pulse)
+        self.edge_fidelity = edge_fidelity
 
     # -- constructors ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.core.noise import NoiseModel
-from repro.topology import square_lattice
+from repro.topology import CouplingMap, square_lattice
+from repro.transpiler import make_target
 
 
 class TestConstruction:
@@ -33,6 +34,58 @@ class TestConstruction:
     def test_edge_lookup_is_orientation_free(self):
         model = NoiseModel(edge_fidelity={(0, 1): 0.98})
         assert model.fidelity(1, 0) == 0.98
+
+
+class TestEdgeKeys:
+    """An edge written as ``(b, a)`` is the edge ``(a, b)``."""
+
+    def test_reversed_key_is_read(self):
+        model = NoiseModel(edge_fidelity={(1, 0): 0.5})
+        assert model.fidelity(0, 1) == model.fidelity(1, 0) == 0.5
+        matrix = model.fidelity_matrix(CouplingMap.line(3))
+        assert matrix[0, 1] == matrix[1, 0] == 0.5
+        assert matrix[1, 2] == model.default_fidelity
+        assert model.worst_edge() == (0, 1)
+
+    def test_reversed_keys_give_one_cache_key(self):
+        device = CouplingMap.line(4)
+        forward = NoiseModel(edge_fidelity={(0, 1): 0.97, (2, 3): 0.99})
+        backward = NoiseModel(edge_fidelity={(3, 2): 0.99, (1, 0): 0.97})
+        assert forward.edge_fidelity == backward.edge_fidelity
+        assert (
+            make_target(device, "cx", noise_model=forward).cache_key()
+            == make_target(device, "cx", noise_model=backward).cache_key()
+        )
+
+    def test_both_orientations_with_one_value_are_one_edge(self):
+        model = NoiseModel(edge_fidelity={(0, 1): 0.9, (1, 0): 0.9})
+        assert model.edge_fidelity == {(0, 1): 0.9}
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"edge_fidelity": {(0, 1): 1.7}},
+            {"edge_fidelity": {(1, 0): 0.0}},
+            {"edge_fidelity": {(0, 1): -0.2}},
+            {"edge_fidelity": {(0, 1): float("nan")}},
+            {"edge_fidelity": {(0, 1): 0.9, (1, 0): 0.8}},
+            {"default_fidelity": 1.01},
+            {"default_fidelity": 0.0},
+            {"idle_fidelity_per_pulse": 1.5},
+            {"idle_fidelity_per_pulse": 0.0},
+        ],
+    )
+    def test_bad_values_raise_at_construction(self, options):
+        with pytest.raises(ValueError):
+            NoiseModel(**options)
+
+    def test_perfect_fidelity_is_allowed(self):
+        model = NoiseModel(
+            edge_fidelity={(0, 1): 1.0}, default_fidelity=1.0, idle_fidelity_per_pulse=1.0
+        )
+        assert model.fidelity(0, 1) == 1.0
 
 
 class TestCircuitEstimate:

@@ -102,6 +102,16 @@ class TestCostTableCache:
         assert copied[0] is tables[0] and copied[1] is tables[1]
         assert COST_TABLE_CACHE.stats().hits == hits + 1
 
+    def test_reversed_edge_keys_share_one_entry(self):
+        device = CouplingMap.line(5)
+        forward = NoiseModel(edge_fidelity={(0, 1): 0.91, (3, 4): 0.95})
+        backward = NoiseModel(edge_fidelity={(4, 3): 0.95, (1, 0): 0.91})
+        tables = NoiseAwareRouting()._cost_tables(device, forward)
+        shared = NoiseAwareRouting()._cost_tables(device, backward)
+        assert shared[0] is tables[0] and shared[1] is tables[1]
+        assert len(COST_TABLE_CACHE) == 1
+        assert tables[1][0, 1] > tables[1][1, 2]
+
     def test_cost_parameters_are_part_of_the_key(self):
         device = get_topology("Square-Lattice", scale="small")
         model = NoiseModel.random(device, seed=6, spread=0.02)
