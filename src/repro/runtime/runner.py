@@ -302,25 +302,16 @@ def _init_worker_cache(spec: dict) -> None:
         _WORKER_CACHE_FAILED = True
 
 
-def _init_worker(
-    cache_spec: Optional[dict],
-    array_specs: Optional[list],
-    plan_spec: Optional[str] = None,
-) -> None:
-    """Pool initializer: wire up the shared cache, arrays and fault plan.
+def _init_worker(cache_spec: Optional[dict], plan_spec: Optional[str] = None) -> None:
+    """Pool initializer: wire up the shared cache and fault plan.
 
     Runs once per worker *process*, and the pool outlives individual
     ``map`` calls — so the cache handle (warm LRU + open segment index)
-    and the attached arrays stay hot across every stage a multi-stage
-    driver fans out.
+    stays hot across every stage a multi-stage driver fans out.
     """
     global _WORKER_INJECTOR, _WORKER_INJECTOR_RESOLVED
     if cache_spec is not None:
         _init_worker_cache(cache_spec)
-    if array_specs:
-        from repro.runtime.shared import register_shared_arrays
-
-        register_shared_arrays(array_specs)
     if plan_spec is not None:
         plan = FaultPlan.parse(plan_spec)
         _WORKER_INJECTOR = None if plan is None else FaultInjector(plan)
@@ -441,7 +432,6 @@ class ExperimentRunner:
         # and each worker's cache handle (warm LRU, open segment index)
         # stays hot across stages too.
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._shared_arrays = None
 
     # -- introspection ------------------------------------------------------
 
@@ -480,25 +470,6 @@ class ExperimentRunner:
         """True when the current pool has lost a worker and cannot execute."""
         return self._pool is not None and bool(getattr(self._pool, "_broken", False))
 
-    # -- shared read-only arrays --------------------------------------------
-
-    def share_arrays(self, arrays) -> None:
-        """Publish hot read-only arrays to the pool via shared memory.
-
-        Task functions then fetch them with
-        :func:`repro.runtime.shared.get_shared_array` instead of receiving
-        the data as a per-task (re-pickled) argument.  Works in serial
-        fallbacks too — the parent's registry serves its own copies.  An
-        already-running pool is discarded so the next ``map`` starts
-        workers that see the arrays.
-        """
-        from repro.runtime.shared import share_arrays
-
-        if self._shared_arrays is not None:
-            self._shared_arrays.close()
-        self._discard_pool(wait=True)
-        self._shared_arrays = share_arrays(arrays)
-
     # -- lifecycle ----------------------------------------------------------
 
     def ensure_pool(self) -> bool:
@@ -529,13 +500,9 @@ class ExperimentRunner:
         return self.ensure_pool()
 
     def close(self) -> None:
-        """Shut the worker pool down and release any shared-memory arrays
-        (idempotent; the runner stays usable — the next parallel ``map``
-        simply starts a fresh pool)."""
+        """Shut the worker pool down (idempotent; the runner stays usable —
+        the next parallel ``map`` simply starts a fresh pool)."""
         self._discard_pool(wait=True)
-        if self._shared_arrays is not None:
-            self._shared_arrays.close()
-            self._shared_arrays = None
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -728,21 +695,18 @@ class ExperimentRunner:
         )
 
     def _build_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """Build a pool wiring up the cache dir, shared arrays and fault plan."""
+        """Build a pool wiring up the cache dir and fault plan."""
         spec = getattr(self._result_cache, "worker_spec", None)
         cache_spec = None if spec is None else spec()
-        array_specs = (
-            None if self._shared_arrays is None else self._shared_arrays.specs
-        )
         plan_spec = None if self._fault_plan is None else self._fault_plan.spec
         kwargs: Dict[str, Any] = {"max_workers": max_workers}
         if self._start_method is not None:
             kwargs["mp_context"] = multiprocessing.get_context(self._start_method)
-        if cache_spec is None and array_specs is None and plan_spec is None:
+        if cache_spec is None and plan_spec is None:
             return ProcessPoolExecutor(**kwargs)
         return ProcessPoolExecutor(
             initializer=_init_worker,
-            initargs=(cache_spec, array_specs, plan_spec),
+            initargs=(cache_spec, plan_spec),
             **kwargs,
         )
 
