@@ -1,12 +1,16 @@
 """Benchmark: routing hot path and the cross-process result cache.
 
-Three claims are exercised:
+Four claims are exercised:
 
 * the SABRE step loop routes a 48-qubit corral QV circuit at least 3x
   faster than the per-candidate Python-loop scorer of the test-only
   oracle (``tests/oracles.py``), with a bit-identical SWAP sequence at the
   same seed; the speed-up over the oracle's broadcast-scorer run loop
   (the production router before the step loop) is recorded, not gated;
+* the noise-aware router, which runs the same step loop with its own
+  scorer, routes that circuit under a seeded random noise model at least
+  3x faster than its oracle (the router's pre-merge loop with the
+  per-candidate scorer), with a bit-identical SWAP sequence;
 * a second *process* rerunning a sweep against a shared ``--cache-dir``
   performs zero transpilations (every point is a disk hit) and finishes
   at least 5x faster than the cold run;
@@ -23,17 +27,25 @@ import sys
 import time
 from pathlib import Path
 
-from oracles import ReferenceSabreRouting
+from oracles import ReferenceNoiseAwareRouting, ReferenceSabreRouting
+from repro.core.noise import NoiseModel
 from repro.core.pipeline import run_sweep
 from repro.runtime import ExperimentRunner, PersistentResultCache
 from repro.topology import corral_topology
-from repro.transpiler import DenseLayout, PropertySet, SabreRouting, make_target
+from repro.transpiler import (
+    DenseLayout,
+    NoiseAwareRouting,
+    PropertySet,
+    SabreRouting,
+    make_target,
+)
 from repro.workloads import quantum_volume_circuit
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 ROUTER_SEED = 7
 ROUTER_QUBITS = 48  # Corral with 24 posts — the acceptance-bar device
+NOISE_SEED = 3
 
 SWEEP_WORKLOADS = ("QuantumVolume", "GHZ")
 SWEEP_SIZES = (12, 16, 20)
@@ -58,8 +70,12 @@ CLI_SWEEP = [
 ]
 
 
+def _device():
+    return corral_topology(ROUTER_QUBITS // 2, (1, 1))
+
+
 def _route(router, **options):
-    coupling_map = corral_topology(ROUTER_QUBITS // 2, (1, 1))
+    coupling_map = _device()
     circuit = quantum_volume_circuit(ROUTER_QUBITS, seed=ROUTER_SEED)
     properties = PropertySet()
     DenseLayout(coupling_map).run(circuit, properties)
@@ -93,6 +109,40 @@ def test_bench_routing_vectorized_speedup(benchmark, emit):
             "speedup": round(speedup, 2),
             "parent_loop_seconds": round(parent_loop_seconds, 3),
             "speedup_vs_parent_loop": round(parent_loop_seconds / max(seconds, 1e-9), 2),
+        },
+    )
+    assert speedup >= 3.0
+
+
+def test_bench_noise_aware_routing_speedup(benchmark, emit):
+    noise_model = NoiseModel.random(_device(), seed=NOISE_SEED)
+    routed, swaps, seconds = _route(NoiseAwareRouting, noise_model=noise_model)
+    reference_routed, reference_swaps, reference_seconds = _route(
+        ReferenceNoiseAwareRouting, noise_model=noise_model
+    )
+    benchmark.pedantic(
+        _route,
+        args=(NoiseAwareRouting,),
+        kwargs={"noise_model": noise_model},
+        rounds=1,
+        iterations=1,
+    )
+
+    assert swaps == reference_swaps
+    assert [(inst.name, inst.qubits) for inst in routed] == [
+        (inst.name, inst.qubits) for inst in reference_routed
+    ]
+    speedup = reference_seconds / max(seconds, 1e-9)
+    emit(
+        benchmark,
+        f"Noise-aware step loop vs pre-merge oracle ({ROUTER_QUBITS}-qubit corral QV)",
+        {
+            "qubits": ROUTER_QUBITS,
+            "noise_seed": NOISE_SEED,
+            "routing_swaps": int(swaps),
+            "reference_seconds": round(reference_seconds, 3),
+            "step_loop_seconds": round(seconds, 3),
+            "speedup": round(speedup, 2),
         },
     )
     assert speedup >= 3.0
