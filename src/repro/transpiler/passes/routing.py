@@ -35,14 +35,14 @@ test-only oracle (``tests/oracles.py``) that
 ``tests/transpiler/test_routing_vectorized.py`` holds this one to: the
 same SWAP sequence, ``routing_swaps`` and final layout at every seed.
 
-This is the only routing step loop of the greedy routers.  It takes its
-distance table and candidate scorer from one hook,
-:meth:`SabreRouting._scorer`;
-:class:`~repro.transpiler.passes.noise_aware_routing.NoiseAwareRouting`
-overrides that hook and runs the loop with an extended-set size of 0 and
-a decay increment of 0.0.  After each SWAP the loop checks the stall
-limit (``10 * max(4, n)`` SWAPs with no gate executed) and, once it is
-crossed, brings the first front gate together along a shortest path.
+The same loop routes for
+:class:`~repro.transpiler.passes.noise_aware_routing.NoiseAwareRouting`,
+which sets an extended-set size of 0 and a decay increment of 0.0 and
+overrides the one hook the loop takes its distance table and candidate
+scorer from, :meth:`SabreRouting._scorer`.  After each SWAP the loop
+checks the stall limit (``10 * max(4, n)`` SWAPs with no gate executed)
+and, once it is crossed, brings the first front gate together along a
+shortest path.
 """
 
 from __future__ import annotations

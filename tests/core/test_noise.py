@@ -81,12 +81,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(**options)
 
-    def test_perfect_fidelity_is_allowed(self):
-        model = NoiseModel(
-            edge_fidelity={(0, 1): 1.0}, default_fidelity=1.0, idle_fidelity_per_pulse=1.0
-        )
-        assert model.fidelity(0, 1) == 1.0
-
 
 class TestCircuitEstimate:
     def test_empty_circuit_is_perfect(self):

@@ -6,10 +6,11 @@ the RNG on every decision: same scores, same tie sets, same RNG draws,
 hence the same SWAP sequence gate for gate, the same ``routing_swaps`` and
 the same final layout.  These tests pin that contract at fixed seeds on
 small topologies and on the paper's five large design points, including
-the stall escape that no ordinary input reaches.  The noise-aware router
-is pinned the same way to its oracle's per-candidate Python-loop scorer,
-on small topologies and at the ``l3-noisy`` benchmark's large QFT/QAOA
-design points.
+the stall escape that no ordinary input reaches.  The noise-aware router,
+which runs the same step loop with its own scorer, is pinned the same way
+to its oracle, the router's pre-merge loop with the per-candidate
+Python-loop scorer: on small topologies, at the ``l3-noisy`` benchmark's
+large QFT/QAOA design points and through the stall escape.
 """
 
 import numpy as np
