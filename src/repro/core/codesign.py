@@ -70,8 +70,9 @@ LARGE_DESIGN_POINTS: List[CodesignPoint] = [
 
 
 def design_points(scale: str = "small") -> List[CodesignPoint]:
-    """Design points evaluated at a given machine scale."""
-    return list(SMALL_DESIGN_POINTS if scale == "small" else LARGE_DESIGN_POINTS)
+    """Design points evaluated at a given machine scale ("small" or "large")."""
+    small = topo_registry.check_scale(scale) == "small"
+    return list(SMALL_DESIGN_POINTS if small else LARGE_DESIGN_POINTS)
 
 
 def design_targets(scale: str = "small") -> Dict[str, Target]:

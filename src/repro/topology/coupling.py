@@ -2,17 +2,23 @@
 
 The paper models a machine as a graph ``G = {V, E}`` whose vertices are
 physical qubits and whose edges are pairs that can host a two-qubit gate
-(Section 2.4).  :class:`CouplingMap` wraps a :class:`networkx.Graph` with
-the analysis helpers the evaluation needs (distance matrix, diameter,
-average distance, average connectivity).
+(Section 2.4).  :class:`CouplingMap` keeps that graph as plain adjacency
+lists, in the order :class:`networkx.Graph` would list each qubit's
+neighbours for the same couplings, with the analysis helpers the
+evaluation needs (distance matrix, diameter, average distance, average
+connectivity, shortest paths).  networkx is imported only when a caller
+asks for :attr:`CouplingMap.graph`; ``tests/oracles.py`` holds the
+graph queries to the networkx calls they replaced.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def _bfs_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
@@ -41,6 +47,29 @@ def _bfs_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
         frontier = reached.astype(np.float32)
 
 
+def _bfs_level(
+    adjacency: Sequence[Sequence[int]],
+    level: List[int],
+    parents: Dict[int, Optional[int]],
+    opposite: Dict[int, Optional[int]],
+) -> Tuple[List[int], Optional[int]]:
+    """Expand one side of a bidirectional BFS by one level.
+
+    Returns the next fringe and the first node the other side (``opposite``)
+    has reached, or ``None``; ``parents`` gains each newly reached node's
+    parent.
+    """
+    fringe: List[int] = []
+    for node in level:
+        for other in adjacency[node]:
+            if other not in parents:
+                parents[other] = node
+                fringe.append(other)
+            if other in opposite:
+                return fringe, other
+    return fringe, None
+
+
 class CouplingMap:
     """Undirected qubit-connectivity graph with cached distance queries."""
 
@@ -51,16 +80,29 @@ class CouplingMap:
         name: str = "coupling",
     ):
         edge_list = [(int(a), int(b)) for a, b in edges]
+        if num_qubits is None:
+            num_qubits = max((max(a, b) for a, b in edge_list), default=-1) + 1
+        self._num_qubits = n = int(num_qubits)
+        self._name = name
+        # Each qubit's neighbours in the order its couplings first appear,
+        # which is the adjacency order networkx.Graph.add_edges_from gives;
+        # routing escapes, VF2 and subgraph() depend on it.
+        adjacency: List[List[int]] = [[] for _ in range(n)]
+        self._couplings: List[Tuple[int, int]] = []  # distinct, as first given
+        seen = set()
         for a, b in edge_list:
             if a == b:
                 raise ValueError("self-loops are not valid couplings")
-        if num_qubits is None:
-            num_qubits = max((max(a, b) for a, b in edge_list), default=-1) + 1
-        self._num_qubits = int(num_qubits)
-        self._name = name
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(self._num_qubits))
-        self._graph.add_edges_from(edge_list)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"coupling ({a}, {b}) names a qubit outside 0..{n - 1}")
+            key = (min(a, b), max(a, b))
+            if key not in seen:
+                seen.add(key)
+                self._couplings.append((a, b))
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+        self._adjacency_lists = tuple(tuple(neighbours) for neighbours in adjacency)
+        self._graph: Optional["nx.Graph"] = None
         self._distance: Optional[np.ndarray] = None
         self._adjacency: Optional[np.ndarray] = None
         self._neighbor_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -70,8 +112,13 @@ class CouplingMap:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: nx.Graph, name: str = "coupling") -> "CouplingMap":
-        """Build from an arbitrary networkx graph (nodes are relabelled 0..n-1)."""
+    def from_graph(cls, graph: "nx.Graph", name: str = "coupling") -> "CouplingMap":
+        """Build from an arbitrary networkx graph (nodes are relabelled 0..n-1).
+
+        Nodes are numbered in ``str`` order and edges taken in the graph's
+        own ``edges()`` order; only those two methods are called, so this
+        needs no networkx import of its own.
+        """
         mapping = {
             node: index
             for index, node in enumerate(sorted(graph.nodes(), key=str))
@@ -112,33 +159,62 @@ class CouplingMap:
         return self._num_qubits
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (treat as read-only)."""
+    def graph(self) -> "nx.Graph":
+        """The couplings as a networkx graph (treat as read-only).
+
+        Built on first use, with the same nodes, edges and adjacency order
+        as :meth:`adjacency`; this is the one place that imports networkx.
+        """
+        if self._graph is None:
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(range(self._num_qubits))
+            graph.add_edges_from(self._couplings)
+            self._graph = graph
         return self._graph
+
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        """The coupling graph as ``{qubit: neighbours}`` (a fresh dict per call).
+
+        Qubits come in order and each qubit's neighbours in the order its
+        couplings were first given: the node and adjacency orders of
+        :attr:`graph`, without networkx.
+        """
+        return dict(enumerate(self._adjacency_lists))
 
     def edges(self) -> List[Tuple[int, int]]:
         """Sorted list of couplings."""
-        return sorted(tuple(sorted(edge)) for edge in self._graph.edges())
+        return sorted((min(a, b), max(a, b)) for a, b in self._couplings)
 
     def num_edges(self) -> int:
         """Number of couplings."""
-        return self._graph.number_of_edges()
+        return len(self._couplings)
+
+    def _check_qubit(self, qubit: int) -> int:
+        if not 0 <= qubit < self._num_qubits:
+            raise ValueError(f"qubit {qubit} is outside 0..{self._num_qubits - 1}")
+        return qubit
 
     def neighbors(self, qubit: int) -> Tuple[int, ...]:
         """Physical qubits coupled to ``qubit``."""
-        return tuple(sorted(self._graph.neighbors(qubit)))
+        return tuple(sorted(self._adjacency_lists[self._check_qubit(qubit)]))
 
     def degree(self, qubit: int) -> int:
         """Number of couplings incident on ``qubit``."""
-        return int(self._graph.degree[qubit])
+        return len(self._adjacency_lists[self._check_qubit(qubit)])
 
     def has_edge(self, qubit_a: int, qubit_b: int) -> bool:
         """True if the two qubits are directly coupled."""
-        return self._graph.has_edge(qubit_a, qubit_b)
+        return (
+            0 <= qubit_a < self._num_qubits and qubit_b in self._adjacency_lists[qubit_a]
+        )
 
     def is_connected(self) -> bool:
         """True if every qubit can reach every other qubit."""
-        return nx.is_connected(self._graph)
+        if not self._num_qubits:
+            raise ValueError("connectivity is undefined for a coupling map without qubits")
+        return bool(np.isfinite(self.distance_matrix()[0]).all())
 
     # -- metrics ---------------------------------------------------------------
 
@@ -151,7 +227,7 @@ class CouplingMap:
         if self._adjacency is None:
             n = self._num_qubits
             adjacency = np.zeros((n, n), dtype=bool)
-            for a, b in self._graph.edges():
+            for a, b in self._couplings:
                 adjacency[a, b] = True
                 adjacency[b, a] = True
             adjacency.setflags(write=False)
@@ -246,21 +322,54 @@ class CouplingMap:
 
     def average_connectivity(self) -> float:
         """Mean qubit degree (Tables 1-2, "AvgC")."""
-        degrees = [d for _, d in self._graph.degree()]
+        degrees = [len(neighbours) for neighbours in self._adjacency_lists]
         return float(np.mean(degrees)) if degrees else 0.0
 
     def shortest_path(self, qubit_a: int, qubit_b: int) -> List[int]:
-        """One shortest path between two qubits (inclusive)."""
-        return nx.shortest_path(self._graph, qubit_a, qubit_b)
+        """One shortest path between two qubits (inclusive).
+
+        A bidirectional BFS that returns the path ``networkx.shortest_path``
+        returns: each round expands the smaller fringe one level (forward
+        first on a tie), and the search stops at the first node both
+        searches have reached.
+        """
+        source, target = self._check_qubit(qubit_a), self._check_qubit(qubit_b)
+        pred: Dict[int, Optional[int]] = {source: None}
+        succ: Dict[int, Optional[int]] = {target: None}
+        meet = source if source == target else None
+        forward, reverse = [source], [target]
+        while meet is None and forward and reverse:
+            if len(forward) <= len(reverse):
+                forward, meet = _bfs_level(self._adjacency_lists, forward, pred, succ)
+            else:
+                reverse, meet = _bfs_level(self._adjacency_lists, reverse, succ, pred)
+        if meet is None:
+            raise ValueError(f"no path between qubits {source} and {target}")
+        path: List[int] = []
+        node: Optional[int] = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[meet]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
 
     def subgraph(self, qubits: Sequence[int], name: Optional[str] = None) -> "CouplingMap":
-        """Induced subgraph on the given qubits (relabelled 0..k-1)."""
+        """Induced subgraph on the given qubits (relabelled 0..k-1).
+
+        Couplings are taken in ``graph.edges()`` order (each once, from its
+        lower qubit), so the subgraph's adjacency order is networkx's.
+        """
         qubits = list(qubits)
         index = {q: i for i, q in enumerate(qubits)}
         edges = [
             (index[a], index[b])
-            for a, b in self._graph.edges()
-            if a in index and b in index
+            for a, neighbours in enumerate(self._adjacency_lists)
+            for b in neighbours
+            if a < b and a in index and b in index
         ]
         return CouplingMap(edges, num_qubits=len(qubits), name=name or f"{self._name}_sub")
 

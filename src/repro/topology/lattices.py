@@ -11,15 +11,28 @@ These are the comparison baselines of the paper (Section 2.4.4, Fig. 2):
 
 The 16/20-qubit and 84-qubit instances used in the paper's Tables 1 and 2
 are provided by :mod:`repro.topology.registry`.
+
+The hex families are built on a dict-of-dicts graph (node -> neighbours,
+both in insertion order) that repeats networkx's construction step for
+step: ``hexagonal_lattice_graph``, edge subdivision, a BFS trim from a
+graph centre, the induced subgraph and ``CouplingMap.from_graph``'s
+relabelling.  Every qubit therefore gets networkx's edges and adjacency
+order, which routing and VF2 tie-breaks depend on; ``tests/oracles.py``
+keeps the networkx construction as the parity oracle.  One step differs
+on purpose: the induced subgraph always keeps the parent's node order,
+where networkx's subgraph copy iterates a set of kept nodes when fewer
+than half are kept, whose order depends on ``PYTHONHASHSEED`` for the
+heavy-hex midpoint labels.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.topology.coupling import CouplingMap
+
+#: A graph as ``{node: {neighbour: None}}``; both levels keep insertion order.
+_Graph = Dict[Hashable, Dict[Hashable, None]]
 
 
 def _grid_index(row: int, col: int, cols: int) -> int:
@@ -70,7 +83,45 @@ def square_lattice_alt_diagonals(
     )
 
 
-def _trim_to_size(graph: nx.Graph, num_qubits: int) -> nx.Graph:
+def _add_edge(graph: _Graph, a: Hashable, b: Hashable) -> None:
+    """``networkx.Graph.add_edge``: new nodes join in order, a known edge keeps its place."""
+    graph.setdefault(a, {})[b] = None
+    graph.setdefault(b, {})[a] = None
+
+
+def _remove_node(graph: _Graph, node: Hashable) -> None:
+    for other in graph.pop(node):
+        del graph[other][node]
+
+
+def _edges(graph: _Graph) -> Iterator[Tuple[Hashable, Hashable]]:
+    """Each edge once, in the order ``networkx.Graph.edges()`` yields it."""
+    done = set()
+    for node, neighbours in graph.items():
+        for other in neighbours:
+            if other not in done:
+                yield node, other
+        done.add(node)
+
+
+def _hexagonal_lattice(rows: int, cols: int) -> _Graph:
+    """``networkx.hexagonal_lattice_graph(rows, cols)``: nodes ``(column, row)``."""
+    height = 2 * rows
+    graph: _Graph = {}
+    for i in range(cols + 1):
+        for j in range(height + 1):
+            _add_edge(graph, (i, j), (i, j + 1))
+    for i in range(cols):
+        for j in range(height + 2):
+            if i % 2 == j % 2:
+                _add_edge(graph, (i, j), (i + 1, j))
+    # The two corner nodes with a single edge.
+    _remove_node(graph, (0, height + 1))
+    _remove_node(graph, (cols, (height + 1) * (cols % 2)))
+    return graph
+
+
+def _trim_to_size(graph: _Graph, num_qubits: int) -> _Graph:
     """Keep ``num_qubits`` nodes forming a compact connected patch.
 
     Nodes are taken in BFS order from a graph centre (a node of minimum
@@ -78,31 +129,49 @@ def _trim_to_size(graph: nx.Graph, num_qubits: int) -> nx.Graph:
     strip and therefore keeps the trimmed lattice's diameter close to that
     of an ideally shaped instance.
     """
-    if graph.number_of_nodes() < num_qubits:
+    if len(graph) < num_qubits:
         raise ValueError(
-            f"parent lattice has only {graph.number_of_nodes()} nodes, "
-            f"cannot trim to {num_qubits}"
+            f"parent lattice has only {len(graph)} nodes, cannot trim to {num_qubits}"
         )
-    eccentricity = nx.eccentricity(graph)
-    start = min(sorted(graph.nodes(), key=str), key=lambda n: eccentricity[n])
-    order = [start] + [v for _, v in nx.bfs_edges(graph, start)]
-    keep = order[:num_qubits]
-    return graph.subgraph(keep).copy()
+    # The first node in ``str`` order with the least eccentricity.
+    eccentricity = _relabelled(graph, "parent").distance_matrix().max(axis=1)
+    start = sorted(graph, key=str)[int(eccentricity.argmin())]
+    order = [start]
+    reached = {start}
+    for node in order:
+        for other in graph[node]:
+            if other not in reached:
+                reached.add(other)
+                order.append(other)
+    keep = set(order[:num_qubits])
+    return {
+        node: {other: None for other in neighbours if other in keep}
+        for node, neighbours in graph.items()
+        if node in keep
+    }
+
+
+def _relabelled(graph: _Graph, name: str) -> CouplingMap:
+    """``CouplingMap.from_graph`` for a dict-of-dicts graph."""
+    index = {node: position for position, node in enumerate(sorted(graph, key=str))}
+    return CouplingMap(
+        [(index[a], index[b]) for a, b in _edges(graph)], num_qubits=len(index), name=name
+    )
 
 
 def hex_lattice(num_qubits: int, name: Optional[str] = None) -> CouplingMap:
     """Hexagonal (degree-<=3) lattice trimmed to ``num_qubits`` qubits."""
     rows = cols = 1
     while True:
-        candidate = nx.hexagonal_lattice_graph(rows, cols)
-        if candidate.number_of_nodes() >= num_qubits:
+        candidate = _hexagonal_lattice(rows, cols)
+        if len(candidate) >= num_qubits:
             break
         if rows <= cols:
             rows += 1
         else:
             cols += 1
     trimmed = _trim_to_size(candidate, num_qubits)
-    return CouplingMap.from_graph(trimmed, name=name or f"hex-lattice-{num_qubits}")
+    return _relabelled(trimmed, name or f"hex-lattice-{num_qubits}")
 
 
 def heavy_hex_lattice(num_qubits: int, name: Optional[str] = None) -> CouplingMap:
@@ -114,27 +183,25 @@ def heavy_hex_lattice(num_qubits: int, name: Optional[str] = None) -> CouplingMa
     """
     rows = cols = 1
     while True:
-        base = nx.hexagonal_lattice_graph(rows, cols)
-        heavy = _subdivide_edges(base)
-        if heavy.number_of_nodes() >= num_qubits:
+        heavy = _subdivide_edges(_hexagonal_lattice(rows, cols))
+        if len(heavy) >= num_qubits:
             break
         if rows <= cols:
             rows += 1
         else:
             cols += 1
     trimmed = _trim_to_size(heavy, num_qubits)
-    return CouplingMap.from_graph(trimmed, name=name or f"heavy-hex-{num_qubits}")
+    return _relabelled(trimmed, name or f"heavy-hex-{num_qubits}")
 
 
-def _subdivide_edges(graph: nx.Graph) -> nx.Graph:
+def _subdivide_edges(graph: _Graph) -> _Graph:
     """Insert one new node in the middle of every edge of ``graph``."""
-    heavy = nx.Graph()
-    heavy.add_nodes_from(graph.nodes())
-    for index, (a, b) in enumerate(sorted(graph.edges(), key=str)):
+    heavy: _Graph = {node: {} for node in graph}
+    for index, (a, b) in enumerate(sorted(_edges(graph), key=str)):
         middle = ("edge", index)
-        heavy.add_node(middle)
-        heavy.add_edge(a, middle)
-        heavy.add_edge(middle, b)
+        heavy[middle] = {}
+        _add_edge(heavy, a, middle)
+        _add_edge(heavy, middle, b)
     return heavy
 
 

@@ -21,14 +21,17 @@ The router's two cost tables (all-pairs weighted distances and per-edge
 SWAP costs) depend only on the device, the noise model's fidelities and
 the two cost parameters, while a sweep compiles many circuits against few
 noisy targets.  :data:`COST_TABLE_CACHE` therefore builds them once per
-distinct content and serves read-only copies to every later run.
+distinct content and serves read-only copies to every later run.  The
+weighted distances come from a NumPy min-plus relaxation over the edge
+list that equals networkx's all-pairs Dijkstra bit for bit
+(:meth:`NoiseAwareRouting._weighted_distance`; ``tests/oracles.py`` keeps
+the Dijkstra call as its parity oracle).
 """
 
 from __future__ import annotations
 
 from typing import Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
@@ -209,16 +212,38 @@ class NoiseAwareRouting(SabreRouting):
     def _weighted_distance(
         self, coupling_map: CouplingMap, noise_model: NoiseModel
     ) -> np.ndarray:
-        """All-pairs shortest-path distances under the edge-cost metric."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(coupling_map.num_qubits))
-        for a, b in coupling_map.edges():
-            graph.add_edge(a, b, weight=self.edge_cost(noise_model, a, b))
-        distance = np.full((coupling_map.num_qubits, coupling_map.num_qubits), np.inf)
-        for source, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="weight"):
-            for target, value in lengths.items():
-                distance[source, target] = value
-        return distance
+        """All-pairs shortest-path distances under the edge-cost metric.
+
+        Every source relaxes every edge, in both directions, at once until
+        no distance drops: ``D[s, v] = min(D[s, v], min_u D[s, u] + w(u, v))``.
+        Each edge costs at least 1, so the only table that satisfies
+        ``D[s, v] = min_u fl(D[s, u] + w(u, v))`` for ``v != s`` is the one
+        Dijkstra's algorithm returns, and the relaxation reaches it with the
+        same float additions: the two are equal bit for bit.  Unreachable
+        pairs stay ``inf``.
+        """
+        n = coupling_map.num_qubits
+        distance = np.full((n, n), np.inf)
+        np.fill_diagonal(distance, 0.0)
+        pairs = coupling_map.swap_arrays()[0]
+        if not len(pairs):
+            return distance
+        cost = self._edge_cost_matrix(coupling_map, noise_model)[pairs[:, 0], pairs[:, 1]]
+        # Directed arcs grouped by head, so one reduceat takes every head's
+        # minimum over its incoming arcs.
+        heads = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        order = np.argsort(heads, kind="stable")
+        tails = np.concatenate((pairs[:, 0], pairs[:, 1]))[order]
+        weights = np.concatenate((cost, cost))[order]
+        heads = heads[order]
+        starts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+        reached = heads[starts]
+        while True:
+            relaxed = np.minimum.reduceat(distance[:, tails] + weights, starts, axis=1)
+            relaxed = np.minimum(distance[:, reached], relaxed)
+            if np.array_equal(relaxed, distance[:, reached]):
+                return distance
+            distance[:, reached] = relaxed
 
     def _edge_cost_matrix(
         self, coupling_map: CouplingMap, noise_model: NoiseModel

@@ -22,13 +22,17 @@ monomorphism search over plain Python lists.  It visits candidate pairs in
 the order of networkx's VF2 matcher and so returns the same first
 embedding, hence the same layout; ``tests/oracles.py`` keeps the networkx
 call as its parity oracle.
+
+Graphs here are adjacency mappings, ``{node: neighbours}``: the mapping's
+order is the node order and each node's neighbours come in adjacency
+order, the two orders a networkx graph would carry.  The device graph is
+the coupling map's :meth:`~repro.topology.coupling.CouplingMap.adjacency`;
+the pattern is :func:`interaction_graph`.  No networkx graph is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -37,30 +41,35 @@ from repro.transpiler.layout import Layout
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
 from repro.transpiler.passes.layout_passes import DenseLayout
 
+#: ``{node: neighbours}``: node order, then each node's adjacency order.
+AdjacencyMapping = Mapping[Hashable, Iterable[Hashable]]
+
 
 def interaction_graph(
     circuit: QuantumCircuit,
     interactions: Optional[Mapping[Tuple[int, int], int]] = None,
-) -> nx.Graph:
-    """The circuit's two-qubit interaction graph (edge weight = gate count).
+) -> Dict[int, Dict[int, int]]:
+    """The circuit's two-qubit interaction graph, ``{qubit: {neighbour: gate count}}``.
 
-    ``interactions`` lets callers that already hold the counts (e.g. from a
-    shared :class:`~repro.circuits.dag.DAGCircuit`) skip the circuit walk.
+    Every qubit is a node, idle ones included, and each qubit lists its
+    partners in the order of the interaction counts, the adjacency order
+    ``networkx.Graph.add_edge`` would give.  ``interactions`` lets callers
+    that already hold the counts (e.g. from a shared
+    :class:`~repro.circuits.dag.DAGCircuit`) skip the circuit walk.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(circuit.num_qubits))
+    graph: Dict[int, Dict[int, int]] = {qubit: {} for qubit in range(circuit.num_qubits)}
     if interactions is None:
         interactions = circuit.two_qubit_interactions()
     for (a, b), count in interactions.items():
-        graph.add_edge(a, b, weight=count)
+        graph[a][b] = graph[b][a] = count
     return graph
 
 
-def _degrees_descending(graph: nx.Graph) -> List[int]:
-    return sorted((degree for _, degree in graph.degree()), reverse=True)
+def _degrees_descending(graph: AdjacencyMapping) -> List[int]:
+    return sorted((len(neighbours) for neighbours in graph.values()), reverse=True)
 
 
-def embedding_impossible(pattern: nx.Graph, device: nx.Graph) -> bool:
+def embedding_impossible(pattern: AdjacencyMapping, device: AdjacencyMapping) -> bool:
     """True when ``pattern`` provably has no subgraph monomorphism into ``device``.
 
     An embedding maps pattern nodes injectively onto device nodes and
@@ -69,27 +78,26 @@ def embedding_impossible(pattern: nx.Graph, device: nx.Graph) -> bool:
     degree >= deg(v).  The k busiest pattern nodes land on k distinct
     device nodes, hence the pattern's k-th largest degree is at most the
     device's k-th largest degree, for every k.  ``False`` proves nothing:
-    the VF2 search decides then.
+    the VF2 search decides then.  Both graphs are simple, so a degree sum
+    is twice the edge count.
     """
-    if (
-        pattern.number_of_nodes() > device.number_of_nodes()
-        or pattern.number_of_edges() > device.number_of_edges()
-    ):
+    needed, available = _degrees_descending(pattern), _degrees_descending(device)
+    if len(needed) > len(available) or sum(needed) > sum(available):
         return True
-    return any(
-        needed > available
-        for needed, available in zip(_degrees_descending(pattern), _degrees_descending(device))
-    )
+    return any(a > b for a, b in zip(needed, available))
 
 
-def first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optional[Dict[int, int]]:
+def first_monomorphism(
+    device: AdjacencyMapping, pattern: AdjacencyMapping
+) -> Optional[Dict[int, int]]:
     """The first subgraph monomorphism of ``pattern`` into ``device``, or None.
 
     The result maps device nodes to pattern nodes and equals, insertion
     order included, the first mapping networkx's VF2 matcher yields from
-    ``subgraph_monomorphisms_iter()`` for ``(device, pattern)`` (its
-    ``"mono"`` mode; the test oracle ``reference_first_monomorphism``),
-    because the search visits candidate pairs in its order:
+    ``subgraph_monomorphisms_iter()`` for networkx graphs with the same
+    node and adjacency orders as ``(device, pattern)`` (its ``"mono"``
+    mode; the test oracle ``reference_first_monomorphism``), because the
+    search visits candidate pairs in its order:
 
     * When both terminal sets are non-empty, the candidates are the
       unmapped device terminals in the order they became terminals, each
@@ -110,20 +118,20 @@ def first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optional[Dict[int
     limit and leaves no global state behind.  Both graphs are simple
     (no self-loops, as :class:`~repro.topology.coupling.CouplingMap` and
     :func:`interaction_graph` guarantee) and the device's nodes are the
-    integers ``0..n-1``, in any insertion order.
+    integers ``0..n-1``, in any order.
     """
     pattern_nodes = list(pattern)
     size = len(pattern_nodes)
     if size == 0:
         return {}
     position = {node: index for index, node in enumerate(pattern_nodes)}
-    pattern_adjacency = [[position[other] for other in pattern.adj[node]] for node in pattern_nodes]
+    pattern_adjacency = [[position[other] for other in pattern[node]] for node in pattern_nodes]
     device_order = list(device)
     if sorted(device_order) != list(range(len(device_order))):
         raise ValueError("device nodes must be the integers 0..n-1")
     device_adjacency: List[Tuple[int, ...]] = [()] * len(device_order)
     for node in device_order:
-        device_adjacency[node] = tuple(device.adj[node])
+        device_adjacency[node] = tuple(device[node])
     device_neighbours = [frozenset(neighbours) for neighbours in device_adjacency]
 
     core_device = [-1] * len(device_order)  # device node -> pattern position
@@ -258,10 +266,10 @@ class VF2Layout(TranspilerPass):
         else:
             interactions = None
         pattern = interaction_graph(circuit, interactions)
-        if pattern.number_of_edges() == 0:
+        if not any(pattern.values()):
             # Any assignment works; keep it trivial.
             return {v: v for v in range(circuit.num_qubits)}
-        device = self._coupling_map.graph
+        device = self._coupling_map.adjacency()
         if embedding_impossible(pattern, device):
             return None
         mapping = first_monomorphism(device, pattern)

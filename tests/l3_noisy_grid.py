@@ -12,9 +12,10 @@ searches and noisy targets that one benchmark run exercises.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
+from oracles import reference_interaction_graph
 
 from repro.circuits.dag import DAGCircuit
 from repro.core.codesign import LARGE_DESIGN_POINTS, SMALL_DESIGN_POINTS
@@ -54,12 +55,16 @@ def noisy_targets(seed: int) -> List[Target]:
     return targets
 
 
-def vf2_searches(seed: int) -> List[Tuple[str, CouplingMap, nx.Graph]]:
-    """``(label, device, pattern)`` of every search the pre-check lets through.
+def vf2_searches(
+    seed: int,
+) -> List[Tuple[str, CouplingMap, Dict[int, Dict[int, int]], nx.Graph]]:
+    """``(label, device, pattern, reference pattern)`` of every search the pre-check lets through.
 
     The pattern is the interaction graph ``VF2Layout`` builds after the
-    level-3 init stage; searches that ``embedding_impossible`` rejects, and
-    gate-free patterns, never reach the search and are left out.
+    level-3 init stage, and the reference pattern the same graph as the
+    networkx graph the oracle searches; searches that
+    ``embedding_impossible`` rejects, and gate-free patterns, never reach
+    the search and are left out.
     """
     circuit_seed = _seeds(seed)[1]
     searches = []
@@ -70,12 +75,15 @@ def vf2_searches(seed: int) -> List[Tuple[str, CouplingMap, nx.Graph]]:
                 circuit = DecomposeMultiQubit().run(
                     build_workload(workload, size, seed=circuit_seed), PropertySet()
                 )
-                pattern = interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
+                interactions = DAGCircuit(circuit).two_qubit_interactions()
+                pattern = interaction_graph(circuit, interactions)
+                reference = reference_interaction_graph(circuit, interactions)
                 for device in devices:
                     if (
                         size <= device.num_qubits
-                        and pattern.number_of_edges() > 0
-                        and not embedding_impossible(pattern, device.graph)
+                        and interactions
+                        and not embedding_impossible(pattern, device.adjacency())
                     ):
-                        searches.append((f"{workload}-{size}@{device.name}", device, pattern))
+                        label = f"{workload}-{size}@{device.name}"
+                        searches.append((label, device, pattern, reference))
     return searches

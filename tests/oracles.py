@@ -52,15 +52,30 @@ stay shared and a parity test isolates exactly the scorer:
   Used by ``tests/noise/test_density_engine_equivalence.py`` and
   ``benchmarks/test_bench_noisy_sim.py``.
 
-One oracle is the library call a search replaced:
+Some oracles are the networkx calls that in-tree ports replaced; ``src/``
+imports networkx only in :attr:`repro.topology.coupling.CouplingMap.graph`,
+which feeds them:
 
 * :func:`reference_first_monomorphism` — networkx's VF2 ``GraphMatcher``,
   which :func:`repro.transpiler.passes.vf2_layout.first_monomorphism`
-  must reproduce embedding for embedding.  Used by
-  ``tests/transpiler/test_vf2_layout.py`` (seeded random graph pairs,
-  every search of the ``l3-noisy`` grid at seeds 1-3, and the pre-check
-  suites ``TestEmbeddingPrecheck``/``TestPrecheckParity``) and
+  must reproduce embedding for embedding, fed the device's
+  ``CouplingMap.graph`` and the pattern of
+  :func:`reference_interaction_graph` (the networkx graph
+  :func:`~repro.transpiler.passes.vf2_layout.interaction_graph` used to
+  return).  Used by ``tests/transpiler/test_vf2_layout.py`` (seeded random
+  graph pairs, every search of the ``l3-noisy`` grid at seeds 1-3, and the
+  pre-check suites ``TestEmbeddingPrecheck``/``TestPrecheckParity``) and
   ``benchmarks/test_bench_layout_hotpath.py::test_bench_vf2_search``.
+* :func:`reference_hex_lattice` and :func:`reference_heavy_hex_lattice` —
+  the hex families built with ``hexagonal_lattice_graph``, ``eccentricity``,
+  ``bfs_edges`` and ``subgraph``; the ports must give the same edges and
+  adjacency order.  Used by ``tests/topology/test_lattices.py``.
+* :func:`reference_shortest_path` — ``networkx.shortest_path``, which
+  :meth:`repro.topology.coupling.CouplingMap.shortest_path` must match
+  path for path.  Used by ``tests/topology/test_coupling.py``.
+* :func:`reference_weighted_distance` — networkx's all-pairs Dijkstra,
+  which the noise-aware router's weighted-distance table must equal bit
+  for bit.  Used by ``tests/transpiler/test_noise_aware_routing.py``.
 
 One oracle is the set of walks a single walk replaced:
 
@@ -609,6 +624,98 @@ def reference_first_monomorphism(device: nx.Graph, pattern: nx.Graph) -> Optiona
         return next(matcher.subgraph_monomorphisms_iter(), None)
     finally:
         matcher.reset_recursion_limit()
+
+
+def reference_interaction_graph(
+    circuit: QuantumCircuit, interactions: Optional[Dict[Tuple[int, int], int]] = None
+) -> nx.Graph:
+    """The networkx interaction graph ``VF2Layout`` once searched (weight = gate count)."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(circuit.num_qubits))
+    if interactions is None:
+        interactions = circuit.two_qubit_interactions()
+    for (a, b), count in interactions.items():
+        graph.add_edge(a, b, weight=count)
+    return graph
+
+
+# -- coupling graphs ---------------------------------------------------------
+
+
+def _reference_trim_to_size(graph: nx.Graph, num_qubits: int) -> nx.Graph:
+    """BFS patch of ``num_qubits`` nodes from a minimum-eccentricity node."""
+    if graph.number_of_nodes() < num_qubits:
+        raise ValueError(
+            f"parent lattice has only {graph.number_of_nodes()} nodes, "
+            f"cannot trim to {num_qubits}"
+        )
+    eccentricity = nx.eccentricity(graph)
+    start = min(sorted(graph.nodes(), key=str), key=lambda n: eccentricity[n])
+    order = [start] + [v for _, v in nx.bfs_edges(graph, start)]
+    keep = order[:num_qubits]
+    return graph.subgraph(keep).copy()
+
+
+def _reference_subdivide_edges(graph: nx.Graph) -> nx.Graph:
+    """Insert one new node in the middle of every edge of ``graph``."""
+    heavy = nx.Graph()
+    heavy.add_nodes_from(graph.nodes())
+    for index, (a, b) in enumerate(sorted(graph.edges(), key=str)):
+        middle = ("edge", index)
+        heavy.add_node(middle)
+        heavy.add_edge(a, middle)
+        heavy.add_edge(middle, b)
+    return heavy
+
+
+def _reference_hex_family(num_qubits: int, heavy: bool) -> CouplingMap:
+    rows = cols = 1
+    while True:
+        candidate = nx.hexagonal_lattice_graph(rows, cols)
+        if heavy:
+            candidate = _reference_subdivide_edges(candidate)
+        if candidate.number_of_nodes() >= num_qubits:
+            break
+        if rows <= cols:
+            rows += 1
+        else:
+            cols += 1
+    return CouplingMap.from_graph(_reference_trim_to_size(candidate, num_qubits))
+
+
+def reference_hex_lattice(num_qubits: int) -> CouplingMap:
+    """:func:`~repro.topology.lattices.hex_lattice` built with networkx."""
+    return _reference_hex_family(num_qubits, heavy=False)
+
+
+def reference_heavy_hex_lattice(num_qubits: int) -> CouplingMap:
+    """:func:`~repro.topology.lattices.heavy_hex_lattice` built with networkx.
+
+    For 3-5 qubits networkx copies the trimmed subgraph in the iteration
+    order of a set of node labels that hold a string, so the adjacency
+    order depends on ``PYTHONHASHSEED``; the edges do not.
+    """
+    return _reference_hex_family(num_qubits, heavy=True)
+
+
+def reference_shortest_path(coupling_map: CouplingMap, qubit_a: int, qubit_b: int) -> List[int]:
+    """``networkx.shortest_path`` (bidirectional BFS) on the coupling graph."""
+    return nx.shortest_path(coupling_map.graph, qubit_a, qubit_b)
+
+
+def reference_weighted_distance(
+    router: NoiseAwareRouting, coupling_map: CouplingMap, noise_model: NoiseModel
+) -> np.ndarray:
+    """All-pairs Dijkstra under ``router.edge_cost``; unreachable pairs ``inf``."""
+    graph = nx.Graph()
+    graph.add_nodes_from(range(coupling_map.num_qubits))
+    for a, b in coupling_map.edges():
+        graph.add_edge(a, b, weight=router.edge_cost(noise_model, a, b))
+    distance = np.full((coupling_map.num_qubits, coupling_map.num_qubits), np.inf)
+    for source, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="weight"):
+        for target, value in lengths.items():
+            distance[source, target] = value
+    return distance
 
 
 # -- circuit metrics ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.codesign import SMALL_DESIGN_POINTS, design_points, design_targets
 from repro.experiments.paper_values import TABLE1, TABLE2
 from repro.topology import (
     format_properties_table,
@@ -12,6 +13,8 @@ from repro.topology import (
     topology_properties,
     available_topologies,
 )
+from repro.topology import registry as topology_registry
+from repro.transpiler import Target
 
 
 class TestAnalysis:
@@ -51,6 +54,37 @@ class TestRegistry:
         for registry in (small_topologies(), large_topologies()):
             for name, cmap in registry.items():
                 assert cmap.is_connected(), name
+
+    def test_lookups_build_only_what_they_name(self, monkeypatch):
+        built = []
+        for scale, builders in topology_registry._BUILDERS.items():
+            for name, build in builders.items():
+
+                def counting(build=build, key=(scale, name)):
+                    built.append(key)
+                    return build()
+
+                monkeypatch.setitem(builders, name, counting)
+        assert get_topology("Tree", "large").name == "Tree"
+        assert built == [("large", "Tree")]
+        assert "Tree" in available_topologies("small")
+        assert built == [("large", "Tree")]
+        assert list(small_topologies()) == [name for _, name in built[1:]]
+        assert get_topology("Tree", "large") is not get_topology("Tree", "large")
+
+    @pytest.mark.parametrize("scale", ["Small", "medium", "bogus", ""])
+    def test_unknown_scale_rejected(self, scale):
+        lookups = [
+            lambda: get_topology("Heavy-Hex", scale=scale),
+            lambda: available_topologies(scale),
+            lambda: Target.from_names("Heavy-Hex", "cx", scale=scale),
+            lambda: SMALL_DESIGN_POINTS[0].target(scale),
+            lambda: design_points(scale),
+            lambda: design_targets(scale),
+        ]
+        for lookup in lookups:
+            with pytest.raises(ValueError, match="'small' and 'large'"):
+                lookup()
 
 
 class TestAgainstPaperTables:

@@ -1,8 +1,11 @@
 """Tests for CouplingMap."""
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
+from oracles import reference_shortest_path
 
 from repro.topology import CouplingMap
 from repro.topology.registry import large_topologies, small_topologies
@@ -22,6 +25,14 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             CouplingMap([(1, 1)])
+
+    def test_qubit_beyond_num_qubits_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            CouplingMap([(0, 5)], num_qubits=3)
+
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match=r"\(-1, 2\)"):
+            CouplingMap([(-1, 2)])
 
     def test_from_graph_relabels(self):
         graph = nx.Graph([("a", "b"), ("b", "c")])
@@ -93,6 +104,74 @@ class TestDistanceMatrix:
 
     def test_empty_map(self):
         assert CouplingMap([], num_qubits=0).distance_matrix().shape == (0, 0)
+
+
+def _shuffled_map(seed):
+    """A random graph whose edges arrive in random order and orientation."""
+    rng = random.Random(seed)
+    edges = [
+        (a, b) if rng.random() < 0.5 else (b, a)
+        for a in range(12)
+        for b in range(a + 1, 12)
+        if rng.random() < 0.3
+    ]
+    rng.shuffle(edges)
+    return CouplingMap(edges + edges[:3], num_qubits=12)
+
+
+_PARITY_MAPS = _registered_topologies() + [
+    pytest.param(_shuffled_map(seed), id=f"shuffled-{seed}") for seed in range(4)
+]
+
+
+class TestNetworkxParity:
+    """The graph queries answer what networkx answers on ``CouplingMap.graph``."""
+
+    @pytest.mark.parametrize("coupling_map", _PARITY_MAPS)
+    def test_adjacency_order(self, coupling_map):
+        adjacency = {q: list(neighbours) for q, neighbours in coupling_map.adjacency().items()}
+        assert adjacency == nx.to_dict_of_lists(coupling_map.graph)
+
+    @pytest.mark.parametrize("coupling_map", _PARITY_MAPS)
+    def test_structure_queries(self, coupling_map):
+        graph = coupling_map.graph
+        assert coupling_map.num_edges() == graph.number_of_edges()
+        assert coupling_map.edges() == sorted(tuple(sorted(edge)) for edge in graph.edges())
+        assert coupling_map.is_connected() == nx.is_connected(graph)
+        for qubit in range(coupling_map.num_qubits):
+            assert coupling_map.degree(qubit) == graph.degree[qubit]
+            assert coupling_map.neighbors(qubit) == tuple(sorted(graph.neighbors(qubit)))
+            for other in range(coupling_map.num_qubits):
+                assert coupling_map.has_edge(qubit, other) == graph.has_edge(qubit, other)
+
+    @pytest.mark.parametrize("coupling_map", _registered_topologies())
+    def test_shortest_path_every_ordered_pair(self, coupling_map):
+        for source in range(coupling_map.num_qubits):
+            for target in range(coupling_map.num_qubits):
+                assert coupling_map.shortest_path(source, target) == reference_shortest_path(
+                    coupling_map, source, target
+                ), (source, target)
+
+    @pytest.mark.parametrize("coupling_map", _registered_topologies())
+    def test_subgraph_keeps_edge_order(self, coupling_map):
+        qubits = coupling_map.densest_subset(coupling_map.num_qubits // 2)[::-1]
+        index = {q: i for i, q in enumerate(qubits)}
+        expected = CouplingMap(
+            [(index[a], index[b]) for a, b in coupling_map.graph.edges() if a in index and b in index],
+            num_qubits=len(qubits),
+        )
+        assert coupling_map.subgraph(qubits).adjacency() == expected.adjacency()
+
+    def test_disconnected_and_out_of_range_queries(self):
+        cmap = CouplingMap([(0, 1), (2, 3)], num_qubits=5)
+        assert not cmap.is_connected()
+        assert not cmap.has_edge(0, 7) and not cmap.has_edge(-1, 0)
+        with pytest.raises(ValueError):
+            cmap.shortest_path(0, 2)
+        with pytest.raises(ValueError):
+            cmap.degree(5)
+        with pytest.raises(ValueError):
+            cmap.neighbors(-1)
 
 
 class TestMetrics:

@@ -1,7 +1,16 @@
 """Tests for the baseline lattice topologies."""
 
-import pytest
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
+import pytest
+from oracles import reference_heavy_hex_lattice, reference_hex_lattice
+
+import repro
 from repro.topology import (
     heavy_hex_lattice,
     hex_lattice,
@@ -74,10 +83,56 @@ class TestHexFamilies:
 
     def test_trim_too_small_parent_rejected(self):
         from repro.topology.lattices import _trim_to_size
-        import networkx as nx
 
+        path = {0: {1: None}, 1: {0: None, 2: None}, 2: {1: None}}
         with pytest.raises(ValueError):
-            _trim_to_size(nx.path_graph(3), 10)
+            _trim_to_size(path, 10)
+
+
+def _adjacency(coupling_map):
+    return {qubit: list(neighbours) for qubit, neighbours in coupling_map.adjacency().items()}
+
+
+#: Prints ``heavy_hex_lattice(k).adjacency()`` for k = 1..10 as JSON.
+_HEAVY_HEX_ADJACENCY = """
+import json
+from repro.topology import heavy_hex_lattice
+print(json.dumps([list(heavy_hex_lattice(k).adjacency().values()) for k in range(1, 11)]))
+"""
+
+
+class TestNetworkxParity:
+    """The ports build networkx's hex families: same edges, same adjacency order."""
+
+    @pytest.mark.parametrize(
+        "build, reference",
+        [(hex_lattice, reference_hex_lattice), (heavy_hex_lattice, reference_heavy_hex_lattice)],
+        ids=["hex", "heavy-hex"],
+    )
+    def test_sizes_1_to_130(self, build, reference):
+        for size in range(1, 131):
+            lattice, expected = build(size), reference(size)
+            assert lattice.edges() == expected.edges(), size
+            if build is heavy_hex_lattice and 3 <= size <= 5:
+                # networkx's adjacency order depends on PYTHONHASHSEED here.
+                continue
+            assert _adjacency(lattice) == nx.to_dict_of_lists(expected.graph), size
+
+    def test_heavy_hex_ignores_hash_seed(self):
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "3"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _HEAVY_HEX_ADJACENCY],
+                capture_output=True,
+                text=True,
+                env=dict(env, PYTHONHASHSEED=hash_seed),
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestHypercube:

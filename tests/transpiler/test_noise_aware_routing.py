@@ -5,10 +5,11 @@ import pickle
 import numpy as np
 import pytest
 from l3_noisy_grid import noisy_targets
+from oracles import reference_weighted_distance
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.noise import NoiseModel
-from repro.topology import CouplingMap, get_topology
+from repro.topology import CouplingMap, get_topology, large_topologies, small_topologies
 from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.passes.layout_passes import TrivialLayout
 from repro.transpiler.passes.noise_aware_routing import COST_TABLE_CACHE, NoiseAwareRouting
@@ -40,6 +41,45 @@ class TestConstruction:
         router = NoiseAwareRouting(noise_weight=2.0, fidelity_floor=0.9)
         noisy = NoiseModel(edge_fidelity={(0, 1): 0.92}, default_fidelity=0.999)
         assert router.edge_cost(noisy, 0, 1) > router.edge_cost(noisy, 2, 3)
+
+
+def _registered_topologies():
+    return [
+        pytest.param(device, id=f"{scale}-{name}")
+        for scale, registry in (("small", small_topologies()), ("large", large_topologies()))
+        for name, device in registry.items()
+    ]
+
+
+class TestWeightedDistance:
+    """The min-plus relaxation equals networkx's all-pairs Dijkstra bit for bit."""
+
+    @pytest.mark.parametrize("device", _registered_topologies())
+    def test_matches_dijkstra_on_registry_topologies(self, device):
+        router = NoiseAwareRouting()
+        models = [NoiseModel.uniform()] + [NoiseModel.random(device, seed=s) for s in range(10)]
+        for model in models:
+            assert np.array_equal(
+                router._weighted_distance(device, model),
+                reference_weighted_distance(router, device, model),
+            )
+
+    @pytest.mark.parametrize(
+        "device",
+        [
+            CouplingMap([(0, 1), (2, 3), (1, 4)], num_qubits=6),
+            CouplingMap([], num_qubits=3),
+            CouplingMap.full(7),
+        ],
+        ids=["disconnected", "edgeless", "full"],
+    )
+    def test_matches_dijkstra_on_edge_cases(self, device):
+        for router in (NoiseAwareRouting(noise_weight=0.0), NoiseAwareRouting(noise_weight=5.0)):
+            model = NoiseModel.random(device, seed=2, spread=0.1)
+            assert np.array_equal(
+                router._weighted_distance(device, model),
+                reference_weighted_distance(router, device, model),
+            )
 
 
 def _fresh_tables(router, device, noise_model):

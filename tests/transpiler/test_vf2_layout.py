@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from l3_noisy_grid import vf2_searches
-from oracles import reference_first_monomorphism
+from oracles import reference_first_monomorphism, reference_interaction_graph
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -35,6 +35,11 @@ def line_circuit(num_qubits: int) -> QuantumCircuit:
     return circuit
 
 
+def _adjacency(graph: nx.Graph):
+    """A networkx graph as the ``{node: neighbours}`` mapping the search takes."""
+    return nx.to_dict_of_lists(graph)
+
+
 def star_circuit(num_spokes: int) -> QuantumCircuit:
     """Qubit 0 interacts with every other qubit: needs a hub of matching degree."""
     circuit = QuantumCircuit(num_spokes + 1, name="star")
@@ -46,7 +51,7 @@ def star_circuit(num_spokes: int) -> QuantumCircuit:
 class TestInteractionGraph:
     def test_nodes_cover_all_qubits(self):
         graph = interaction_graph(line_circuit(5))
-        assert set(graph.nodes()) == set(range(5))
+        assert set(graph) == set(range(5))
 
     def test_edge_weights_count_gates(self):
         circuit = QuantumCircuit(3)
@@ -54,14 +59,28 @@ class TestInteractionGraph:
         circuit.cx(1, 0)
         circuit.cx(1, 2)
         graph = interaction_graph(circuit)
-        assert graph[0][1]["weight"] == 2
-        assert graph[1][2]["weight"] == 1
+        assert graph[0][1] == graph[1][0] == 2
+        assert graph[1][2] == 1
 
     def test_single_qubit_gates_create_no_edges(self):
         circuit = QuantumCircuit(3)
         circuit.h(0)
         circuit.h(1)
-        assert interaction_graph(circuit).number_of_edges() == 0
+        assert not any(interaction_graph(circuit).values())
+
+    @pytest.mark.parametrize("workload", PAPER_WORKLOADS)
+    def test_matches_networkx_graph(self, workload):
+        """Node order, adjacency order and weights of the graph VF2 once searched."""
+        circuit = DecomposeMultiQubit().run(build_workload(workload, 10, seed=3), PropertySet())
+        reference = reference_interaction_graph(circuit)
+        graph = interaction_graph(circuit)
+        assert {node: list(neighbours) for node, neighbours in graph.items()} == _adjacency(
+            reference
+        )
+        assert graph == {
+            node: {other: data["weight"] for other, data in reference.adj[node].items()}
+            for node in reference
+        }
 
 
 class TestVF2Layout:
@@ -138,24 +157,26 @@ class TestEmbeddingPrecheck:
     @given(pattern=small_graphs, device=small_graphs)
     @settings(max_examples=300, deadline=None)
     def test_rejection_means_no_monomorphism(self, pattern, device):
-        if embedding_impossible(pattern, device):
+        if embedding_impossible(_adjacency(pattern), _adjacency(device)):
             assert reference_first_monomorphism(device, pattern) is None
 
     def test_complete_pattern_rejected_on_sparse_device(self):
-        device = get_topology("Hypercube", scale="large").graph
-        assert embedding_impossible(nx.complete_graph(16), device)
+        device = get_topology("Hypercube", scale="large").adjacency()
+        assert embedding_impossible(_adjacency(nx.complete_graph(16)), device)
 
     def test_path_into_ring_not_rejected(self):
-        assert not embedding_impossible(nx.path_graph(5), nx.cycle_graph(6))
+        assert not embedding_impossible(
+            _adjacency(nx.path_graph(5)), _adjacency(nx.cycle_graph(6))
+        )
 
     def test_degree_sequence_catches_what_counts_miss(self):
         # Same node and edge counts, but the star needs a degree-4 hub.
-        assert embedding_impossible(nx.star_graph(4), nx.cycle_graph(5))
+        assert embedding_impossible(_adjacency(nx.star_graph(4)), _adjacency(nx.cycle_graph(5)))
 
 
 def _oracle_layout(circuit, coupling_map):
     """An unconditional VF2 search on the pass's pattern, else the dense fallback."""
-    pattern = interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
+    pattern = reference_interaction_graph(circuit, DAGCircuit(circuit).two_qubit_interactions())
     assert pattern.number_of_edges() > 0
     mapping = reference_first_monomorphism(coupling_map.graph, pattern)
     if mapping is not None:
@@ -233,7 +254,7 @@ class TestFirstMonomorphismParity:
                 rng, rng.randint(2, device.number_of_nodes()), rng.uniform(0.1, 0.4)
             )
             expected = reference_first_monomorphism(device, pattern)
-            found = first_monomorphism(device, pattern)
+            found = first_monomorphism(_adjacency(device), _adjacency(pattern))
             assert _same_embedding(found, expected), (trial, found, expected)
             outcomes[expected is not None] += 1
         assert min(outcomes.values()) >= 100, outcomes
@@ -242,30 +263,31 @@ class TestFirstMonomorphismParity:
     def test_l3_noisy_grid_searches_match_networkx(self, seed):
         searches = vf2_searches(seed)
         found = 0
-        for label, device, pattern in searches:
-            expected = reference_first_monomorphism(device.graph, pattern)
-            result = first_monomorphism(device.graph, pattern)
+        for label, device, pattern, reference_pattern in searches:
+            expected = reference_first_monomorphism(device.graph, reference_pattern)
+            result = first_monomorphism(device.adjacency(), pattern)
             assert _same_embedding(result, expected), label
             found += expected is not None
         assert 0 < found < len(searches)
 
     def test_empty_pattern_maps_nothing(self):
-        assert first_monomorphism(nx.path_graph(3), nx.Graph()) == {}
-        assert first_monomorphism(nx.Graph(), nx.Graph()) == {}
+        assert first_monomorphism(_adjacency(nx.path_graph(3)), {}) == {}
+        assert first_monomorphism({}, {}) == {}
 
     def test_pattern_larger_than_device(self):
-        assert first_monomorphism(nx.path_graph(3), nx.path_graph(4)) is None
+        assert first_monomorphism(_adjacency(nx.path_graph(3)), _adjacency(nx.path_graph(4))) is None
 
     def test_device_nodes_must_be_indices(self):
         with pytest.raises(ValueError):
-            first_monomorphism(nx.path_graph(["a", "b"]), nx.path_graph(2))
+            first_monomorphism(_adjacency(nx.path_graph(["a", "b"])), _adjacency(nx.path_graph(2)))
 
     def test_deep_search_leaves_recursion_limit_alone(self):
         # networkx recurses once per pattern node and raises the limit to
         # 1.5x the pattern size for good; the explicit stack needs neither.
         limit = sys.getrecursionlimit()
         size = 2 * limit
-        mapping = first_monomorphism(nx.path_graph(size), nx.path_graph(size))
+        path = _adjacency(nx.path_graph(size))
+        mapping = first_monomorphism(path, path)
         assert mapping == {node: node for node in range(size)}
         assert sys.getrecursionlimit() == limit
 
