@@ -13,9 +13,8 @@ still catches syntax errors, so the gate always has teeth and
 
 Either way it also enforces the lazy-import rule with the standard
 library's ``ast``: no module under ``src/repro`` imports networkx or scipy
-at module level (outside a function, and outside an
-``if TYPE_CHECKING:`` block), so ``import repro`` and every compile path
-load neither.
+outside a function, so ``import repro`` and every compile path load
+neither.
 """
 
 from __future__ import annotations
@@ -40,20 +39,12 @@ DOCSTRING_RULES = "D100,D101,D102,D103,D104,D106"
 LAZY_IMPORTS = ("networkx", "scipy")
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
-
-
 def _eager_imports(nodes: Iterable[ast.AST]) -> Iterator[ast.stmt]:
     """Import statements among ``nodes`` that run when the module is imported."""
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.If) and _is_type_checking(node.test):
-            yield from _eager_imports(node.orelse)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
         else:
             yield from _eager_imports(ast.iter_child_nodes(node))

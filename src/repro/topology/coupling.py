@@ -13,12 +13,9 @@ graph queries to the networkx calls they replaced.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 
 def _bfs_distance_matrix(adjacency: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ class CouplingMap:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
         self._adjacency_lists = tuple(tuple(neighbours) for neighbours in adjacency)
-        self._graph: Optional["nx.Graph"] = None
+        self._graph: Any = None  # networkx view, built by the graph property
         self._distance: Optional[np.ndarray] = None
         self._adjacency: Optional[np.ndarray] = None
         self._neighbor_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -112,7 +109,7 @@ class CouplingMap:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: "nx.Graph", name: str = "coupling") -> "CouplingMap":
+    def from_graph(cls, graph: Any, name: str = "coupling") -> "CouplingMap":
         """Build from an arbitrary networkx graph (nodes are relabelled 0..n-1).
 
         Nodes are numbered in ``str`` order and edges taken in the graph's
@@ -159,8 +156,8 @@ class CouplingMap:
         return self._num_qubits
 
     @property
-    def graph(self) -> "nx.Graph":
-        """The couplings as a networkx graph (treat as read-only).
+    def graph(self) -> Any:
+        """The couplings as a ``networkx.Graph`` (treat as read-only).
 
         Built on first use, with the same nodes, edges and adjacency order
         as :meth:`adjacency`; this is the one place that imports networkx.
