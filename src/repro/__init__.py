@@ -19,8 +19,8 @@ The library is organised bottom-up:
   allocation (frequency crowding).
 * :mod:`repro.qasm` — OpenQASM 2 export / import.
 * :mod:`repro.snailsim` — device-level SNAIL exchange model (Fig. 6).
-* :mod:`repro.core` — backends, co-design points, fidelity and reliability
-  models, sweeps.
+* :mod:`repro.core` — co-design points, fidelity and reliability models,
+  sweeps.
 * :mod:`repro.runtime` — the experiment execution seam: process-pool
   fan-out with ordered collection plus per-point result caching.
 * :mod:`repro.experiments` — one entry point per paper table / figure plus
@@ -43,8 +43,7 @@ optimization -> scheduling``); ``optimization_level`` 0..3 selects the
 preset schedule (level 1 is the paper's Fig. 10 flow) and every stage is
 fed from the name-based pass registry (:mod:`repro.transpiler.registry`).
 ``transpile_batch`` compiles whole circuit lists through the experiment
-runner (process-pool fan-out + result caching).  The legacy ``Backend``
-bundle remains as a deprecation shim over :class:`Target`.
+runner (process-pool fan-out + result caching).
 
 Running experiments in parallel
 -------------------------------
@@ -87,14 +86,11 @@ artifacts.  Locally, ``python scripts/lint.py`` and
 
 from repro.circuits import QuantumCircuit
 from repro.core import (
-    Backend,
     CodesignPoint,
     FidelityModel,
     SweepResult,
-    design_backends,
     design_points,
     design_targets,
-    make_backend,
     pulse_duration_sensitivity_study,
     run_point,
     run_sweep,
@@ -114,18 +110,15 @@ from repro.transpiler import (
 )
 from repro.workloads import build_workload
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "QuantumCircuit",
-    "Backend",
     "CodesignPoint",
     "FidelityModel",
     "SweepResult",
-    "design_backends",
     "design_points",
     "design_targets",
-    "make_backend",
     "pulse_duration_sensitivity_study",
     "run_point",
     "run_sweep",

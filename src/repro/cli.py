@@ -30,6 +30,7 @@ in-process result memoization.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List, NoReturn, Optional, Sequence, Tuple
@@ -103,11 +104,31 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _seed(value: str) -> int:
-    """argparse type of ``--seed``: an integer >= 0 (NumPy rejects negatives)."""
+def _non_negative_int(value: str) -> int:
+    """argparse type of seeds, retry counts and byte budgets: an integer >= 0.
+
+    NumPy rejects negative seeds, and a negative budget would evict every
+    record.
+    """
     number = int(value)
     if number < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    """argparse type of ``--task-timeout``: a finite number > 0."""
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return number
+
+
+def _non_negative_float(value: str) -> float:
+    """argparse type of ``--max-age-hours``: a finite number >= 0."""
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise argparse.ArgumentTypeError("must be a non-negative number")
     return number
 
 
@@ -141,7 +162,7 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="kill and retry a parallel task that runs longer than this "
@@ -149,7 +170,7 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="re-dispatch a failed/hung parallel task up to N times with "
@@ -228,7 +249,7 @@ def _add_common_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=("small", "large"), default="small")
     parser.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
     parser.add_argument("--workloads", nargs="*", choices=available_workloads(), default=None)
-    parser.add_argument("--seed", type=_seed, default=11)
+    parser.add_argument("--seed", type=_non_negative_int, default=11)
     parser.add_argument("--csv", default=None, help="write the raw sweep data to a CSV file")
     _add_runtime_arguments(parser)
 
@@ -253,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     headline = commands.add_parser("headline", help="headline QV ratios (abstract)")
     headline.add_argument("--sizes", type=_positive_int, nargs="*", default=None)
-    headline.add_argument("--seed", type=_seed, default=11)
+    headline.add_argument("--seed", type=_non_negative_int, default=11)
     _add_runtime_arguments(headline)
 
     sensitivity = commands.add_parser("sensitivity", help="n-root iSWAP study (Fig. 15)")
-    sensitivity.add_argument("--seed", type=_seed, default=2022)
+    sensitivity.add_argument("--seed", type=_non_negative_int, default=2022)
     _add_runtime_arguments(sensitivity)
 
     chevron = commands.add_parser("chevron", help="SNAIL exchange chevron (Fig. 6)")
@@ -280,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_workloads(),
         default=("QuantumVolume", "GHZ"),
     )
-    schedule.add_argument("--seed", type=_seed, default=5)
+    schedule.add_argument("--seed", type=_non_negative_int, default=5)
     _add_runtime_arguments(schedule)
 
     reliability = commands.add_parser(
@@ -292,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     reliability.add_argument("--two-qubit-fidelity", type=float, default=0.995)
     reliability.add_argument("--t1-us", type=float, default=100.0)
     reliability.add_argument("--t2-us", type=float, default=100.0)
-    reliability.add_argument("--seed", type=_seed, default=0)
+    reliability.add_argument("--seed", type=_non_negative_int, default=0)
     _add_runtime_arguments(reliability)
 
     qasm = commands.add_parser("qasm", help="export a workload circuit as OpenQASM 2")
     qasm.add_argument("workload", choices=available_workloads())
     qasm.add_argument("size", type=_positive_int)
-    qasm.add_argument("--seed", type=_seed, default=0)
+    qasm.add_argument("--seed", type=_non_negative_int, default=0)
     qasm.add_argument(
         "--transpile-to",
         default=None,
@@ -321,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_gc.add_argument(
         "--max-bytes",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="keep at most this many bytes of records "
         "(REPRO_CACHE_MAX_BYTES sets the default)",
     )
     cache_gc.add_argument(
         "--max-age-hours",
-        type=float,
+        type=_non_negative_float,
         default=None,
         help="evict records older than this many hours",
     )
@@ -342,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_verify = cache_commands.add_parser(
         "verify",
-        help="audit every segment frame, sidecar index and legacy record "
-        "(CRC validation); exits non-zero on unrepaired corruption",
+        help="audit every segment frame and sidecar index (CRC validation); "
+        "exits non-zero on unrepaired corruption",
     )
     cache_verify.add_argument(
         "--cache-dir",
@@ -539,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--level", type=int, choices=available_levels(), default=1
     )
-    sweep.add_argument("--seed", type=_seed, default=11)
+    sweep.add_argument("--seed", type=_non_negative_int, default=11)
     sweep.add_argument("--csv", default=None, help="write the sweep records to a CSV file")
     _add_runtime_arguments(sweep)
 
@@ -572,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimization level: 0 fastest, 1 paper flow (default), "
         "2 adds gate cancellation, 3 adds noise-aware routing + scheduling",
     )
-    run.add_argument("--seed", type=_seed, default=0)
+    run.add_argument("--seed", type=_non_negative_int, default=0)
     run.add_argument(
         "--timing",
         action="store_true",
@@ -707,9 +728,14 @@ def _command_schedule(args: argparse.Namespace) -> str:
 
 
 def _command_reliability(args: argparse.Namespace) -> str:
-    model = ReliabilityModel(
-        two_qubit_fidelity=args.two_qubit_fidelity, t1_us=args.t1_us, t2_us=args.t2_us
-    )
+    # The model owns its parameter rules, T2 <= 2*T1 among them, which spans
+    # two options and so cannot be an argparse type.
+    try:
+        model = ReliabilityModel(
+            two_qubit_fidelity=args.two_qubit_fidelity, t1_us=args.t1_us, t2_us=args.t2_us
+        )
+    except ValueError as error:
+        _usage_error("reliability", error)
     targets = list(design_targets(args.scale).values())
     _checked_workload("reliability", args.workload, args.size, args.seed)
     ranking = reliability_ranking(
@@ -843,7 +869,7 @@ def _command_cache(args: argparse.Namespace) -> str:
     max_bytes = args.max_bytes if args.max_bytes is not None else max_bytes_from_env()
     max_age = None if args.max_age_hours is None else args.max_age_hours * 3600.0
     # Without an eviction policy `cache gc` is still useful: it compacts
-    # dead bytes out of the segments and migrates legacy records.
+    # dead bytes and corrupt tails out of the segments.
     report = collect_garbage(
         directory, max_bytes=max_bytes, max_age_seconds=max_age, compact=True
     )

@@ -1,11 +1,9 @@
-"""Core co-design layer: backends, design points, fidelity models, sweeps."""
+"""Core co-design layer: design points, fidelity models, sweeps."""
 
-from repro.core.backend import Backend, make_backend
 from repro.core.codesign import (
     LARGE_DESIGN_POINTS,
     SMALL_DESIGN_POINTS,
     CodesignPoint,
-    design_backends,
     design_points,
     design_targets,
 )
@@ -27,7 +25,6 @@ from repro.core.pipeline import (
 from repro.core.reliability import (
     ReliabilityEstimate,
     ReliabilityModel,
-    durations_for_backend,
     format_reliability_report,
     reliability_ranking,
     simulated_reliability_check,
@@ -47,12 +44,9 @@ from repro.core.statistics import (
 )
 
 __all__ = [
-    "Backend",
-    "make_backend",
     "LARGE_DESIGN_POINTS",
     "SMALL_DESIGN_POINTS",
     "CodesignPoint",
-    "design_backends",
     "design_points",
     "design_targets",
     "FidelityModel",
@@ -63,7 +57,6 @@ __all__ = [
     "NoiseModel",
     "ReliabilityEstimate",
     "ReliabilityModel",
-    "durations_for_backend",
     "format_reliability_report",
     "reliability_ranking",
     "simulated_reliability_check",

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.backend import Backend
 from repro.decomposition.basis import get_basis
 from repro.topology import registry as topo_registry
 from repro.transpiler.target import Target
@@ -32,16 +31,6 @@ class CodesignPoint:
         """Materialise the design point at the requested machine scale."""
         coupling_map = topo_registry.get_topology(self.topology, scale=scale)
         return Target(
-            coupling_map=coupling_map,
-            basis=get_basis(self.basis),
-            name=self.label,
-            description=f"{self.topology} topology with {self.basis} basis gate",
-        )
-
-    def backend(self, scale: str = "small") -> Backend:
-        """Legacy ``Backend`` view of the design point (prefer :meth:`target`)."""
-        coupling_map = topo_registry.get_topology(self.topology, scale=scale)
-        return Backend(
             coupling_map=coupling_map,
             basis=get_basis(self.basis),
             name=self.label,
@@ -78,8 +67,3 @@ def design_points(scale: str = "small") -> List[CodesignPoint]:
 def design_targets(scale: str = "small") -> Dict[str, Target]:
     """Materialised targets keyed by design-point label."""
     return {point.label: point.target(scale) for point in design_points(scale)}
-
-
-def design_backends(scale: str = "small") -> Dict[str, Backend]:
-    """Materialised legacy backends keyed by label (prefer :func:`design_targets`)."""
-    return {point.label: point.backend(scale) for point in design_points(scale)}

@@ -4,10 +4,10 @@ This is the programmatic equivalent of the paper's experimental flow
 (Fig. 10) applied over a grid of circuit sizes, workloads and design
 points; the experiment modules in :mod:`repro.experiments` are thin
 wrappers that pick the grids matching each figure.  Design points are
-:class:`~repro.transpiler.target.Target` objects (legacy ``Backend``
-bundles are adapted transparently), and the transpiler configuration —
-layout / routing pass names and the staged ``optimization_level`` — is
-threaded through every point and into the result-cache key.
+:class:`~repro.transpiler.target.Target` objects, and the transpiler
+configuration — layout / routing pass names and the staged
+``optimization_level`` — is threaded through every point and into the
+result-cache key.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class SweepResult:
 def run_point(
     workload: str,
     num_qubits: int,
-    target,
+    target: Target,
     seed: int = 0,
     layout_method: Optional[str] = None,
     routing_method: Optional[str] = None,
@@ -95,11 +95,9 @@ def run_point(
 ) -> TranspileMetrics:
     """Transpile one workload instance onto one design point, return metrics.
 
-    ``target`` is a :class:`Target`; legacy ``Backend`` objects are
-    adapted.  ``layout_method`` / ``routing_method`` default to the level
-    preset (dense + SABRE at the paper's level 1).
+    ``layout_method`` / ``routing_method`` default to the level preset
+    (dense + SABRE at the paper's level 1).
     """
-    target = Target.from_backend(target)
     circuit = build_workload(workload, num_qubits, seed=seed)
     result = transpile(
         circuit,
@@ -116,7 +114,7 @@ def run_point(
 
 
 def sweep_grid(
-    workloads: Sequence[str], sizes: Sequence[int], targets: Sequence
+    workloads: Sequence[str], sizes: Sequence[int], targets: Sequence[Target]
 ) -> List[tuple]:
     """The (workload, size, target) points of a sweep, in canonical order.
 
@@ -136,7 +134,7 @@ def sweep_grid(
 def run_sweep(
     workloads: Sequence[str],
     sizes: Sequence[int],
-    targets: Iterable,
+    targets: Iterable[Target],
     seed: int = 0,
     layout_method: Optional[str] = None,
     routing_method: Optional[str] = None,
@@ -150,8 +148,7 @@ def run_sweep(
         workloads: workload names from :mod:`repro.workloads.registry`.
         sizes: circuit widths; widths larger than a design point are
             skipped.
-        targets: design points to evaluate (:class:`Target` or legacy
-            ``Backend`` objects).
+        targets: design points to evaluate (:class:`Target` objects).
         seed: base RNG seed (shared across the grid so that identical
             circuits are compared across design points).
         layout_method / routing_method: registry pass names (``None``
@@ -164,8 +161,7 @@ def run_sweep(
             and/or result caching) with ordered collection, so the returned
             records are identical to the serial loop's.
     """
-    targets = [Target.from_backend(target) for target in targets]
-    points = sweep_grid(list(workloads), list(sizes), targets)
+    points = sweep_grid(list(workloads), list(sizes), list(targets))
     labels = [f"{w}-{s} on {t.name}" for w, s, t in points]
     if runner is None:
         # Imported lazily so the core layer has no import-time dependency
@@ -202,7 +198,7 @@ def run_sweep(
 def sweep_spec_digest(
     workloads: Sequence[str],
     sizes: Sequence[int],
-    targets: Sequence,
+    targets: Sequence[Target],
     seed: int,
     layout_method: Optional[str],
     routing_method: Optional[str],
@@ -216,14 +212,13 @@ def sweep_spec_digest(
     across processes, so a checkpoint written by one run is recognized by
     its resume.
     """
-    from repro.runtime import backend_cache_key, key_digest
+    from repro.runtime import key_digest
 
-    targets = [Target.from_backend(target) for target in targets]
     return key_digest(
         (
             tuple(workloads),
             tuple(int(size) for size in sizes),
-            tuple(backend_cache_key(target) for target in targets),
+            tuple(target.cache_key() for target in targets),
             int(seed),
             layout_method,
             routing_method,
@@ -235,7 +230,7 @@ def sweep_spec_digest(
 def run_sweep_sharded(
     workloads: Sequence[str],
     sizes: Sequence[int],
-    targets: Iterable,
+    targets: Iterable[Target],
     checkpoint_dir,
     seed: int = 0,
     layout_method: Optional[str] = None,
@@ -280,7 +275,7 @@ def run_sweep_sharded(
     """
     from repro.runtime.checkpoint import CheckpointMismatch, SweepCheckpoint
 
-    targets = [Target.from_backend(target) for target in targets]
+    targets = list(targets)
     workloads = list(workloads)
     sizes = list(sizes)
     points = sweep_grid(workloads, sizes, targets)

@@ -72,7 +72,7 @@ class ReliabilityModel:
         for fidelity in (self.two_qubit_fidelity, self.one_qubit_fidelity):
             if not 0.0 < fidelity <= 1.0:
                 raise ValueError("gate fidelities must lie in (0, 1]")
-        if self.t1_us <= 0.0 or self.t2_us <= 0.0:
+        if not (self.t1_us > 0.0 and self.t2_us > 0.0):  # NaN fails too
             raise ValueError("T1 and T2 must be positive")
         if self.t2_us > 2.0 * self.t1_us + 1e-12:
             raise ValueError("physical relaxation requires T2 <= 2 * T1")
@@ -123,19 +123,14 @@ class ReliabilityModel:
 
     def estimate(
         self,
-        backend,
+        backend: Target,
         circuit: QuantumCircuit,
         durations: Optional[GateDurations] = None,
         layout_method: str = "dense",
         routing_method: str = "sabre",
         seed: int = 0,
     ) -> ReliabilityEstimate:
-        """Transpile, schedule and score one circuit on one design point.
-
-        ``backend`` is a :class:`Target` (legacy ``Backend`` objects are
-        adapted).
-        """
-        backend = Target.from_backend(backend)
+        """Transpile, schedule and score one circuit on one design point."""
         durations = durations or backend.gate_durations()
         result = transpile(
             circuit,
@@ -149,7 +144,7 @@ class ReliabilityModel:
 
     def score_transpiled(
         self,
-        backend,
+        backend: Target,
         circuit: QuantumCircuit,
         result,
         durations: Optional[GateDurations] = None,
@@ -161,7 +156,6 @@ class ReliabilityModel:
         compiled circuit and its estimate (e.g.
         :func:`simulated_reliability_check`) transpile once and score here.
         """
-        backend = Target.from_backend(backend)
         durations = durations or backend.gate_durations()
         # Schedule the routed circuit with per-gate 2Q counts expanded: the
         # translated circuit in "count" mode keeps original gate identities,
@@ -180,19 +174,9 @@ class ReliabilityModel:
         )
 
 
-def durations_for_backend(backend) -> GateDurations:
-    """The duration model of a design point (legacy spelling).
-
-    Accepts a :class:`Target` or legacy ``Backend``;
-    :meth:`Target.gate_durations` is the preferred spelling and the single
-    home of the modulator-preset mapping.
-    """
-    return Target.from_backend(backend).gate_durations()
-
-
 def simulated_reliability_check(
     model: ReliabilityModel,
-    backend,
+    backend: Target,
     circuit: QuantumCircuit,
     pulse_duration_ns: float = 100.0,
     seed: int = 0,
@@ -210,7 +194,6 @@ def simulated_reliability_check(
     """
     from repro.noise.circuit_noise import circuit_output_fidelity
 
-    backend = Target.from_backend(backend)
     result = transpile(
         circuit,
         backend,
@@ -240,7 +223,7 @@ def _estimate_backend(
 
 
 def reliability_ranking(
-    backends: Sequence,
+    backends: Sequence[Target],
     workload: str,
     num_qubits: int,
     model: Optional[ReliabilityModel] = None,
@@ -254,7 +237,6 @@ def reliability_ranking(
     """
     model = model or ReliabilityModel()
     circuit = build_workload(workload, num_qubits, seed=seed)
-    backends = [Target.from_backend(backend) for backend in backends]
     tasks = [(model, backend, circuit, int(seed)) for backend in backends]
     if runner is None:
         from repro.runtime.runner import serial_runner

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import Backend
 from repro.core.pipeline import run_point
+from repro.transpiler.target import Target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runner import ExperimentRunner
@@ -64,7 +64,7 @@ class MetricSummary:
 def seed_sweep(
     workload: str,
     num_qubits: int,
-    backend: Backend,
+    backend: Target,
     seeds: Sequence[int],
     metrics: Sequence[str] = ("total_swaps", "critical_swaps", "total_2q", "critical_2q"),
     layout_method: str = "dense",
@@ -99,7 +99,7 @@ def seed_sweep(
 
 
 def compare_backends(
-    backends: Sequence[Backend],
+    backends: Sequence[Target],
     workload: str,
     num_qubits: int,
     seeds: Sequence[int],
@@ -116,8 +116,8 @@ def compare_backends(
 
 
 def ordering_stability(
-    better: Backend,
-    worse: Backend,
+    better: Target,
+    worse: Target,
     workload: str,
     num_qubits: int,
     seeds: Sequence[int],

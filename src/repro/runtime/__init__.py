@@ -39,7 +39,7 @@ builds the runner the same way; ``REPRO_PARALLEL=1`` and ``REPRO_WORKERS``
 select the defaults process-wide.
 """
 
-from repro.runtime.cache import ResultCache, backend_cache_key, point_cache_key
+from repro.runtime.cache import ResultCache, point_cache_key
 from repro.runtime.disk_cache import (
     CACHE_DIR_ENV,
     CACHE_MAX_BYTES_ENV,
@@ -79,7 +79,6 @@ from repro.runtime.runner import (
 
 __all__ = [
     "ResultCache",
-    "backend_cache_key",
     "point_cache_key",
     "CACHE_DIR_ENV",
     "CACHE_MAX_BYTES_ENV",

@@ -1,7 +1,7 @@
 """Result caching for experiment sweep points.
 
 A sweep point is fully determined by its specification — workload, size,
-backend identity, seed and transpiler configuration — and the transpiler
+target identity, seed and transpiler configuration — and the transpiler
 is deterministic given that specification, so its metrics can be memoized.
 Repeated sweeps (a swap study followed by a headline study over the same
 grid, a CLI rerun with one extra size, a benchmark warm pass) then skip
@@ -31,7 +31,6 @@ like ``put``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from typing import Hashable, Optional
 
@@ -42,41 +41,20 @@ from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.target import Target
 
 
-def backend_cache_key(backend) -> Hashable:
-    """Stable identity of a design point: name, basis and exact topology.
-
-    Accepts a :class:`~repro.transpiler.target.Target` (delegating to its
-    own ``cache_key``, which also digests the noise model) or a legacy
-    :class:`Backend`.  The edge list participates through a digest so that
-    two design points that merely share a name (e.g. differently sized
-    registries) never collide.
-    """
-    if isinstance(backend, Target):
-        return backend.cache_key()
-    edges = ",".join(f"{a}-{b}" for a, b in backend.coupling_map.edges())
-    edge_digest = hashlib.sha256(edges.encode("ascii")).hexdigest()[:16]
-    return (
-        backend.name,
-        backend.basis.name,
-        backend.coupling_map.num_qubits,
-        edge_digest,
-    )
-
-
 def point_cache_key(
     workload: str,
     num_qubits: int,
-    backend,
+    target: Target,
     seed: int,
     layout_method: str,
     routing_method: str,
     optimization_level: int = 1,
 ) -> Hashable:
-    """Full cache key of one sweep point (``backend`` may be a Target)."""
+    """Full cache key of one sweep point."""
     return (
         workload,
         int(num_qubits),
-        backend_cache_key(backend),
+        target.cache_key(),
         int(seed),
         layout_method,
         routing_method,

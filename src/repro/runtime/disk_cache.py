@@ -22,10 +22,7 @@ packed, content-addressed store behind it:
   killed writer), a garbled sidecar or a foreign file are treated as
   misses, never errors — a crash mid-write costs at most one record, and
   :func:`collect_garbage` physically truncates corrupt tails during
-  compaction so the damage does not survive maintenance;
-* **migration**: the PR-4 one-file-per-record format (``<digest>.rpc``)
-  stays readable — lookups fall back to it, and compaction folds legacy
-  records into fresh segments.
+  compaction so the damage does not survive maintenance.
 
 ``REPRO_CACHE_DIR`` (or the CLI's ``--cache-dir``) selects the directory;
 :func:`resolve_result_cache` is the single decision point the CLI, the
@@ -78,11 +75,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: collected oldest-first down to the budget before the run starts.
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
-#: Legacy (PR-4) one-file-per-record magic + format version; still
-#: readable for migration, no longer written.
-_MAGIC = b"RPRC1\n"
-_HEADER = struct.Struct(">Q")  # legacy payload length, for truncation detection
-
 #: Packed segment file magic + format version.  Bumping it invalidates
 #: old segments safely (they simply read as misses).
 SEGMENT_MAGIC = b"RPSG1\n"
@@ -102,7 +94,6 @@ DEFAULT_SEGMENT_MAX_BYTES = 8 * 1024 * 1024
 
 _SEGMENT_SUFFIX = ".rps"
 _SIDECAR_SUFFIX = ".rpi"
-_LEGACY_SUFFIX = ".rpc"
 
 
 def cache_dir_from_env() -> Optional[str]:
@@ -279,8 +270,6 @@ class SegmentReport:
     live_bytes: int  #: frame bytes of those newest records
     dead_bytes: int  #: frame bytes superseded by newer duplicates
     index_bytes: int  #: total size of the sidecar index files
-    legacy_records: int  #: one-file-per-record (PR-4) files present
-    legacy_bytes: int  #: total size of the legacy record files
 
     def describe(self) -> str:
         """Multi-line human-readable summary (the ``cache info`` body)."""
@@ -291,46 +280,24 @@ class SegmentReport:
             f"dead bytes: {human_bytes(self.dead_bytes)}",
             f"index: {human_bytes(self.index_bytes)}",
         ]
-        if self.legacy_records:
-            lines.append(
-                f"legacy records: {self.legacy_records} "
-                f"({human_bytes(self.legacy_bytes)}; `repro cache gc` migrates "
-                "them into segments)"
-            )
         return "\n".join(lines)
 
 
 def _scan_directory(directory: Path) -> Tuple[
-    Dict[bytes, Tuple[object, float, int]],
+    Dict[bytes, Tuple[_SegmentRecord, float, int]],
     List[Tuple[Path, List[_SegmentRecord], bool]],
-    List[Tuple[Path, float, int]],
     int,
 ]:
     """Inventory a cache directory for GC and statistics.
 
-    Returns ``(live, segments, legacy, dead_bytes)`` where ``live`` maps
-    each key digest to its newest source — ``(record, mtime, bytes)`` with
-    ``record`` either a :class:`_SegmentRecord` or a legacy ``Path`` —
-    ``segments`` lists every segment with its parsed records and whether
-    its tail was clean, and ``legacy`` lists the one-file-per-record
-    entries.  ``dead_bytes`` counts frame bytes superseded by newer
+    Returns ``(live, segments, dead_bytes)`` where ``live`` maps each key
+    digest to its newest frame as ``(record, mtime, bytes)``, ``segments``
+    lists every segment with its parsed records and whether its tail was
+    clean, and ``dead_bytes`` counts frame bytes superseded by newer
     duplicates of the same key.
     """
-    live: Dict[bytes, Tuple[object, float, int]] = {}
+    live: Dict[bytes, Tuple[_SegmentRecord, float, int]] = {}
     dead_bytes = 0
-
-    def _offer(digest: bytes, source, mtime: float, size: int) -> None:
-        nonlocal dead_bytes
-        current = live.get(digest)
-        if current is None:
-            live[digest] = (source, mtime, size)
-            return
-        if mtime >= current[1]:
-            dead_bytes += current[2]
-            live[digest] = (source, mtime, size)
-        else:
-            dead_bytes += size
-
     segments: List[Tuple[Path, List[_SegmentRecord], bool]] = []
     for segment in _segment_paths(directory):
         records = _read_sidecar(_sidecar_for(segment))
@@ -339,28 +306,22 @@ def _scan_directory(directory: Path) -> Tuple[
             records, _, clean = _scan_segment(segment, 0)
         segments.append((segment, records, clean))
         for record in records:
-            _offer(record.digest, record, record.mtime, record.frame_bytes)
-
-    legacy: List[Tuple[Path, float, int]] = []
-    for path in directory.glob(f"*{_LEGACY_SUFFIX}"):
-        try:
-            status = path.stat()
-        except OSError:
-            continue
-        legacy.append((path, status.st_mtime, status.st_size))
-        try:
-            digest = bytes.fromhex(path.stem)
-        except ValueError:
-            continue
-        _offer(digest, path, status.st_mtime, status.st_size)
-
-    return live, segments, legacy, dead_bytes
+            size = record.frame_bytes
+            current = live.get(record.digest)
+            if current is None:
+                live[record.digest] = (record, record.mtime, size)
+            elif record.mtime >= current[1]:
+                dead_bytes += current[2]
+                live[record.digest] = (record, record.mtime, size)
+            else:
+                dead_bytes += size
+    return live, segments, dead_bytes
 
 
 def segment_stats(cache_dir: Union[str, Path]) -> SegmentReport:
     """Read-only segment-level statistics of a cache directory."""
     directory = Path(cache_dir)
-    live, segments, legacy, dead_bytes = _scan_directory(directory)
+    live, segments, dead_bytes = _scan_directory(directory)
     segment_bytes = 0
     sealed = 0
     index_bytes = 0
@@ -383,8 +344,6 @@ def segment_stats(cache_dir: Union[str, Path]) -> SegmentReport:
         live_bytes=sum(size for _, _, size in live.values()),
         dead_bytes=dead_bytes,
         index_bytes=index_bytes,
-        legacy_records=len(legacy),
-        legacy_bytes=sum(size for _, _, size in legacy),
     )
 
 
@@ -492,9 +451,8 @@ def collect_garbage(
     Records live inside packed segments, so evicting one means rewriting
     its segment's survivors into a fresh segment: segments touched by the
     policy are compacted automatically, and ``compact=True`` additionally
-    rewrites *every* segment — dropping superseded duplicates, truncating
-    corrupt tails and folding legacy one-file-per-record entries into
-    segments (the ``repro cache gc`` migration/maintenance pass).
+    rewrites *every* segment — dropping superseded duplicates and
+    truncating corrupt tails (the ``repro cache gc`` maintenance pass).
 
     GC assumes no concurrent *writers* share the directory (readers are
     fine — a compacted-away record heals as a miss).  Stale temp files
@@ -513,7 +471,7 @@ def collect_garbage(
             except OSError:
                 pass
 
-    live, segments, legacy, dead_bytes = _scan_directory(directory)
+    live, segments, dead_bytes = _scan_directory(directory)
     # Deterministic eviction order: oldest first, digest breaks ties.
     entries = sorted(
         (
@@ -581,31 +539,6 @@ def collect_garbage(
                 pass
         segments_removed += 1
 
-    for path, _mtime, _size in legacy:
-        try:
-            digest = bytes.fromhex(path.stem)
-        except ValueError:
-            digest = None
-        name = path.stem
-        source = live.get(digest) if digest is not None else None
-        superseded = source is None or source[0] is not path
-        if name in evicted or superseded:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            continue
-        if compact:
-            # Migrate the legacy record into a packed segment (re-framed
-            # from the legacy container; unreadable files simply stay).
-            payload = _read_legacy_payload(path)
-            if payload is not None and digest is not None:
-                writer.append(digest, payload, source[1], zlib.crc32(payload))
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
     writer.seal()
 
     # Records whose segment was *not* rewritten survive in place; count
@@ -631,8 +564,8 @@ class VerifyReport:
     """Outcome of an integrity scan over a cache directory (``cache verify``).
 
     ``clean`` is the verdict: True when every frame's CRC matches, every
-    segment parses end to end, every sidecar index agrees with its
-    segment and every legacy file decodes.
+    segment parses end to end and every sidecar index agrees with its
+    segment.
     """
 
     segments: int  #: packed segment files scanned
@@ -642,20 +575,13 @@ class VerifyReport:
     torn_bytes: int  #: bytes past the last well-formed frame
     sidecars: int  #: sidecar index files present
     sidecars_stale: int  #: sidecars disagreeing with their segment's frames
-    legacy_ok: int  #: legacy one-file-per-record entries that decoded
-    legacy_corrupt: int  #: legacy entries that failed to decode
     repaired_segments: int = 0  #: damaged segments rewritten (``--repair``)
     dropped_frames: int = 0  #: corrupt frames dropped by the repair
 
     @property
     def clean(self) -> bool:
         """True when the scan found no corruption at all."""
-        return not (
-            self.frames_corrupt
-            or self.torn_segments
-            or self.sidecars_stale
-            or self.legacy_corrupt
-        )
+        return not (self.frames_corrupt or self.torn_segments or self.sidecars_stale)
 
     def describe(self) -> str:
         """Human-readable summary (the CLI ``cache verify`` body)."""
@@ -665,11 +591,6 @@ class VerifyReport:
             f"tails / {human_bytes(self.torn_bytes)})",
             f"sidecar indexes: {self.sidecars} ({self.sidecars_stale} stale)",
         ]
-        if self.legacy_ok or self.legacy_corrupt:
-            lines.append(
-                f"legacy records: {self.legacy_ok} ok, "
-                f"{self.legacy_corrupt} corrupt"
-            )
         if self.repaired_segments or self.dropped_frames:
             lines.append(
                 f"repaired: {self.repaired_segments} segments rewritten, "
@@ -684,7 +605,7 @@ def verify_cache(
     repair: bool = False,
     segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
 ) -> VerifyReport:
-    """Validate every frame, sidecar index and legacy record in a cache dir.
+    """Validate every frame and sidecar index in a cache directory.
 
     Unlike the lazy read path (which drops a corrupt frame only when its
     key happens to be requested) this walks the whole directory: every
@@ -693,8 +614,8 @@ def verify_cache(
     CRC-32 is recomputed.  Without ``repair`` the scan is strictly
     read-only.  With ``repair=True`` damaged segments are rewritten
     keeping only their valid frames (corrupt frames and torn tails are
-    dropped — those records heal as cache misses), stale sidecars are
-    rebuilt, and undecodable legacy files are deleted.
+    dropped — those records heal as cache misses) and stale sidecars are
+    rebuilt.
 
     Like GC, repair assumes no concurrent writer shares the directory.
     The counters in the returned :class:`VerifyReport` always describe
@@ -769,26 +690,6 @@ def verify_cache(
             dropped_frames += bad
         elif writer is not None and sidecar_stale:
             _atomic_write(directory, sidecar, _sidecar_blob(records))
-    legacy_ok = 0
-    legacy_corrupt = 0
-    for path in directory.glob(f"*{_LEGACY_SUFFIX}"):
-        payload = _read_legacy_payload(path)
-        decoded = False
-        if payload is not None:
-            try:
-                zlib.decompress(payload)
-                decoded = True
-            except zlib.error:
-                decoded = False
-        if decoded:
-            legacy_ok += 1
-        else:
-            legacy_corrupt += 1
-            if repair:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
     if writer is not None:
         writer.seal()
     return VerifyReport(
@@ -799,37 +700,19 @@ def verify_cache(
         torn_bytes=torn_bytes,
         sidecars=sidecars,
         sidecars_stale=sidecars_stale,
-        legacy_ok=legacy_ok,
-        legacy_corrupt=legacy_corrupt,
         repaired_segments=repaired_segments,
         dropped_frames=dropped_frames,
     )
 
 
-def _read_legacy_payload(path: Path) -> Optional[bytes]:
-    """The compressed payload inside a legacy record file, or ``None``."""
-    try:
-        blob = path.read_bytes()
-        if not blob.startswith(_MAGIC):
-            return None
-        (length,) = _HEADER.unpack_from(blob, len(_MAGIC))
-        payload = blob[len(_MAGIC) + _HEADER.size :]
-        if len(payload) != length:
-            return None
-        return payload
-    except (OSError, struct.error):
-        return None
-
-
 class PersistentResultCache(ResultCache):
     """A :class:`ResultCache` whose records survive the process.
 
-    Lookups try the in-memory LRU first, then the packed-segment index
-    (falling back to legacy one-file-per-record entries); disk hits are
-    promoted into the LRU.  Writes append to this instance's own active
-    segment, so concurrent processes never contend on a file.  All disk
-    failures degrade to cache misses — a read-only or full disk makes the
-    cache slower, never wrong.
+    Lookups try the in-memory LRU first, then the packed-segment index;
+    disk hits are promoted into the LRU.  Writes append to this instance's
+    own active segment, so concurrent processes never contend on a file.
+    All disk failures degrade to cache misses — a read-only or full disk
+    makes the cache slower, never wrong.
     """
 
     #: Temp files older than this are leftovers of writers that died
@@ -883,10 +766,6 @@ class PersistentResultCache(ResultCache):
     def cache_dir(self) -> Path:
         """The backing directory."""
         return self._dir
-
-    def _path(self, key: Hashable) -> Path:
-        """Legacy (PR-4) one-file-per-record path of a key, for migration."""
-        return self._dir / f"{key_digest(key)}{_LEGACY_SUFFIX}"
 
     # -- segment index ---------------------------------------------------------
 
@@ -961,29 +840,6 @@ class PersistentResultCache(ResultCache):
         return payload
 
     # -- disk tier -------------------------------------------------------------
-
-    def _read(self, path: Path):
-        """Decode one legacy record file; any failure is a miss (file removed)."""
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            if not blob.startswith(_MAGIC):
-                raise ValueError("bad magic")
-            (length,) = _HEADER.unpack_from(blob, len(_MAGIC))
-            payload = blob[len(_MAGIC) + _HEADER.size :]
-            if len(payload) != length:
-                raise ValueError("truncated record")
-            return pickle.loads(zlib.decompress(payload))
-        except Exception:
-            # Truncated write, stale format, disk corruption: drop the file
-            # so the slot heals itself on the next put.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
 
     def _lookup_payload(self, digest: bytes) -> Optional[bytes]:
         """Find a key's compressed payload across segments (refreshing once)."""
@@ -1104,16 +960,13 @@ class PersistentResultCache(ResultCache):
         ``probe_disk`` counts exactly like one full ``get`` — the sequence
         the experiment runner performs around worker dispatch.
         """
-        digest_hex = key_digest(key)
-        payload = self._lookup_payload(bytes.fromhex(digest_hex))
+        payload = self._lookup_payload(bytes.fromhex(key_digest(key)))
+        record = None
         if payload is not None:
             try:
                 record = pickle.loads(zlib.decompress(payload))
             except Exception:
-                record = None
-        else:
-            # Migration fallback: the PR-4 one-file-per-record format.
-            record = self._read(self._dir / f"{digest_hex}{_LEGACY_SUFFIX}")
+                pass
         if record is None:
             self._disk_misses += 1
             return None
@@ -1153,12 +1006,7 @@ class PersistentResultCache(ResultCache):
             self._active_size = 0
         self._index.clear()
         self._scan_state.clear()
-        for pattern in (
-            f"*{_LEGACY_SUFFIX}",
-            "*.tmp",
-            f"seg-*{_SEGMENT_SUFFIX}",
-            f"seg-*{_SIDECAR_SUFFIX}",
-        ):
+        for pattern in ("*.tmp", f"seg-*{_SEGMENT_SUFFIX}", f"seg-*{_SIDECAR_SUFFIX}"):
             for path in self._dir.glob(pattern):
                 try:
                     path.unlink()
@@ -1178,24 +1026,14 @@ class PersistentResultCache(ResultCache):
         )
 
     def disk_entries(self) -> int:
-        """Number of distinct records currently on disk (all formats)."""
+        """Number of distinct records currently on disk."""
         self._refresh_index()
-        digests = set(self._index)
-        for path in self._dir.glob(f"*{_LEGACY_SUFFIX}"):
-            try:
-                digests.add(bytes.fromhex(path.stem))
-            except ValueError:
-                continue
-        return len(digests)
+        return len(self._index)
 
     def disk_bytes(self) -> int:
-        """Total size of the segment, sidecar and legacy files on disk."""
+        """Total size of the segment and sidecar files on disk."""
         total = 0
-        for pattern in (
-            f"seg-*{_SEGMENT_SUFFIX}",
-            f"seg-*{_SIDECAR_SUFFIX}",
-            f"*{_LEGACY_SUFFIX}",
-        ):
+        for pattern in (f"seg-*{_SEGMENT_SUFFIX}", f"seg-*{_SIDECAR_SUFFIX}"):
             for path in self._dir.glob(pattern):
                 try:
                     total += path.stat().st_size

@@ -44,7 +44,6 @@ from repro.transpiler.registry import available_passes, make_pass, register_pass
 from repro.transpiler.compile import (
     TranspileResult,
     available_levels,
-    build_pass_manager,
     build_staged_pass_manager,
     transpile,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "schedule_asap",
     "TranspileResult",
     "available_levels",
-    "build_pass_manager",
     "build_staged_pass_manager",
     "transpile",
     "transpile_batch",

@@ -102,8 +102,7 @@ def transpile_batch(
 
     Args:
         circuits: the algorithm circuits.
-        target: the design point (a :class:`Target`; legacy ``Backend``
-            objects are adapted via :meth:`Target.from_backend`).
+        target: the design point.
         optimization_level / layout_method / routing_method /
         translation_mode / seed: forwarded to :func:`transpile` for every
             circuit.
@@ -125,7 +124,6 @@ def transpile_batch(
     Returns:
         One :class:`TranspileResult` per circuit, aligned with the input.
     """
-    target = Target.from_backend(target)
     circuits = list(circuits)
     owns_runner = False
     if runner is None:

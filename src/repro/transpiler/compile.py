@@ -38,7 +38,7 @@ from repro.decomposition.basis import BasisGateSpec, get_basis
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.metrics import TranspileMetrics
-from repro.transpiler.passmanager import PassManager, PropertySet, StagedPassManager
+from repro.transpiler.passmanager import PropertySet, StagedPassManager
 from repro.transpiler.registry import make_pass
 from repro.transpiler.target import Target
 
@@ -209,32 +209,6 @@ def build_staged_pass_manager(
         scheduling_method=scheduling_method,
     )
     return _manager_from_schedule(target, schedule, seed)
-
-
-def build_pass_manager(
-    coupling_map: CouplingMap,
-    basis: BasisGateSpec,
-    layout_method: str = "dense",
-    routing_method: str = "sabre",
-    translation_mode: str = "count",
-    seed: int = 0,
-) -> PassManager:
-    """Assemble the paper's standard four-pass schedule (legacy entry point).
-
-    Equivalent to the level-1 staged schedule; kept for callers that
-    address a bare (coupling map, basis) pair.  New code should build a
-    :class:`~repro.transpiler.target.Target` and use
-    :func:`build_staged_pass_manager`.
-    """
-    target = Target(coupling_map=coupling_map, basis=basis)
-    return build_staged_pass_manager(
-        target,
-        optimization_level=1,
-        layout_method=layout_method,
-        routing_method=routing_method,
-        translation_mode=translation_mode,
-        seed=seed,
-    )
 
 
 def transpile(

@@ -10,10 +10,9 @@ Every pass that can appear in a compilation schedule is registered under a
 
 Preset schedules (``optimization_level`` 0..3), the CLI's ``--layout`` /
 ``--routing`` options and user-assembled pipelines all resolve passes
-through this registry, replacing the hard-coded string-dispatch dicts the
-old ``build_pass_manager`` carried.  Registering a new pass makes it
-addressable everywhere at once; unknown names fail with the list of
-registered options.
+through this registry.  Registering a new pass makes it addressable
+everywhere at once; unknown names fail with the list of registered
+options.
 """
 
 from __future__ import annotations

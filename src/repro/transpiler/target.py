@@ -1,8 +1,7 @@
 """Target: the complete machine description the compiler addresses.
 
-A :class:`Target` supersedes the thin ``(topology, basis)`` bundle of
-:class:`repro.core.backend.Backend`: it carries everything a staged
-compilation needs to know about a design point —
+A :class:`Target` carries everything a staged compilation needs to know
+about a design point —
 
 * the coupling topology (:class:`~repro.topology.coupling.CouplingMap`),
 * the native two-qubit basis (:class:`~repro.decomposition.basis.BasisGateSpec`),
@@ -109,19 +108,6 @@ class Target:
             noise_model=noise_model,
             name=name,
             description=f"{canonical[key]} topology with {basis} basis gate ({scale})",
-        )
-
-    @classmethod
-    def from_backend(cls, backend) -> "Target":
-        """Adapt a legacy :class:`repro.core.backend.Backend` (or any object
-        with ``coupling_map``/``basis``/``name`` attributes)."""
-        if isinstance(backend, cls):
-            return backend
-        return cls(
-            coupling_map=backend.coupling_map,
-            basis=backend.basis,
-            name=getattr(backend, "name", None),
-            description=getattr(backend, "description", ""),
         )
 
     def with_noise(self, noise_model: "NoiseModel") -> "Target":

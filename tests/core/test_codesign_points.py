@@ -1,7 +1,7 @@
 """Tests for the co-design points (paper Figs. 13/14 legends)."""
 
 
-from repro.core import CodesignPoint, design_backends, design_points
+from repro.core import CodesignPoint, design_points, design_targets
 from repro.core.codesign import LARGE_DESIGN_POINTS, SMALL_DESIGN_POINTS
 
 
@@ -27,18 +27,18 @@ class TestDesignPoints:
         assert by_label["Heavy-Hex-CX"].basis == "cx"
         assert by_label["Square-Lattice-SYC"].basis == "syc"
 
-    def test_backend_materialisation_small(self):
-        backend = CodesignPoint("Tree-siswap", "Tree", "siswap").backend("small")
-        assert backend.num_qubits == 20
-        assert backend.basis.name == "siswap"
+    def test_target_materialisation_small(self):
+        target = CodesignPoint("Tree-siswap", "Tree", "siswap").target("small")
+        assert target.num_qubits == 20
+        assert target.basis.name == "siswap"
 
-    def test_backend_materialisation_large(self):
-        backend = CodesignPoint("Tree-siswap", "Tree", "siswap").backend("large")
-        assert backend.num_qubits == 84
+    def test_target_materialisation_large(self):
+        target = CodesignPoint("Tree-siswap", "Tree", "siswap").target("large")
+        assert target.num_qubits == 84
 
-    def test_design_backends_keys(self):
-        backends = design_backends("small")
-        assert set(backends) == {point.label for point in design_points("small")}
+    def test_design_targets_keys(self):
+        targets = design_targets("small")
+        assert set(targets) == {point.label for point in design_points("small")}
 
     def test_design_points_scale_selector(self):
         assert design_points("small") == SMALL_DESIGN_POINTS

@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.core import SweepResult, make_backend, run_point, run_sweep
+from repro.core import SweepResult, run_point, run_sweep
 from repro.topology import hypercube, square_lattice
+from repro.transpiler import make_target
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
     backends = [
-        make_backend(square_lattice(4, 4), "cx", name="Square-CX"),
-        make_backend(hypercube(4), "siswap", name="Cube-SIS"),
+        make_target(square_lattice(4, 4), "cx", name="Square-CX"),
+        make_target(hypercube(4), "siswap", name="Cube-SIS"),
     ]
     return run_sweep(["GHZ", "QFT"], [5, 8], backends, seed=3)
 
 
 class TestRunPoint:
     def test_single_point(self):
-        backend = make_backend(square_lattice(4, 4), "cx", name="Square-CX")
+        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
         metrics = run_point("GHZ", 6, backend, seed=1)
         assert metrics.extra["workload"] == "GHZ"
         assert metrics.extra["backend"] == "Square-CX"
@@ -30,7 +31,7 @@ class TestRunSweep:
         assert len(small_sweep) == 8
 
     def test_oversized_circuits_skipped(self):
-        backend = make_backend(square_lattice(2, 2), "cx", name="Tiny")
+        backend = make_target(square_lattice(2, 2), "cx", name="Tiny")
         result = run_sweep(["GHZ"], [3, 10], [backend], seed=0)
         assert len(result) == 1
 
@@ -75,13 +76,13 @@ class TestRunSweep:
 
     def test_progress_callback(self):
         messages = []
-        backend = make_backend(square_lattice(4, 4), "cx", name="Square-CX")
+        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
         run_sweep(["GHZ"], [4], [backend], progress=messages.append)
         assert messages == ["GHZ-4 on Square-CX"]
 
     def test_add_and_iterate(self):
         result = SweepResult()
         assert len(result) == 0
-        backend = make_backend(square_lattice(4, 4), "cx")
+        backend = make_target(square_lattice(4, 4), "cx")
         result.add(run_point("GHZ", 4, backend))
         assert len(list(iter(result))) == 1

@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.core import make_backend
 from repro.core.reliability import (
     ReliabilityModel,
-    durations_for_backend,
     format_reliability_report,
     reliability_ranking,
     simulated_reliability_check,
 )
 from repro.topology import get_topology
+from repro.transpiler import make_target
 from repro.workloads import build_workload
 
 
-def backend_for(topology: str, basis: str, name=None):
-    return make_backend(get_topology(topology, scale="small"), basis, name=name)
+def target_for(topology: str, basis: str, name=None):
+    return make_target(get_topology(topology, scale="small"), basis, name=name)
 
 
 class TestReliabilityModel:
@@ -46,7 +45,7 @@ class TestReliabilityModel:
             model.to_noise_model(pulse_duration_ns=0.0)
 
     def test_simulated_check_tracks_the_closed_form_estimate(self):
-        backend = backend_for("Corral1,1", "siswap")
+        backend = target_for("Corral1,1", "siswap")
         model = ReliabilityModel(two_qubit_fidelity=0.995)
         circuit = build_workload("GHZ", 5, seed=1)
         row = simulated_reliability_check(model, backend, circuit, seed=1)
@@ -55,7 +54,7 @@ class TestReliabilityModel:
         assert row["qubits"] <= 14
 
     def test_estimate_has_consistent_fields(self):
-        backend = backend_for("Corral1,1", "siswap")
+        backend = target_for("Corral1,1", "siswap")
         model = ReliabilityModel()
         circuit = build_workload("QuantumVolume", 8, seed=2)
         estimate = model.estimate(backend, circuit, seed=2)
@@ -67,16 +66,16 @@ class TestReliabilityModel:
         )
 
     def test_shorter_t1_means_lower_success(self):
-        backend = backend_for("Tree", "siswap")
+        backend = target_for("Tree", "siswap")
         circuit = build_workload("QFT", 8)
         healthy = ReliabilityModel(t1_us=200.0, t2_us=200.0).estimate(backend, circuit)
         frail = ReliabilityModel(t1_us=5.0, t2_us=5.0).estimate(backend, circuit)
         assert frail.success_probability < healthy.success_probability
 
     def test_durations_follow_the_modulator(self):
-        snail = durations_for_backend(backend_for("Tree", "siswap"))
-        cr = durations_for_backend(backend_for("Heavy-Hex", "cx"))
-        fsim = durations_for_backend(backend_for("Square-Lattice", "syc"))
+        snail = target_for("Tree", "siswap").gate_durations()
+        cr = target_for("Heavy-Hex", "cx").gate_durations()
+        fsim = target_for("Square-Lattice", "syc").gate_durations()
         assert snail.name == "snail"
         assert cr.name == "cr"
         assert fsim.name == "fsim"
@@ -85,8 +84,8 @@ class TestReliabilityModel:
 class TestReliabilityRanking:
     def test_ranking_sorted_best_first(self):
         backends = [
-            backend_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
-            backend_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
+            target_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
+            target_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
         ]
         ranking = reliability_ranking(backends, "QuantumVolume", 10, seed=3)
         assert len(ranking) == 2
@@ -95,16 +94,16 @@ class TestReliabilityRanking:
     def test_codesigned_machine_wins_on_qv(self):
         """The paper's conclusion restated in wall-clock reliability terms."""
         backends = [
-            backend_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
-            backend_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
+            target_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
+            target_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
         ]
         ranking = reliability_ranking(backends, "QuantumVolume", 12, seed=3)
         assert ranking[0].backend == "Corral1,1-siswap"
 
     def test_report_contains_every_backend(self):
         backends = [
-            backend_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
-            backend_for("Tree", "siswap", name="Tree-siswap"),
+            target_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
+            target_for("Tree", "siswap", name="Tree-siswap"),
         ]
         ranking = reliability_ranking(backends, "GHZ", 8)
         report = format_reliability_report(ranking)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import make_backend
 from repro.core.statistics import (
     MetricSummary,
     compare_backends,
@@ -11,10 +10,11 @@ from repro.core.statistics import (
     seed_sweep,
 )
 from repro.topology import get_topology
+from repro.transpiler import make_target
 
 
-def backend_for(topology: str, basis: str, name=None):
-    return make_backend(get_topology(topology, scale="small"), basis, name=name or topology)
+def target_for(topology: str, basis: str, name=None):
+    return make_target(get_topology(topology, scale="small"), basis, name=name or topology)
 
 
 class TestMetricSummary:
@@ -43,11 +43,11 @@ class TestMetricSummary:
 class TestSeedSweep:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
-            seed_sweep("GHZ", 6, backend_for("Tree", "siswap"), seeds=[])
+            seed_sweep("GHZ", 6, target_for("Tree", "siswap"), seeds=[])
 
     def test_returns_summary_per_metric(self):
         summaries = seed_sweep(
-            "QuantumVolume", 8, backend_for("Corral1,1", "siswap"), seeds=(0, 1, 2)
+            "QuantumVolume", 8, target_for("Corral1,1", "siswap"), seeds=(0, 1, 2)
         )
         assert set(summaries) == {"total_swaps", "critical_swaps", "total_2q", "critical_2q"}
         for summary in summaries.values():
@@ -57,15 +57,15 @@ class TestSeedSweep:
     def test_deterministic_workload_has_zero_variance_in_2q(self):
         # GHZ on a topology where it embeds perfectly: every seed gives the
         # same number of native gates.
-        summaries = seed_sweep("GHZ", 6, backend_for("Corral1,1", "siswap"), seeds=(0, 1, 2, 3))
+        summaries = seed_sweep("GHZ", 6, target_for("Corral1,1", "siswap"), seeds=(0, 1, 2, 3))
         assert summaries["total_2q"].std == pytest.approx(0.0)
 
 
 class TestComparisons:
     def test_compare_backends_keys(self):
         backends = [
-            backend_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
-            backend_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
+            target_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
+            target_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
         ]
         comparison = compare_backends(backends, "QuantumVolume", 8, seeds=(0, 1))
         assert set(comparison) == {"Heavy-Hex-CX", "Corral1,1-siswap"}
@@ -73,8 +73,8 @@ class TestComparisons:
     def test_codesign_ordering_is_seed_stable(self):
         """The paper's central comparison should not be a heuristic artefact."""
         stability = ordering_stability(
-            backend_for("Corral1,1", "siswap", name="corral"),
-            backend_for("Heavy-Hex", "cx", name="heavyhex"),
+            target_for("Corral1,1", "siswap", name="corral"),
+            target_for("Heavy-Hex", "cx", name="heavyhex"),
             "QuantumVolume",
             10,
             seeds=(0, 1, 2, 3),
@@ -84,8 +84,8 @@ class TestComparisons:
     def test_ordering_stability_requires_seeds(self):
         with pytest.raises(ValueError):
             ordering_stability(
-                backend_for("Tree", "siswap"),
-                backend_for("Heavy-Hex", "cx"),
+                target_for("Tree", "siswap"),
+                target_for("Heavy-Hex", "cx"),
                 "GHZ",
                 6,
                 seeds=(),
@@ -93,8 +93,8 @@ class TestComparisons:
 
     def test_format_comparison_sorted_by_mean(self):
         backends = [
-            backend_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
-            backend_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
+            target_for("Heavy-Hex", "cx", name="Heavy-Hex-CX"),
+            target_for("Corral1,1", "siswap", name="Corral1,1-siswap"),
         ]
         comparison = compare_backends(backends, "QuantumVolume", 8, seeds=(0, 1))
         text = format_comparison(comparison)

@@ -12,7 +12,7 @@ from repro.gates import CXGate, CZGate, RZGate, SqrtISwapGate
 from repro.linalg import LRUCache
 from repro.linalg.random import random_unitary
 from repro.linalg.weyl import weyl_coordinates
-from repro.runtime import ResultCache, backend_cache_key
+from repro.runtime import ResultCache
 from repro.transpiler import BasisTranslation, PropertySet
 
 
@@ -116,14 +116,14 @@ class TestDecompositionCache:
 
 class TestResultCache:
     def test_round_trip_returns_equal_copy(self):
-        from repro.core.backend import make_backend
         from repro.core.pipeline import run_point
         from repro.topology.registry import small_topologies
+        from repro.transpiler import make_target
 
-        backend = make_backend(
+        target = make_target(
             small_topologies()["Corral1,1"], "siswap", name="Corral1,1-siswap"
         )
-        record = run_point("GHZ", 5, backend, seed=1)
+        record = run_point("GHZ", 5, target, seed=1)
         cache = ResultCache()
         cache.put("key", record)
         cached = cache.get("key")
@@ -135,12 +135,3 @@ class TestResultCache:
 
     def test_missing_key_returns_none(self):
         assert ResultCache().get("absent") is None
-
-    def test_backend_key_distinguishes_topologies(self):
-        from repro.core.backend import make_backend
-        from repro.topology.registry import small_topologies
-
-        registry = small_topologies()
-        same_name_a = make_backend(registry["Corral1,1"], "siswap", name="X")
-        same_name_b = make_backend(registry["Hypercube"], "siswap", name="X")
-        assert backend_cache_key(same_name_a) != backend_cache_key(same_name_b)

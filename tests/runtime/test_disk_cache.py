@@ -15,6 +15,7 @@ from repro.runtime import (
     key_digest,
     resolve_result_cache,
     ResultCache,
+    verify_cache,
 )
 from repro.runtime.cache import point_cache_key
 from repro.topology.registry import small_topologies
@@ -181,31 +182,19 @@ class TestPersistentResultCache:
         assert len(list(tmp_path.glob("seg-*.rpi"))) == 1
         assert PersistentResultCache(tmp_path).get("key") is not None
 
-    def test_legacy_record_files_stay_readable(self, tmp_path, record):
+    def test_legacy_record_files_are_ignored(self, tmp_path, record):
+        """The retired one-file-per-record format is a foreign file: a miss."""
         import struct
 
         payload = zlib.compress(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         legacy = tmp_path / f"{key_digest('key')}.rpc"
         legacy.write_bytes(b"RPRC1\n" + struct.pack(">Q", len(payload)) + payload)
         fresh = PersistentResultCache(tmp_path)
-        cached = fresh.get("key")
-        assert cached is not None
-        assert cached.as_dict() == record.as_dict()
-        assert fresh.stats().disk_hits == 1
-
-    def test_gc_compaction_migrates_legacy_records_into_segments(
-        self, tmp_path, record
-    ):
-        import struct
-
-        payload = zlib.compress(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-        legacy = tmp_path / f"{key_digest('key')}.rpc"
-        legacy.write_bytes(b"RPRC1\n" + struct.pack(">Q", len(payload)) + payload)
-        cache = PersistentResultCache(tmp_path)
-        report = cache.gc(compact=True)
-        assert not legacy.exists()
-        assert report.segments_written == 1
-        assert cache.get("key") is not None  # served from the new segment
+        assert fresh.get("key") is None
+        assert fresh.stats().disk_misses == 1
+        assert fresh.disk_entries() == 0
+        assert verify_cache(tmp_path).clean
+        assert legacy.exists()
 
 
 class TestResolveResultCache:

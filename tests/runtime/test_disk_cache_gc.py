@@ -181,6 +181,12 @@ class TestCliCacheCommands:
         assert "removed 2/2 records" in out
         assert list(tmp_path.glob("seg-*.rps")) == []
 
+    def test_cache_gc_zero_budget_empties_the_cache(self, tmp_path, capsys):
+        _fill(tmp_path, ["a", "b"])
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--max-bytes", "0"]) == 0
+        assert "removed 2/2 records" in capsys.readouterr().out
+        assert PersistentResultCache(tmp_path).disk_entries() == 0
+
     def test_cache_gc_without_policy_compacts(self, tmp_path, capsys):
         for key in ("a", "b"):
             _fill(tmp_path, [key])

@@ -6,7 +6,6 @@ import warnings
 
 import pytest
 
-from repro.core.backend import make_backend
 from repro.core.pipeline import run_sweep, sweep_grid
 from repro.core.statistics import seed_sweep
 from repro.experiments.sensitivity_study import figure15_study
@@ -19,6 +18,7 @@ from repro.runtime import (
     serial_runner,
 )
 from repro.topology.registry import small_topologies
+from repro.transpiler import make_target
 
 
 def _square(value):
@@ -114,8 +114,8 @@ class TestPointSeed:
 def small_backends():
     registry = small_topologies()
     return [
-        make_backend(registry["Corral1,1"], "siswap", name="Corral1,1-siswap"),
-        make_backend(registry["Hypercube"], "cx", name="Hypercube-cx"),
+        make_target(registry["Corral1,1"], "siswap", name="Corral1,1-siswap"),
+        make_target(registry["Hypercube"], "cx", name="Hypercube-cx"),
     ]
 
 

@@ -237,6 +237,73 @@ class TestUsageErrors:
         assert line == "repro run: error: argument --seed: must be a non-negative integer"
 
     @pytest.mark.parametrize(
+        "verb",
+        [
+            ["tables"],
+            ["swaps"],
+            ["codesign"],
+            ["headline"],
+            ["sensitivity"],
+            ["chevron"],
+            ["frequency"],
+            ["schedule"],
+            ["reliability", "QFT", "6"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--task-timeout", "0", "must be a positive number"),
+            ("--task-timeout", "-1", "must be a positive number"),
+            ("--task-timeout", "nan", "must be a positive number"),
+            ("--max-retries", "-1", "must be a non-negative integer"),
+        ],
+    )
+    def test_bad_runtime_option(self, capsys, tmp_path, verb, option, value, message):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in verb]
+        line = self._argparse_error(capsys, [*argv, option, value])
+        assert line == f"repro {verb[0]}: error: argument {option}: {message}"
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--two-qubit-fidelity", "1.5", "gate fidelities must lie in (0, 1]"),
+            ("--two-qubit-fidelity", "nan", "gate fidelities must lie in (0, 1]"),
+            ("--t1-us", "0", "T1 and T2 must be positive"),
+            ("--t1-us", "nan", "T1 and T2 must be positive"),
+            ("--t2-us", "300", "physical relaxation requires T2 <= 2 * T1"),
+        ],
+    )
+    def test_reliability_model_rejects_the_parameters(self, capsys, option, value, message):
+        line = self._usage_error(capsys, ["reliability", "QFT", "6", option, value])
+        assert line == f"repro reliability: {message}"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--max-bytes", "-1", "must be a non-negative integer"),
+            ("--max-age-hours", "-1", "must be a non-negative number"),
+            ("--max-age-hours", "nan", "must be a non-negative number"),
+        ],
+    )
+    def test_negative_cache_gc_budget_keeps_every_record(
+        self, capsys, tmp_path, option, value, message
+    ):
+        from repro.runtime import PersistentResultCache
+
+        cache = PersistentResultCache(tmp_path)
+        for key in ("a", "b"):
+            cache.put(key, {"key": key})
+        cache.close()
+        line = self._argparse_error(
+            capsys, ["cache", "gc", "--cache-dir", str(tmp_path), option, value]
+        )
+        assert line == f"repro cache gc: error: argument {option}: {message}"
+        assert PersistentResultCache(tmp_path).disk_entries() == 2
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["run", "Adder", "3"], "the smallest CDKM adder uses four qubits"),

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import SweepResult, make_backend, run_point
+from repro.core import SweepResult, run_point
 from repro.topology import square_lattice
+from repro.transpiler import make_target
 from repro.visualization import (
     ascii_bar_chart,
     ascii_line_chart,
@@ -63,7 +64,7 @@ class TestCsvExport:
         assert len(lines) == 1 + 4
 
     def test_sweep_to_csv(self):
-        backend = make_backend(square_lattice(4, 4), "cx", name="sq")
+        backend = make_target(square_lattice(4, 4), "cx", name="sq")
         result = SweepResult([run_point("GHZ", 4, backend)])
         csv_text = sweep_to_csv(result)
         lines = csv_text.strip().splitlines()
@@ -74,7 +75,7 @@ class TestCsvExport:
         assert sweep_to_csv(SweepResult([])) == ""
 
     def test_sweep_to_csv_column_selection(self):
-        backend = make_backend(square_lattice(4, 4), "cx", name="sq")
+        backend = make_target(square_lattice(4, 4), "cx", name="sq")
         result = SweepResult([run_point("GHZ", 4, backend)])
         csv_text = sweep_to_csv(result, columns=["topology", "total_2q"])
         header = csv_text.splitlines()[0]

@@ -7,8 +7,9 @@ from repro.topology import hypercube, square_lattice
 from repro.transpiler import (
     PassManager,
     PropertySet,
+    Target,
     TranspileMetrics,
-    build_pass_manager,
+    build_staged_pass_manager,
     format_metrics_table,
     transpile,
 )
@@ -83,7 +84,9 @@ class TestTranspile:
         assert corral_result.metrics.total_2q < lattice_result.metrics.total_2q
 
     def test_pass_manager_construction(self, grid_4x4):
-        manager = build_pass_manager(grid_4x4, get_basis("cx"))
+        manager = build_staged_pass_manager(
+            Target(grid_4x4, get_basis("cx")), optimization_level=1
+        )
         assert isinstance(manager, PassManager)
         assert len(manager.passes) == 4
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import Backend, make_backend
 from repro.core.noise import NoiseModel
 from repro.core.pipeline import run_sweep
 from repro.decomposition import get_basis
@@ -102,26 +101,7 @@ class TestDurationsAndNoise:
         assert noisy.cache_key() != base.cache_key()
 
 
-class TestBackendInterop:
-    def test_from_backend_round_trip(self):
-        backend = make_backend(square_lattice(4, 4), "cx", name="Square-CX")
-        target = Target.from_backend(backend)
-        assert target.name == "Square-CX"
-        assert target.basis.name == "cx"
-        assert backend.to_target().cache_key() == target.cache_key()
-
-    def test_from_backend_is_identity_on_targets(self):
-        target = Target.from_names("Tree", "siswap")
-        assert Target.from_backend(target) is target
-
-    def test_backend_transpile_warns_and_matches_target(self):
-        backend = Backend(square_lattice(4, 4), get_basis("siswap"))
-        circuit = ghz_circuit(6)
-        with pytest.warns(DeprecationWarning, match="Target"):
-            legacy = backend.transpile(circuit, seed=4)
-        modern = backend.to_target().transpile(circuit, seed=4)
-        assert legacy.metrics == modern.metrics
-
+class TestTranspile:
     def test_target_transpile_shortcut(self):
         target = Target.from_names("Corral1,1", "siswap")
         result = target.transpile(ghz_circuit(6), seed=1)

@@ -37,14 +37,6 @@ class TestBatchMatchesSequential:
             parallel = transpile_batch(circuits, target, seed=3, runner=runner)
         assert [r.metrics for r in parallel] == [r.metrics for r in serial]
 
-    def test_legacy_backend_accepted(self, circuits):
-        from repro.core import make_backend
-        from repro.topology import get_topology
-
-        backend = make_backend(get_topology("Corral1,1", "small"), "siswap")
-        batch = transpile_batch(circuits[:1], backend, seed=1)
-        assert batch[0].metrics.basis == "siswap"
-
 
 class TestBatchCaching:
     def test_repeated_points_hit_cache(self, circuits, target):
