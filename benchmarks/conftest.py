@@ -31,10 +31,9 @@ sys.path.insert(0, str(_BENCHMARK_DIR.parent / "tests"))
 def pytest_benchmark_update_json(config, benchmarks, output_json):
     """Stamp run provenance into the ``--benchmark-json`` artifact.
 
-    ``repro bench record`` / ``repro bench compare`` read this
-    ``repro_run_meta`` block (git SHA, host tag, run timestamp) so every
-    recorded trajectory point and every written baseline says which
-    commit on which machine produced it.  The same fields are mirrored
+    ``repro bench record`` reads this ``repro_run_meta`` block (git SHA,
+    host tag, run timestamp) so every recorded trajectory point says
+    which commit on which machine produced it.  The same fields are mirrored
     into each benchmark's ``extra_info`` for consumers that only look at
     per-benchmark entries.  The timestamp reuses pytest-benchmark's own
     ``datetime`` field — no second clock reading, so artifact and meta

@@ -1,20 +1,18 @@
-"""Performance observability: benchmark trajectories and regression gates.
+"""Performance observability: benchmark trajectories and a regression gate.
 
 Every headline claim in this reproduction is a speedup (the ~40x noisy
 simulator, the ~6x router, the ~200x warm-server soak), and the smoke CI
 uploads one ``BENCH_*.json`` artifact per run — but a single artifact
-diffed against a single committed baseline cannot tell a noisy runner
-from a real erosion.  This package closes the loop with three layers:
+diffed against a single snapshot cannot tell a noisy runner from a real
+erosion.  This package closes the loop with four layers:
 
 * :mod:`repro.bench.artifact` — hardened loading of pytest-benchmark
-  JSON artifacts (:func:`read_artifact`, :func:`load_means`) with run
-  provenance (:class:`RunMeta`: git SHA, timestamp, host tag) and a
-  named :class:`MalformedArtifactError` instead of bare ``KeyError``\\ s.
-* :mod:`repro.bench.compare` — the single comparison core shared by
-  the ``repro bench`` CLI verbs and CI:
-  tolerance-band bucketing (:func:`compare`), provenance-carrying
-  baseline IO (:func:`write_baseline` / :func:`read_baseline`) and the
-  strict-mode rules (regressions, *gone* benchmarks and an empty
+  JSON artifacts (:func:`read_artifact`) with run provenance
+  (:class:`RunMeta`: git SHA, timestamp, host tag) and a named
+  :class:`MalformedArtifactError` instead of bare ``KeyError``\\ s.
+* :mod:`repro.bench.compare` — the comparison core behind
+  ``repro bench check``: tolerance-band bucketing (:func:`compare`) and
+  the gate rules (regressions, *gone* benchmarks and an empty
   current∩baseline overlap all fail).
 * :mod:`repro.bench.history` — an append-only history store
   (:class:`BenchHistory`): one JSON-lines series per benchmark keyed by
@@ -24,10 +22,12 @@ from a real erosion.  This package closes the loop with three layers:
 * :mod:`repro.bench.report` — terminal / markdown trajectory tables
   with sparkline series (:func:`format_report`).
 
-Exit-code contract (``repro bench``):
-``0`` = no gate violated, ``1`` = regression / gone benchmark / empty
-overlap (strict or ``check``), ``2`` = malformed artifact or usage
-error.  See ``docs/architecture.md`` for the on-disk history format.
+``repro bench record`` → ``report`` → ``check`` over that history is the
+one way to compare benchmark runs.  Exit-code contract
+(``repro bench``): ``0`` = no gate violated, ``1`` = regression / gone
+benchmark / empty overlap (``check``), ``2`` = malformed artifact or
+usage error.  See ``docs/architecture.md`` for the on-disk history
+format.
 """
 
 from repro.bench.artifact import (
@@ -35,7 +35,6 @@ from repro.bench.artifact import (
     MalformedArtifactError,
     RunMeta,
     current_git_sha,
-    load_means,
     read_artifact,
 )
 from repro.bench.compare import (
@@ -43,9 +42,6 @@ from repro.bench.compare import (
     Comparison,
     compare,
     format_comparison,
-    read_baseline,
-    run_compare,
-    write_baseline,
 )
 from repro.bench.history import (
     DEFAULT_HISTORY_DIR,
@@ -61,15 +57,11 @@ __all__ = [
     "MalformedArtifactError",
     "RunMeta",
     "current_git_sha",
-    "load_means",
     "read_artifact",
     "ZERO_BASELINE_FLOOR",
     "Comparison",
     "compare",
     "format_comparison",
-    "read_baseline",
-    "run_compare",
-    "write_baseline",
     "DEFAULT_HISTORY_DIR",
     "BenchCheck",
     "BenchHistory",

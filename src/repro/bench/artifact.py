@@ -2,8 +2,8 @@
 
 A ``BENCH_*.json`` artifact is whatever ``pytest --benchmark-json``
 wrote — possibly truncated by a killed CI step, possibly produced by a
-different pytest-benchmark version, possibly hand-edited.  The loaders
-here therefore never surface a bare ``KeyError``: a malformed benchmark
+different pytest-benchmark version, possibly hand-edited.  The loader
+here therefore never surfaces a bare ``KeyError``: a malformed benchmark
 entry raises :class:`MalformedArtifactError` naming the file and the
 offending entry, so a CI log says *which* benchmark broke the artifact
 instead of ``KeyError: 'mean'``.
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Union
 
 
 class MalformedArtifactError(ValueError):
-    """A benchmark artifact (or baseline) entry is structurally invalid.
+    """A benchmark artifact entry is structurally invalid.
 
     The message always identifies the source file and, for per-entry
     problems, the entry index and benchmark name, so the failing record
@@ -46,14 +46,6 @@ class RunMeta:
     timestamp: Optional[str] = None
     host: Optional[str] = None
     source: Optional[str] = None
-
-    def describe(self) -> str:
-        """One header-line summary, with explicit ``unknown`` gaps."""
-        sha = (self.git_sha or "unknown")[:12]
-        return (
-            f"sha={sha} date={self.timestamp or 'unknown'} "
-            f"host={self.host or 'unknown'}"
-        )
 
     def merged_over(self, fallback: "RunMeta") -> "RunMeta":
         """This meta, with ``None`` fields filled from ``fallback``."""
@@ -173,14 +165,6 @@ def read_artifact(path: Union[str, Path]) -> Artifact:
     data = _read_json(path)
     means, rounds = _parse_entries(data, path.name)
     return Artifact(means=means, rounds=rounds, meta=_artifact_meta(data, path.name))
-
-
-def load_means(path: Union[str, Path]) -> Dict[str, float]:
-    """``{benchmark name: mean seconds}`` from a pytest-benchmark JSON file.
-
-    A one-call convenience over :func:`read_artifact` (same hardening).
-    """
-    return read_artifact(path).means
 
 
 def current_git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:

@@ -2,17 +2,19 @@
 
 One row per benchmark: how many runs the series holds, a sparkline of
 the recorded means (oldest → newest), the first and latest values, and
-the latest value's delta against the rolling median of the preceding
-``window`` entries — the same quantity ``repro bench check`` gates on,
-so the report and the gate can never tell different stories.
+the newest run's delta against :meth:`BenchHistory.rolling_baseline` —
+the baseline ``repro bench check`` gates on, so the report and the gate
+can never tell different stories.  A benchmark absent from the newest
+run, or one whose baseline is below :data:`ZERO_BASELINE_FLOOR`, shows
+``n/a`` (the gate reports the first as gone and skips the second).
 """
 
 from __future__ import annotations
 
-import statistics
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.bench.history import BenchHistory, HistoryEntry
+from repro.bench.compare import ZERO_BASELINE_FLOOR
+from repro.bench.history import BenchHistory
 
 #: Eight-level block characters, lowest to highest.
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -39,17 +41,6 @@ def _format_seconds(value: float) -> str:
     return f"{1e6 * value:.1f}us"
 
 
-def _delta_vs_rolling(entries: List[HistoryEntry], window: int) -> Optional[float]:
-    """Latest mean vs the median of the preceding ``window`` entries."""
-    if len(entries) < 2:
-        return None
-    prior = [entry.mean for entry in entries[:-1]][-window:]
-    median = statistics.median(prior)
-    if median <= 0:
-        return None
-    return entries[-1].mean / median - 1.0
-
-
 def format_report(
     history: BenchHistory, *, markdown: bool = False, window: int = 5
 ) -> str:
@@ -69,10 +60,15 @@ def format_report(
     if not all_series:
         return "\n".join(header_bits + ["(empty history — run `repro bench record`)"])
 
+    latest_id = runs[-1]["run"] if runs else None
+    baseline = history.rolling_baseline(window=window, before_run=latest_id)
     rows = []
     for name, entries in sorted(all_series.items()):
         means = [entry.mean for entry in entries]
-        delta = _delta_vs_rolling(entries, window)
+        base = baseline.get(name)
+        delta: Optional[float] = None
+        if entries[-1].run == latest_id and base is not None and base >= ZERO_BASELINE_FLOOR:
+            delta = means[-1] / base - 1.0
         rows.append(
             (
                 name,

@@ -125,10 +125,22 @@ def _positive_float(value: str) -> float:
 
 
 def _non_negative_float(value: str) -> float:
-    """argparse type of ``--max-age-hours``: a finite number >= 0."""
+    """argparse type of ``--max-age-hours`` and ``bench check --tolerance``.
+
+    A finite number >= 0: a NaN or infinite tolerance would pass any
+    slowdown, and a negative one would fail every benchmark.
+    """
     number = float(value)
     if not (math.isfinite(number) and number >= 0):
         raise argparse.ArgumentTypeError("must be a non-negative number")
+    return number
+
+
+def _port(value: str) -> int:
+    """argparse type of ``serve --port``: a TCP port, 0..65535 (0 picks one)."""
+    number = int(value)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError("must be a TCP port in 0..65535")
     return number
 
 
@@ -431,37 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_history_dir(bench_check)
     bench_check.add_argument(
-        "--tolerance", type=float, default=0.25,
+        "--tolerance", type=_non_negative_float, default=0.25,
         help="allowed fractional slowdown vs the rolling median "
-        "(default: 0.25 — the history is same-host, so tighter than the "
-        "cross-machine bench compare default)",
+        "(default: 0.25)",
     )
     bench_check.add_argument(
         "--window", type=_positive_int, default=5,
         help="rolling-baseline window: median of the last N prior entries "
         "per benchmark (default: 5)",
-    )
-
-    bench_compare_parser = bench_commands.add_parser(
-        "compare",
-        help="one-shot artifact-vs-baseline diff against a committed baseline",
-    )
-    bench_compare_parser.add_argument("artifact", type=Path)
-    bench_compare_parser.add_argument(
-        "--baseline", type=Path,
-        default=Path("benchmarks/baselines/smoke.json"),
-        help="baseline JSON (default: benchmarks/baselines/smoke.json)",
-    )
-    bench_compare_parser.add_argument("--tolerance", type=float, default=0.5)
-    bench_compare_parser.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero on regressions, vanished benchmarks or an "
-        "empty current∩baseline overlap",
-    )
-    bench_compare_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="overwrite the baseline with the artifact's means (plus git "
-        "SHA / date / rounds provenance) and exit",
     )
 
     serve = commands.add_parser(
@@ -471,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8537,
         help="TCP port (0 picks an ephemeral port)",
     )
@@ -543,7 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="topology names (default: the scale's co-design points)",
     )
-    sweep.add_argument("--basis", default="siswap")
+    sweep.add_argument(
+        "--basis",
+        default=None,
+        help="basis gate of the --topologies targets (default: siswap)",
+    )
     sweep.add_argument("--scale", choices=("small", "large"), default="small")
     sweep.add_argument(
         "--layout",
@@ -806,16 +799,21 @@ def _study_grid(args: argparse.Namespace) -> Tuple[List[str], List[int]]:
     return workloads, sizes
 
 
+def _named_target(verb: str, topology: str, basis: str, scale: str) -> Target:
+    """The named target; an unknown topology, scale or basis name is a usage error."""
+    try:
+        return Target.from_names(topology, basis, scale=scale, name=f"{topology}-{basis}")
+    except ValueError as error:
+        _usage_error(verb, error)
+
+
 def _checked_target(verb: str, topology: str, basis: str, scale: str, size: int) -> Target:
     """The named target, checked to hold a ``size``-qubit workload.
 
     Unknown topology, scale or basis names and workloads wider than the
     device are usage errors, reported before anything is compiled.
     """
-    try:
-        target = Target.from_names(topology, basis, scale=scale, name=f"{topology}-{basis}")
-    except ValueError as error:
-        _usage_error(verb, error)
+    target = _named_target(verb, topology, basis, scale)
     if size > target.num_qubits:
         _usage_error(
             verb,
@@ -838,9 +836,7 @@ def _command_qasm(args: argparse.Namespace) -> str:
 def _command_cache(args: argparse.Namespace) -> str:
     directory = args.cache_dir if args.cache_dir is not None else cache_dir_from_env()
     if directory is None:
-        raise SystemExit(
-            "repro cache: no cache directory given (use --cache-dir or REPRO_CACHE_DIR)"
-        )
+        _usage_error("cache", "no cache directory given (use --cache-dir or REPRO_CACHE_DIR)")
     if args.cache_command == "info":
         # A pure read-only scan: segment_stats never rewrites, truncates or
         # sweeps anything, so `info` is safe to run beside a live writer.
@@ -886,22 +882,7 @@ def _command_bench(args: argparse.Namespace) -> str:
         format_comparison,
         format_report,
         history_dir_from_env,
-        run_compare,
     )
-
-    if args.bench_command == "compare":
-        # The one-shot diff: run_compare owns the whole flow and its
-        # exit-code contract.
-        code = run_compare(
-            args.artifact,
-            args.baseline,
-            tolerance=args.tolerance,
-            strict=args.strict,
-            write_baseline_instead=args.write_baseline,
-        )
-        if code:
-            raise SystemExit(code)
-        return ""
 
     directory = (
         args.history_dir
@@ -966,12 +947,14 @@ def _command_sweep(args: argparse.Namespace) -> str:
     from repro.runtime.checkpoint import CheckpointMismatch
 
     if args.topologies:
+        basis = "siswap" if args.basis is None else args.basis
         targets = [
-            Target.from_names(
-                name, args.basis, scale=args.scale, name=f"{name}-{args.basis}"
-            )
-            for name in args.topologies
+            _named_target("sweep", name, basis, args.scale) for name in args.topologies
         ]
+    elif args.basis is not None:
+        _usage_error(
+            "sweep", "--basis needs --topologies (each default design point has its own basis)"
+        )
     else:
         targets = list(design_targets(args.scale).values())
     _check_grid(
@@ -1035,17 +1018,20 @@ def _command_serve(args: argparse.Namespace) -> str:
     # Imported lazily: the server pulls in asyncio machinery no other
     # command needs, and keeping it out of module import keeps `repro run`
     # startup unchanged.
-    from repro.server import run_server
+    from repro.server import ServerBindError, run_server
 
-    return run_server(
-        host=args.host,
-        port=args.port,
-        parallel=not args.serial,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        queue_size=args.queue_size,
-    )
+    try:
+        return run_server(
+            host=args.host,
+            port=args.port,
+            parallel=not args.serial,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            no_cache=args.no_cache,
+            queue_size=args.queue_size,
+        )
+    except ServerBindError as error:
+        raise SystemExit(f"repro serve: {error}") from error
 
 
 def _command_run(args: argparse.Namespace) -> str:

@@ -33,6 +33,7 @@ from repro.server.app import (
     DEFAULT_QUEUE_SIZE,
     TOKEN_ENV,
     ReproServer,
+    ServerBindError,
     ServerHandle,
     run_server,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "DEFAULT_QUEUE_SIZE",
     "TOKEN_ENV",
     "ReproServer",
+    "ServerBindError",
     "ServerHandle",
     "run_server",
     "ServeClient",

@@ -105,6 +105,15 @@ def _error_headers(error: "jobs.RequestError") -> Optional[Dict[str, str]]:
     return {"Retry-After": f"{max(1, round(retry_after))}"}
 
 
+class ServerBindError(OSError):
+    """The server could not listen on its host and port.
+
+    Raised by :meth:`ReproServer.start` for a bind failure only (an
+    unresolvable host, a port in use), after the runner is closed, so
+    ``repro serve`` can tell it apart from an ``OSError`` while serving.
+    """
+
+
 def _warm_task(index: int) -> int:
     """No-op pool task (module-level so it pickles to worker processes)."""
     return index
@@ -214,7 +223,10 @@ class ReproServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self, warmup: bool = True) -> None:
-        """Bind the socket, start the dispatcher, optionally warm the pool."""
+        """Bind the socket, start the dispatcher, optionally warm the pool.
+
+        A bind failure closes the runner and raises :class:`ServerBindError`.
+        """
         if warmup and self._runner.parallel:
             # Spawn the worker processes (and run their interpreter imports)
             # before the socket opens, so no request ever touches the runner
@@ -225,9 +237,15 @@ class ReproServer:
         self._queue = asyncio.Queue(maxsize=self._queue_size)
         self._stopped = asyncio.Event()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self._host, self._requested_port
+            )
+        except OSError as error:
+            await self.shutdown()
+            raise ServerBindError(
+                f"cannot listen on {self._host}:{self._requested_port}: {error}"
+            ) from error
         self._started_monotonic = time.monotonic()
         self._started_wall = time.time()
 

@@ -9,7 +9,6 @@ import pytest
 from repro.bench import (
     MalformedArtifactError,
     current_git_sha,
-    load_means,
     read_artifact,
 )
 
@@ -17,7 +16,7 @@ from repro.bench import (
 class TestLoadMeans:
     def test_round_trip(self, make_artifact):
         path = make_artifact({"test_a": 0.5, "test_b": 0.125})
-        assert load_means(path) == {"test_a": 0.5, "test_b": 0.125}
+        assert read_artifact(path).means == {"test_a": 0.5, "test_b": 0.125}
 
     def test_rounds_captured(self, make_artifact):
         path = make_artifact({"test_a": 0.5}, rounds={"test_a": 7})
@@ -26,7 +25,7 @@ class TestLoadMeans:
         assert len(artifact) == 1
 
     def test_empty_benchmarks_is_not_an_error(self, make_artifact):
-        assert load_means(make_artifact({})) == {}
+        assert read_artifact(make_artifact({})).means == {}
 
 
 class TestMalformedArtifacts:
@@ -46,52 +45,52 @@ class TestMalformedArtifacts:
             ]},
         )
         with pytest.raises(MalformedArtifactError, match=r"entry #1.*test_broken.*stats\.mean"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_missing_stats(self, tmp_path):
         path = self._write(tmp_path, {"benchmarks": [{"name": "test_x"}]})
         with pytest.raises(MalformedArtifactError, match="'stats'"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_missing_name(self, tmp_path):
         path = self._write(tmp_path, {"benchmarks": [{"stats": {"mean": 1.0}}]})
         with pytest.raises(MalformedArtifactError, match="entry #0"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_non_numeric_mean(self, tmp_path):
         path = self._write(
             tmp_path, {"benchmarks": [{"name": "test_x", "stats": {"mean": "fast"}}]}
         )
         with pytest.raises(MalformedArtifactError, match="non-numeric"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_nan_mean_rejected(self, tmp_path):
         path = tmp_path / "BENCH_nan.json"
         path.write_text('{"benchmarks": [{"name": "test_x", "stats": {"mean": NaN}}]}')
         with pytest.raises(MalformedArtifactError, match="finite"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_negative_mean_rejected(self, tmp_path):
         path = self._write(
             tmp_path, {"benchmarks": [{"name": "test_x", "stats": {"mean": -1.0}}]}
         )
         with pytest.raises(MalformedArtifactError, match="non-negative"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "BENCH_torn.json"
         path.write_text('{"benchmarks": [')
         with pytest.raises(MalformedArtifactError, match="invalid JSON"):
-            load_means(path)
+            read_artifact(path).means
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedArtifactError, match="unreadable"):
-            load_means(tmp_path / "nope.json")
+            read_artifact(tmp_path / "nope.json").means
 
     def test_benchmarks_not_a_list(self, tmp_path):
         path = self._write(tmp_path, {"benchmarks": {"test_x": 1.0}})
         with pytest.raises(MalformedArtifactError, match="must be a list"):
-            load_means(path)
+            read_artifact(path).means
 
 
 class TestProvenance:
@@ -112,11 +111,6 @@ class TestProvenance:
         meta = read_artifact(path).meta
         assert meta.git_sha == "injected-sha"
         assert meta.host == "lab"
-
-    def test_describe_marks_unknown_fields(self, make_artifact):
-        path = make_artifact({"test_a": 0.5}, host=None, datetime=None)
-        described = read_artifact(path).meta.describe()
-        assert "sha=unknown" in described and "host=unknown" in described
 
     def test_current_git_sha_in_this_repo(self):
         sha = current_git_sha()

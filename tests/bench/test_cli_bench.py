@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench import BenchHistory, read_artifact, sparkline, write_baseline
+from repro.bench import BenchHistory, sparkline
 from repro.cli import main
 
 
@@ -92,6 +90,30 @@ class TestReport:
         assert "| a | 2 |" in out
         assert "+100.0%" in out
 
+    def test_delta_is_against_the_gated_baseline(self, make_artifact, tmp_path, capsys):
+        """Δ is n/a wherever `bench check` compares nothing: gone or zero baseline."""
+        hist = tmp_path / "hist"
+        self._record(
+            [
+                {"a": 1.0, "b": 1.0, "c": 1e-12},
+                {"a": 1.0, "b": 2.0, "c": 1e-12},
+                {"a": 1.0, "c": 1.0},
+            ],
+            make_artifact,
+            hist,
+        )
+        capsys.readouterr()
+        assert main(["bench", "report", "--markdown", "--history-dir", str(hist)]) == 0
+        rows = {
+            line.split(" | ")[0][2:]: line.split(" | ")[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| ") and not line.startswith("| benchmark")
+        }
+        assert rows == {"a": "+0.0% |", "b": "n/a |", "c": "n/a |"}
+        gone = r"missing from the current run \(deleted or renamed\): b$"
+        with pytest.warns(RuntimeWarning, match=": c$"), pytest.raises(SystemExit, match=gone):
+            main(["bench", "check", "--history-dir", str(hist)])
+
     def test_sparkline_shapes(self):
         assert sparkline([]) == ""
         assert sparkline([1.0, 1.0, 1.0]) == "▄▄▄"
@@ -148,70 +170,52 @@ class TestCheck:
         with pytest.raises(SystemExit, match="missing from the current run"):
             main(["bench", "check", "--history-dir", str(hist)])
 
+    def test_check_fails_when_every_benchmark_was_renamed(self, make_artifact, tmp_path, capsys):
+        hist = tmp_path / "hist"
+        for means in ({"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 1.0}, {"y": 1.0, "z": 1.0}):
+            main(["bench", "record", str(make_artifact(means)), "--history-dir", str(hist)])
+        capsys.readouterr()
+        assert _exit_status(["bench", "check", "--history-dir", str(hist)]) == 1
+        assert "the comparison is vacuous" in capsys.readouterr().out
 
-def _compare_exit(argv):
-    """Exit code of ``repro bench compare`` (it raises SystemExit on failure)."""
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_tolerance_that_switches_the_gate_off_is_a_usage_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "check", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro bench check: error: argument --tolerance: must be a non-negative number"
+        )
+
+
+def _exit_status(argv) -> int:
+    """The exit status of ``repro`` on ``argv``; a message-carrying exit prints it, status 1."""
     try:
-        return main(["bench", "compare", *argv])
+        return main(argv)
     except SystemExit as error:
+        if isinstance(error.code, str):
+            print(error.code)
+            return 1
         return error.code
 
 
-class TestCompareVerb:
-    def test_strict_regression_exit(self, make_artifact, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, read_artifact(make_artifact({"a": 1.0})))
-        artifact = make_artifact({"a": 5.0}, name="BENCH_slow.json")
-        assert _compare_exit([str(artifact), "--baseline", str(baseline)]) == 0
-        assert _compare_exit([str(artifact), "--baseline", str(baseline), "--strict"]) == 1
+class TestCompareRecipe:
+    """`record BASE`, `record NEW`, `check --window 1` replaces the removed one-shot diff."""
 
-    def test_strict_gone_and_empty_overlap_exit(self, make_artifact, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(
-            baseline, read_artifact(make_artifact({"a": 1.0, "b": 1.0}))
-        )
-        gone = make_artifact({"a": 1.0}, name="BENCH_gone.json")
-        assert _compare_exit([str(gone), "--baseline", str(baseline), "--strict"]) == 1
-        renamed = make_artifact({"z": 1.0}, name="BENCH_renamed.json")
-        assert _compare_exit([str(renamed), "--baseline", str(baseline), "--strict"]) == 1
-
-    def test_write_baseline_then_self_compare_clean(self, make_artifact, tmp_path):
-        artifact = make_artifact({"a": 1.0, "b": 0.25}, rounds={"a": 3, "b": 5})
-        baseline = tmp_path / "self.json"
-        assert _compare_exit(
-            [str(artifact), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["meta"]["total_rounds"] == 8
-        assert _compare_exit(
-            [str(artifact), "--baseline", str(baseline), "--strict", "--tolerance", "0.01"]
-        ) == 0
-
-    def test_compare_shares_the_script_flow(self, make_artifact, tmp_path, capsys):
-        artifact = make_artifact({"a": 1.0}, sha="abc")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["bench", "compare", str(artifact), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        assert json.loads(baseline.read_text())["meta"]["git_sha"] == "abc"
-        capsys.readouterr()
-        assert main(["bench", "compare", str(artifact), "--baseline", str(baseline)]) == 0
-        assert "baseline provenance: sha=abc" in capsys.readouterr().out
-
-        slow = make_artifact({"a": 9.0}, name="BENCH_slow.json")
-        assert main(["bench", "compare", str(slow), "--baseline", str(baseline)]) == 0
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "compare", str(slow), "--baseline", str(baseline), "--strict"])
-        assert excinfo.value.code == 1
-
-
-class TestCommittedBaseline:
-    def test_committed_smoke_baseline_loads_with_meta(self):
-        from pathlib import Path
-
-        from repro.bench import read_baseline
-
-        path = Path(__file__).resolve().parents[2] / "benchmarks/baselines/smoke.json"
-        means, meta = read_baseline(path)
-        assert len(means) >= 10
-        assert meta.source  # legacy import block present
+    @pytest.mark.parametrize(
+        "new, status",
+        [
+            ({"a": 1.0, "b": 1.0}, 0),  # unchanged
+            ({"a": 5.0, "b": 1.0}, 1),  # one benchmark 5x slower
+            ({"a": 1.0}, 1),  # one benchmark gone
+            ({"y": 1.0, "z": 1.0}, 1),  # every benchmark renamed
+        ],
+    )
+    def test_recipe_verdicts(self, make_artifact, tmp_path, new, status):
+        hist = str(tmp_path / "scratch-history")
+        base = make_artifact({"a": 1.0, "b": 1.0}, name="BENCH_base.json")
+        current = make_artifact(new, name="BENCH_new.json")
+        assert main(["bench", "record", str(base), "--history-dir", hist]) == 0
+        assert main(["bench", "record", str(current), "--history-dir", hist]) == 0
+        argv = ["bench", "check", "--window", "1", "--tolerance", "0.5", "--history-dir", hist]
+        assert _exit_status(argv) == status

@@ -150,12 +150,15 @@ class TestUsageErrors:
             ["run", "GHZ", "8", "--topology", "NoSuchTopo"],
             ["run", "GHZ", "8", "--topology", "Corral1,1", "--scale", "large"],
             ["qasm", "GHZ", "8", "--transpile-to", "NoSuchTopo"],
+            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--topologies", "Tree", "NoSuchTopo"],
         ],
     )
-    def test_unknown_topology(self, capsys, argv):
+    def test_unknown_topology(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
         line = self._usage_error(capsys, argv)
         assert line.startswith(f"repro {argv[0]}: unknown topology ")
         assert "available:" in line
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -171,9 +174,30 @@ class TestUsageErrors:
             "which has 16 qubits at scale 'small'"
         )
 
-    def test_unknown_basis(self, capsys):
-        line = self._usage_error(capsys, ["run", "GHZ", "8", "--basis", "nosuch"])
-        assert line == "repro run: unknown basis gate 'nosuch'"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "GHZ", "8", "--basis", "nosuch"], "unknown basis gate 'nosuch'"),
+            (
+                ["sweep", "--checkpoint-dir", "CHECKPOINT", "--topologies", "Tree",
+                 "--basis", "nosuch"],
+                "unknown basis gate 'nosuch'",
+            ),
+            # Without --topologies the design points fix the basis, so a
+            # --basis of any name would be ignored.
+            *[
+                (
+                    ["sweep", "--checkpoint-dir", "CHECKPOINT", "--basis", basis],
+                    "--basis needs --topologies (each default design point has its own basis)",
+                )
+                for basis in ("nosuch", "cx")
+            ],
+        ],
+    )
+    def test_unknown_basis(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+        assert self._usage_error(capsys, argv) == f"repro {argv[0]}: {message}"
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -303,6 +327,17 @@ class TestUsageErrors:
         assert line == f"repro cache gc: error: argument {option}: {message}"
         assert PersistentResultCache(tmp_path).disk_entries() == 2
 
+    @pytest.mark.parametrize("verb", ["info", "gc", "verify"])
+    def test_cache_without_a_directory(self, capsys, monkeypatch, verb):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        line = self._usage_error(capsys, ["cache", verb])
+        assert line == "repro cache: no cache directory given (use --cache-dir or REPRO_CACHE_DIR)"
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_serve_port_out_of_range(self, capsys, port):
+        line = self._argparse_error(capsys, ["serve", "--port", port])
+        assert line == "repro serve: error: argument --port: must be a TCP port in 0..65535"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -383,3 +418,54 @@ class TestUsageErrors:
         sizes = list(default_sizes("small"))
         assert studied == {"workloads": list(PAPER_WORKLOADS), "sizes": sizes}
         assert built == [(workload, min(sizes)) for workload in PAPER_WORKLOADS]
+
+
+class TestServeBindFailure:
+    """A server that cannot listen exits 1 with one line; serving errors still raise."""
+
+    def _exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return excinfo.value.code
+
+    def test_port_in_use(self, capsys):
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            code = self._exit(
+                capsys, ["serve", "--serial", "--no-cache", "--port", str(port)]
+            )
+        assert code.startswith(f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+        assert len(code.splitlines()) == 1
+
+    def test_unresolvable_host(self, capsys, monkeypatch):
+        import asyncio
+        import socket
+
+        async def unresolvable(*args, **kwargs):
+            raise socket.gaierror(-2, "Name or service not known")
+
+        monkeypatch.setattr(asyncio, "start_server", unresolvable)
+        code = self._exit(
+            capsys, ["serve", "--serial", "--no-cache", "--host", "no-such-host", "--port", "0"]
+        )
+        assert code == (
+            "repro serve: cannot listen on no-such-host:0: [Errno -2] Name or service not known"
+        )
+
+    def test_error_while_serving_is_not_a_bind_failure(self, monkeypatch):
+        from repro.server import ReproServer
+
+        async def fail_while_serving(server):
+            await server.shutdown()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ReproServer, "serve_forever", fail_while_serving)
+        # --port 0 (an ephemeral port, as perfbench's serve-mixed uses) binds.
+        with pytest.raises(OSError, match="^disk full$"):
+            main(["serve", "--serial", "--no-cache", "--port", "0"])
