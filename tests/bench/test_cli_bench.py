@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.bench import BenchHistory, sparkline
@@ -176,7 +178,7 @@ class TestCheck:
             main(["bench", "record", str(make_artifact(means)), "--history-dir", str(hist)])
         capsys.readouterr()
         assert _exit_status(["bench", "check", "--history-dir", str(hist)]) == 1
-        assert "the comparison is vacuous" in capsys.readouterr().out
+        assert "the comparison is vacuous" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
     def test_tolerance_that_switches_the_gate_off_is_a_usage_error(self, capsys, tolerance):
@@ -189,12 +191,16 @@ class TestCheck:
 
 
 def _exit_status(argv) -> int:
-    """The exit status of ``repro`` on ``argv``; a message-carrying exit prints it, status 1."""
+    """The exit status of ``repro`` on ``argv``.
+
+    Like the interpreter, a ``SystemExit`` carrying a message prints it
+    to standard error and exits 1.
+    """
     try:
         return main(argv)
     except SystemExit as error:
         if isinstance(error.code, str):
-            print(error.code)
+            print(error.code, file=sys.stderr)
             return 1
         return error.code
 
