@@ -19,14 +19,13 @@ Gate rules (all pinned by ``tests/bench/``):
 Zero-mean baselines are a trap: ``current / max(baseline, 1e-12)``
 turns any genuinely-zero (or denormal-tiny) baseline entry into a
 guaranteed astronomic "regression" on every later run.  Entries whose
-baseline mean is below :data:`ZERO_BASELINE_FLOOR` are skipped with an
-explicit warning instead of being compared.
+baseline mean is below :data:`ZERO_BASELINE_FLOOR` are skipped, and named
+on one ``WARNING:`` line of the report, instead of being compared.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -101,8 +100,9 @@ def compare(
     benchmark, so both raise :class:`ValueError`.
 
     Baseline entries with a mean below :data:`ZERO_BASELINE_FLOOR` are
-    collected into ``skipped_zero_baseline`` (and a ``RuntimeWarning``
-    is emitted) instead of producing a division-driven fake regression.
+    collected into ``skipped_zero_baseline`` (which
+    :func:`format_comparison` reports) instead of producing a
+    division-driven fake regression.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
@@ -124,13 +124,6 @@ def compare(
             result.steady.append(row)
     result.new = sorted(set(current) - set(baseline))
     result.gone = sorted(set(baseline) - set(current))
-    if result.skipped_zero_baseline:
-        warnings.warn(
-            "zero/near-zero baseline mean(s) skipped (unusable as a ratio "
-            "denominator): " + ", ".join(result.skipped_zero_baseline),
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return result
 
 

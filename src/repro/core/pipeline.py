@@ -131,6 +131,43 @@ def sweep_grid(
     ]
 
 
+def point_label(point: tuple) -> str:
+    """The ``W-N on T`` status label of one :func:`run_point` argument tuple."""
+    workload, num_qubits, target = point[:3]
+    return f"{workload}-{num_qubits} on {target.name}"
+
+
+def map_points(
+    points: Sequence[tuple],
+    runner: Optional["ExperimentRunner"] = None,
+    progress: Optional[callable] = None,
+) -> List[Optional[TranspileMetrics]]:
+    """Run :func:`run_point` over argument tuples, returning records in order.
+
+    The one place a compilation point becomes a runner task: CLI sweeps,
+    checkpointed shards, seed sweeps and server requests all dispatch
+    through here, keyed by :func:`~repro.runtime.cache.point_cache_key`
+    when the runner caches, so identical points share cache records.
+    ``progress`` receives the :func:`point_label` of every point the
+    runner dispatches, before it compiles (cache hits are not announced).
+    ``runner=None`` runs serially, uncached.  A point quarantined by the
+    runner's failure policy yields ``None``.
+    """
+    if runner is None:
+        # Imported lazily so the core layer has no import-time dependency
+        # on the runtime package (which itself builds on core).
+        from repro.runtime.runner import serial_runner
+
+        runner = serial_runner()
+    keys = None
+    if runner.result_cache is not None:
+        from repro.runtime.cache import point_cache_key
+
+        keys = [point_cache_key(*point) for point in points]
+    labels = [point_label(point) for point in points]
+    return runner.map(run_point, points, keys=keys, labels=labels, progress=progress)
+
+
 def run_sweep(
     workloads: Sequence[str],
     sizes: Sequence[int],
@@ -161,35 +198,15 @@ def run_sweep(
             and/or result caching) with ordered collection, so the returned
             records are identical to the serial loop's.
     """
-    points = sweep_grid(list(workloads), list(sizes), list(targets))
-    labels = [f"{w}-{s} on {t.name}" for w, s, t in points]
-    if runner is None:
-        # Imported lazily so the core layer has no import-time dependency
-        # on the runtime package (which itself builds on core).
-        from repro.runtime.runner import serial_runner
-
-        runner = serial_runner()
-    tasks = [
-        (workload, size, target, seed, layout_method, routing_method, optimization_level)
-        for workload, size, target in points
-    ]
-    keys = None
-    if runner.result_cache is not None:
-        from repro.runtime.cache import point_cache_key
-
-        keys = [
-            point_cache_key(
-                w, s, t, seed, layout_method, routing_method, optimization_level
-            )
-            for w, s, t in points
-        ]
+    options = (seed, layout_method, routing_method, optimization_level)
+    grid = sweep_grid(list(workloads), list(sizes), list(targets))
+    points = [(*cell, *options) for cell in grid]
     result = SweepResult()
-    records = runner.map(run_point, tasks, keys=keys, labels=labels, progress=progress)
-    for label, record in zip(labels, records):
+    for point, record in zip(points, map_points(points, runner, progress)):
         if record is None:
             # Quarantined under the runner's failure policy: the sweep
             # completes without the point instead of dying with it.
-            result.failed_points.append({"label": label})
+            result.failed_points.append({"label": point_label(point)})
         else:
             result.add(record)
     return result
@@ -278,16 +295,9 @@ def run_sweep_sharded(
     targets = list(targets)
     workloads = list(workloads)
     sizes = list(sizes)
-    points = sweep_grid(workloads, sizes, targets)
-    digest = sweep_spec_digest(
-        workloads,
-        sizes,
-        targets,
-        seed,
-        layout_method,
-        routing_method,
-        optimization_level,
-    )
+    options = (seed, layout_method, routing_method, optimization_level)
+    points = [(*cell, *options) for cell in sweep_grid(workloads, sizes, targets)]
+    digest = sweep_spec_digest(workloads, sizes, targets, *options)
     checkpoint = SweepCheckpoint(checkpoint_dir)
     if not resume and checkpoint.exists():
         raise CheckpointMismatch(
@@ -298,28 +308,11 @@ def run_sweep_sharded(
     shard_points = checkpoint.manifest["shard_points"]
 
     if runner is None:
+        # One runner for every shard: fault plans schedule against its
+        # dispatch ordinals, which must not restart per shard.
         from repro.runtime.runner import serial_runner
 
         runner = serial_runner()
-    def _map_points(chunk_points):
-        labels = [f"{w}-{s} on {t.name}" for w, s, t in chunk_points]
-        tasks = [
-            (w, s, t, seed, layout_method, routing_method, optimization_level)
-            for w, s, t in chunk_points
-        ]
-        keys = None
-        if runner.result_cache is not None:
-            from repro.runtime.cache import point_cache_key
-
-            keys = [
-                point_cache_key(
-                    w, s, t, seed, layout_method, routing_method, optimization_level
-                )
-                for w, s, t in chunk_points
-            ]
-        return runner.map(
-            run_point, tasks, keys=keys, labels=labels, progress=progress
-        )
 
     completed = checkpoint.completed_shards() if resume else set()
     result = SweepResult()
@@ -334,7 +327,7 @@ def run_sweep_sharded(
         status = "restored"
         if records is None:
             status = "computed"
-            records = _map_points(chunk)
+            records = map_points(chunk, runner, progress)
             checkpoint.store_shard(index, records)
         elif any(record is None for record in records):
             # A restored shard with quarantined holes: the successful
@@ -342,7 +335,7 @@ def run_sweep_sharded(
             # are retried.
             status = "retried"
             holes = [pos for pos, record in enumerate(records) if record is None]
-            retried = _map_points([chunk[pos] for pos in holes])
+            retried = map_points([chunk[pos] for pos in holes], runner, progress)
             for pos, record in zip(holes, retried):
                 records[pos] = record
             checkpoint.store_shard(index, records)
@@ -350,7 +343,7 @@ def run_sweep_sharded(
             failures = {
                 base + pos: {
                     "shard": index,
-                    "label": f"{chunk[pos][0]}-{chunk[pos][1]} on {chunk[pos][2].name}",
+                    "label": point_label(chunk[pos]),
                     "reason": "quarantined by the failure policy",
                 }
                 for pos, record in enumerate(records)
@@ -363,7 +356,7 @@ def run_sweep_sharded(
                     {
                         "point": base + pos,
                         "shard": index,
-                        "label": f"{chunk[pos][0]}-{chunk[pos][1]} on {chunk[pos][2].name}",
+                        "label": point_label(chunk[pos]),
                     }
                 )
             else:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.pipeline import run_point
+from repro.core.pipeline import map_points, run_point
 from repro.transpiler.target import Target
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,19 +74,16 @@ def seed_sweep(
     """Run one design point over many seeds and summarise each metric.
 
     Seeds are independent trials, so ``runner`` fans them out over worker
-    processes with identical summaries.
+    processes with identical summaries, and its result cache serves the
+    seeds it has already compiled.
     """
     if not seeds:
         raise ValueError("seed_sweep needs at least one seed")
-    tasks = [
+    points = [
         (workload, num_qubits, backend, int(seed), layout_method, routing_method)
         for seed in seeds
     ]
-    if runner is None:
-        from repro.runtime.runner import serial_runner
-
-        runner = serial_runner()
-    records = runner.map(run_point, tasks, labels=[f"seed {seed}" for seed in seeds])
+    records = map_points(points, runner)
     values: Dict[str, List[float]] = {metric: [] for metric in metrics}
     for record in records:
         data = record.as_dict()

@@ -7,7 +7,10 @@ submission order* (so parallel and serial runs produce identical outputs),
 consults an optional result cache before dispatching, and falls back to an
 inline serial loop whenever parallelism is disabled, unavailable (no
 ``fork``/semaphores in restricted sandboxes) or pointless (one task, one
-worker).
+worker).  Library calls take their runner from the caller and never build
+a pool or read a cache directory themselves.  Compilation points reach it
+through :func:`repro.core.pipeline.map_points`, which makes their tasks,
+cache keys and labels; a progress callback is passed per ``map`` call.
 
 Determinism contract: a task function must depend only on its arguments —
 every driver in :mod:`repro.experiments` passes explicit seeds (the
@@ -381,7 +384,6 @@ class ExperimentRunner:
             (e.g. :class:`repro.runtime.cache.ResultCache`) consulted per
             task when the caller supplies cache keys; ``None`` disables
             caching.
-        progress: optional callable invoked with a status string per task.
         failure_policy: retry/timeout/quarantine behaviour for the
             parallel path (default :class:`FailurePolicy`, which matches
             the historical semantics except that a broken pool now
@@ -400,7 +402,6 @@ class ExperimentRunner:
         parallel: Optional[bool] = None,
         max_workers: Optional[int] = None,
         result_cache: Optional[Any] = None,
-        progress: Optional[Callable[[str], None]] = None,
         failure_policy: Optional[FailurePolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         start_method: Optional[str] = None,
@@ -412,7 +413,6 @@ class ExperimentRunner:
         if self._max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self._result_cache = result_cache
-        self._progress = progress
         self._failure_policy = (
             FailurePolicy() if failure_policy is None else failure_policy
         )
@@ -563,8 +563,9 @@ class ExperimentRunner:
             keys: optional cache keys aligned with ``tasks``; tasks whose
                 key hits the attached result cache are not dispatched.
             labels: optional status strings aligned with ``tasks``,
-                forwarded to the progress callback.
-            progress: per-call progress callback overriding the runner's.
+                forwarded to ``progress``.
+            progress: optional callable invoked with each dispatched
+                task's label, before the task runs.
 
         Returns:
             One result per task, in task order, mixing cached and computed
@@ -573,7 +574,6 @@ class ExperimentRunner:
             :attr:`fault_stats`).
         """
         tasks = list(tasks)
-        progress = progress if progress is not None else self._progress
         if keys is not None and len(keys) != len(tasks):
             raise ValueError("keys must align one-to-one with tasks")
         if labels is not None and len(labels) != len(tasks):
@@ -1081,11 +1081,6 @@ class ExperimentRunner:
         return results
 
 
-def serial_runner(
-    result_cache: Optional[Any] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ExperimentRunner:
+def serial_runner(result_cache: Optional[Any] = None) -> ExperimentRunner:
     """An explicitly serial runner (optionally caching), for fallbacks."""
-    return ExperimentRunner(
-        parallel=False, max_workers=1, result_cache=result_cache, progress=progress
-    )
+    return ExperimentRunner(parallel=False, max_workers=1, result_cache=result_cache)

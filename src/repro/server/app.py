@@ -51,6 +51,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.runtime.disk_cache import PersistentResultCache, resolve_result_cache
 from repro.runtime.runner import ExperimentRunner
 from repro.server import jobs
+from repro.workloads.registry import WorkloadWidthError
 
 #: Default TCP port (chosen once, documented in docs/api.md).
 DEFAULT_PORT = 8537
@@ -594,6 +595,9 @@ class ReproServer:
             ) from None
         except Exception as error:
             self._jobs_failed += 1
+            if isinstance(error, WorkloadWidthError):
+                # Bad input that only the workload builder can judge.
+                raise jobs.RequestError(str(error)) from None
             raise jobs.RequestError(
                 f"transpile failed: {type(error).__name__}: {error}", status=500
             ) from None
@@ -634,7 +638,7 @@ class ReproServer:
                         request, checkpoint_dir, self._runner, _emit
                     )
                 return jobs.run_sweep_job(
-                    request.specs, request.chunk_size, self._runner, _emit
+                    request.points, request.chunk_size, self._runner, _emit
                 )
             except Exception as error:
                 _emit({"type": "error", "error": f"{type(error).__name__}: {error}"})
@@ -748,6 +752,7 @@ class ServerHandle:
         self._server = ReproServer(**kwargs)
         self._warmup = warmup
         self._ready = threading.Event()
+        self._start_error: Optional[Exception] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -756,15 +761,27 @@ class ServerHandle:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        await self._server.start(warmup=self._warmup)
-        self._ready.set()
+        try:
+            await self._server.start(warmup=self._warmup)
+        except Exception as error:
+            # Handed to start(), which re-raises it in the caller's thread.
+            self._start_error = error
+            return
+        finally:
+            self._ready.set()
         await self._server.serve_forever()
 
     def start(self, timeout: float = 30.0) -> "ServerHandle":
-        """Launch the thread and wait for the socket to be bound."""
+        """Launch the thread and wait for the socket to be bound.
+
+        A start failure (e.g. :class:`ServerBindError`) is re-raised here
+        as soon as it happens.
+        """
         self._thread.start()
         if not self._ready.wait(timeout):
             raise RuntimeError("server failed to start within timeout")
+        if self._start_error is not None:
+            raise self._start_error
         return self
 
     @property

@@ -2,7 +2,8 @@
 
 The HTTP layer in :mod:`repro.server.app` stays protocol-only; everything
 that understands *compilation* lives here: parsing JSON request payloads
-into validated :class:`PointSpec` grids, executing them through the
+into validated :class:`PointSpec` points and :class:`SweepRequest` grids,
+executing them through :func:`repro.core.pipeline.map_points` on the
 server's resident :class:`~repro.runtime.runner.ExperimentRunner` (so the
 warm process pool and the shared result cache are reused across
 requests), and snapshotting per-request
@@ -19,11 +20,10 @@ from __future__ import annotations
 import functools
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.pipeline import run_point, run_sweep_sharded
-from repro.runtime.cache import point_cache_key
+from repro.core.pipeline import map_points, point_label, run_sweep_sharded, sweep_grid
 from repro.transpiler.compile import available_levels
 from repro.transpiler.registry import available_passes
 from repro.transpiler.target import Target
@@ -87,6 +87,65 @@ def pop_deadline(payload: Any) -> Optional[float]:
     return deadline
 
 
+def _workload(name: Any) -> str:
+    """A registered workload name (raising 400 otherwise)."""
+    _require(
+        name in available_workloads(),
+        f"unknown workload {name!r}; available: {available_workloads()}",
+    )
+    return name
+
+
+def _size(value: Any) -> int:
+    """A circuit width: an integer of at least 1."""
+    size = _as_int(value, "size")
+    _require(size >= 1, "'size' must be at least 1")
+    return size
+
+
+def _options(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The :class:`PointSpec` options a grid's points share (seed >= 0, as on the CLI)."""
+    level = _as_int(payload.get("level", 1), "level")
+    _require(
+        level in available_levels(),
+        f"unknown optimization level {level}; available: {available_levels()}",
+    )
+    scale = payload.get("scale", "small")
+    _require(scale in ("small", "large"), "'scale' must be 'small' or 'large'")
+    for stage in ("layout", "routing"):
+        name = payload.get(stage)
+        if name is not None:
+            _require(
+                name in available_passes(stage),
+                f"unknown {stage} pass {name!r}; available: {available_passes(stage)}",
+            )
+    seed = _as_int(payload.get("seed", 0), "seed")
+    _require(seed >= 0, "'seed' must be non-negative")
+    return {
+        "scale": scale,
+        "optimization_level": level,
+        "layout": payload.get("layout"),
+        "routing": payload.get("routing"),
+        "seed": seed,
+    }
+
+
+@functools.lru_cache(maxsize=256)
+def _resolve_target(topology: str, basis: str, scale: str) -> Target:
+    """Build (once) the target named by registry strings (400 on a bad name).
+
+    Resolution is memoized per ``(topology, basis, scale)``: building a
+    target constructs the topology graph and its distance structures,
+    which would otherwise dominate fully cached requests.  Targets are
+    treated as read-only by the pipeline, so sharing one instance across
+    requests is safe (the single dispatcher serializes jobs).
+    """
+    try:
+        return Target.from_names(topology, basis, scale=scale, name=f"{topology}-{basis}")
+    except (ValueError, KeyError) as error:
+        raise RequestError(str(error)) from None
+
+
 @dataclass(frozen=True)
 class PointSpec:
     """One validated compilation point of a ``/v1/transpile`` request.
@@ -125,59 +184,29 @@ class PointSpec:
         _require(not unknown, f"unknown point fields: {unknown}")
         _require("workload" in payload, "point is missing 'workload'")
         _require("size" in payload, "point is missing 'size'")
-        workload = payload["workload"]
-        _require(
-            workload in available_workloads(),
-            f"unknown workload {workload!r}; available: {available_workloads()}",
-        )
-        level = _as_int(payload.get("level", 1), "level")
-        _require(
-            level in available_levels(),
-            f"unknown optimization level {level}; available: {available_levels()}",
-        )
-        scale = payload.get("scale", "small")
-        _require(scale in ("small", "large"), "'scale' must be 'small' or 'large'")
-        for stage in ("layout", "routing"):
-            name = payload.get(stage)
-            if name is not None:
-                _require(
-                    name in available_passes(stage),
-                    f"unknown {stage} pass {name!r}; "
-                    f"available: {available_passes(stage)}",
-                )
-        size = _as_int(payload["size"], "size")
-        _require(size >= 1, "'size' must be at least 1")
         return cls(
-            workload=workload,
-            size=size,
+            workload=_workload(payload["workload"]),
+            size=_size(payload["size"]),
             topology=str(payload.get("topology", "Corral1,1")),
             basis=str(payload.get("basis", "siswap")),
-            scale=scale,
-            optimization_level=level,
-            layout=payload.get("layout"),
-            routing=payload.get("routing"),
-            seed=_as_int(payload.get("seed", 0), "seed"),
+            **_options(payload),
         )
 
     def resolve_target(self) -> Target:
-        """The design point this spec names (raising 400 on a bad name).
+        """The design point this spec names (raising 400 on a bad name)."""
+        return _resolve_target(self.topology, self.basis, self.scale)
 
-        Resolution is memoized per ``(topology, basis, scale)``: building a
-        target constructs the topology graph and its distance structures,
-        which would otherwise dominate fully cached requests.  Targets are
-        treated as read-only by the pipeline, so sharing one instance
-        across requests is safe (the single dispatcher serializes jobs).
-        """
-        try:
-            return _resolve_target(self.topology, self.basis, self.scale)
-        except (ValueError, KeyError) as error:
-            raise RequestError(str(error)) from None
-
-
-@functools.lru_cache(maxsize=256)
-def _resolve_target(topology: str, basis: str, scale: str) -> Target:
-    """Build (once) the target named by registry strings."""
-    return Target.from_names(topology, basis, scale=scale, name=f"{topology}-{basis}")
+    def point(self) -> tuple:
+        """This spec as :func:`~repro.core.pipeline.run_point` arguments."""
+        return (
+            self.workload,
+            self.size,
+            self.resolve_target(),
+            self.seed,
+            self.layout,
+            self.routing,
+            self.optimization_level,
+        )
 
 
 def parse_transpile_request(payload: Any) -> List[PointSpec]:
@@ -194,9 +223,16 @@ def parse_transpile_request(payload: Any) -> List[PointSpec]:
     else:
         specs = [PointSpec.from_payload(payload)]
     for spec in specs:
-        # Resolve eagerly so a bad topology/basis name is a 400 at parse
-        # time, not a 500 once the job is already on the queue.
-        spec.resolve_target()
+        # A bad name or a width the device cannot hold is a 400 now, not a
+        # 500 from the queue.  Parsing runs on the event loop, so nothing is
+        # built: a width the builder rejects is a 400 when the job raises.
+        target = spec.resolve_target()
+        _require(
+            spec.size <= target.num_qubits,
+            f"a {spec.size}-qubit workload does not fit topology "
+            f"{spec.topology!r}, which has {target.num_qubits} qubits at "
+            f"scale {spec.scale!r}",
+        )
     return specs
 
 
@@ -209,24 +245,29 @@ _RUN_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 class SweepRequest:
     """One validated ``/v1/sweep`` request.
 
-    ``specs`` is the flattened point grid in canonical order; the raw
-    components (``workloads``/``sizes``/``targets`` plus the shared
-    transpiler configuration) are kept alongside because the checkpointed
-    execution path (``run_id`` set) drives
-    :func:`repro.core.pipeline.run_sweep_sharded` from them directly.
+    The grid is kept in one form, ``workloads x sizes x targets`` plus the
+    options every point shares: :attr:`points` expands it through
+    :func:`repro.core.pipeline.sweep_grid`, and the checkpointed path
+    (``run_id`` set) hands it to :func:`repro.core.pipeline.run_sweep_sharded`.
     """
 
-    specs: List[PointSpec]
+    workloads: List[str]
+    sizes: List[int]
+    targets: List[Target]
     chunk_size: int
     run_id: Optional[str] = None
     shard_points: Optional[int] = None
-    workloads: List[str] = field(default_factory=list)
-    sizes: List[int] = field(default_factory=list)
-    targets: List[Target] = field(default_factory=list)
-    level: int = 1
+    optimization_level: int = 1
     layout: Optional[str] = None
     routing: Optional[str] = None
     seed: int = 0
+
+    @property
+    def points(self) -> List[tuple]:
+        """The grid's :func:`~repro.core.pipeline.run_point` arguments, in order."""
+        options = (self.seed, self.layout, self.routing, self.optimization_level)
+        grid = sweep_grid(self.workloads, self.sizes, self.targets)
+        return [(*cell, *options) for cell in grid]
 
 
 def parse_sweep_request(payload: Any) -> SweepRequest:
@@ -279,14 +320,9 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         _require(
             run_id is not None, "'shard_points' is only meaningful with 'run_id'"
         )
-    scale = payload.get("scale", "small")
-    shared = {
-        "scale": scale,
-        "level": payload.get("level", 1),
-        "layout": payload.get("layout"),
-        "routing": payload.get("routing"),
-        "seed": payload.get("seed", 0),
-    }
+    # An explicit null option means its default, as an absent one does.
+    options = _options({key: value for key, value in payload.items() if value is not None})
+    scale = options.pop("scale")
     targets = []
     for entry in payload["targets"]:
         _require(
@@ -297,43 +333,23 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         topology = spec.pop("topology")
         basis = spec.pop("basis", "siswap")
         _require(not spec, f"unknown target fields: {sorted(spec)}")
-        targets.append((str(topology), str(basis)))
-    grid: List[PointSpec] = []
-    for workload in payload["workloads"]:
-        for size in payload["sizes"]:
-            for topology, basis in targets:
-                point = PointSpec.from_payload(
-                    {
-                        "workload": workload,
-                        "size": size,
-                        "topology": topology,
-                        "basis": basis,
-                        **{k: v for k, v in shared.items() if v is not None},
-                    }
-                )
-                if point.size <= point.resolve_target().num_qubits:
-                    grid.append(point)
-    _require(bool(grid), "sweep grid is empty (every size exceeds its target)")
-    _require(
-        len(grid) <= MAX_POINTS_PER_REQUEST,
-        f"at most {MAX_POINTS_PER_REQUEST} points per request",
-    )
-    first = grid[0]
-    return SweepRequest(
-        specs=grid,
+        targets.append(_resolve_target(str(topology), str(basis), scale))
+    request = SweepRequest(
+        workloads=[_workload(workload) for workload in payload["workloads"]],
+        sizes=[_size(size) for size in payload["sizes"]],
+        targets=targets,
         chunk_size=chunk_size,
         run_id=run_id,
         shard_points=shard_points if shard_points is not None else chunk_size,
-        workloads=[str(workload) for workload in payload["workloads"]],
-        sizes=[_as_int(size, "sizes") for size in payload["sizes"]],
-        targets=[
-            _resolve_target(topology, basis, scale) for topology, basis in targets
-        ],
-        level=first.optimization_level,
-        layout=first.layout,
-        routing=first.routing,
-        seed=first.seed,
+        **options,
     )
+    count = len(request.points)
+    _require(count > 0, "sweep grid is empty (every size exceeds its target)")
+    _require(
+        count <= MAX_POINTS_PER_REQUEST,
+        f"at most {MAX_POINTS_PER_REQUEST} points per request",
+    )
+    return request
 
 
 # -- execution ----------------------------------------------------------------
@@ -370,50 +386,20 @@ def stats_delta(
     return delta
 
 
-def execute_points(specs: Sequence[PointSpec], runner: Any) -> List[Dict[str, Any]]:
-    """Transpile every spec through the resident runner, in request order.
+def execute_points(points: Sequence[tuple], runner: Any) -> List[Dict[str, Any]]:
+    """Compile :func:`~repro.core.pipeline.run_point` argument tuples, in order.
 
-    Tasks are dispatched exactly like :func:`repro.core.pipeline.run_sweep`
-    dispatches its grid — same task tuples, same
-    :func:`~repro.runtime.cache.point_cache_key` keys — so server requests
-    and CLI sweeps share cache records for identical points.
+    Points go through :func:`repro.core.pipeline.map_points` on the
+    resident runner, exactly as CLI sweeps do, so server requests and CLI
+    sweeps share cache records for identical points.
     """
-    targets = [spec.resolve_target() for spec in specs]
-    tasks = [
-        (
-            spec.workload,
-            spec.size,
-            target,
-            spec.seed,
-            spec.layout,
-            spec.routing,
-            spec.optimization_level,
-        )
-        for spec, target in zip(specs, targets)
-    ]
-    keys = None
-    if runner.result_cache is not None:
-        keys = [
-            point_cache_key(
-                spec.workload,
-                spec.size,
-                target,
-                spec.seed,
-                spec.layout,
-                spec.routing,
-                spec.optimization_level,
-            )
-            for spec, target in zip(specs, targets)
-        ]
-    records = runner.map(run_point, tasks, keys=keys)
-    for spec, metrics in zip(specs, records):
+    records = map_points(points, runner)
+    for point, metrics in zip(points, records):
         if metrics is None:
             # The runner's failure policy quarantined this point; answer a
             # clean failure instead of an AttributeError on None.
             raise RuntimeError(
-                f"point {spec.workload}-{spec.size} on "
-                f"{spec.topology}-{spec.basis} was quarantined by the "
-                "failure policy"
+                f"point {point_label(point)} was quarantined by the failure policy"
             )
     return [metrics.as_dict() for metrics in records]
 
@@ -423,7 +409,7 @@ def run_transpile_job(specs: Sequence[PointSpec], runner: Any) -> Dict[str, Any]
     cache = runner.result_cache
     before = stats_snapshot(cache)
     start = time.perf_counter()
-    results = execute_points(specs, runner)
+    results = execute_points([spec.point() for spec in specs], runner)
     return {
         "results": results,
         "count": len(results),
@@ -433,7 +419,7 @@ def run_transpile_job(specs: Sequence[PointSpec], runner: Any) -> Dict[str, Any]
 
 
 def run_sweep_job(
-    specs: Sequence[PointSpec],
+    points: Sequence[tuple],
     chunk_size: int,
     runner: Any,
     emit: Callable[[Dict[str, Any]], None],
@@ -448,8 +434,8 @@ def run_sweep_job(
     cache = runner.result_cache
     before = stats_snapshot(cache)
     start = time.perf_counter()
-    chunks = [specs[i : i + chunk_size] for i in range(0, len(specs), chunk_size)]
-    emit({"type": "start", "total": len(specs), "chunks": len(chunks)})
+    chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
+    emit({"type": "start", "total": len(points), "chunks": len(chunks)})
     records: List[Dict[str, Any]] = []
     completed = 0
     for chunk in chunks:
@@ -460,7 +446,7 @@ def run_sweep_job(
             {
                 "type": "progress",
                 "completed": completed,
-                "total": len(specs),
+                "total": len(points),
                 "chunk_seconds": round(time.perf_counter() - chunk_start, 6),
             }
         )
@@ -496,7 +482,7 @@ def run_sweep_checkpoint_job(
     cache = runner.result_cache
     before = stats_snapshot(cache)
     start = time.perf_counter()
-    total = len(request.specs)
+    total = len(request.points)
     computed_points = 0
 
     def _shard_progress(index: int, shards: int, status: str, points: int) -> None:
@@ -532,7 +518,7 @@ def run_sweep_checkpoint_job(
         seed=request.seed,
         layout_method=request.layout,
         routing_method=request.routing,
-        optimization_level=request.level,
+        optimization_level=request.optimization_level,
         shard_points=shard_points,
         resume=True,
         shard_progress=_shard_progress,

@@ -1,11 +1,12 @@
 """Batch transpilation through the experiment runtime.
 
-``transpile_batch`` compiles many circuits onto one target by fanning the
-independent compilations out through a
-:class:`repro.runtime.runner.ExperimentRunner` (process-pool parallelism
-with ordered collection and a serial twin) and memoizing repeated
-(circuit, target, schedule) points in a
-:class:`repro.runtime.cache.ResultCache`.  It is the bulk counterpart of
+``transpile_batch`` compiles many circuits onto one target through an
+:class:`repro.runtime.runner.ExperimentRunner`: the caller's runner fans
+the independent compilations out over its process pool with ordered
+collection, and its :class:`repro.runtime.cache.ResultCache` memoizes
+repeated (circuit, target, schedule) points.  Without a runner the batch
+compiles serially and uncached; the function never builds a pool or reads
+a cache directory itself.  It is the bulk counterpart of
 :func:`repro.transpiler.compile.transpile`: same results, less wall-clock
 on multi-circuit workloads (a sweep's worth of QV instances, a QASM corpus,
 a levels ablation).
@@ -14,11 +15,14 @@ a levels ablation).
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.transpiler.compile import TranspileResult, transpile
 from repro.transpiler.target import Target
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.runner import ExperimentRunner
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
@@ -92,11 +96,8 @@ def transpile_batch(
     routing_method: Optional[str] = None,
     translation_mode: Optional[str] = None,
     seed: int = 0,
-    runner: Optional[object] = None,
+    runner: Optional["ExperimentRunner"] = None,
     progress: Optional[callable] = None,
-    cache_dir: Optional[str] = None,
-    parallel: bool = False,
-    workers: Optional[int] = None,
 ) -> List[TranspileResult]:
     """Transpile every circuit onto ``target``, in input order.
 
@@ -106,38 +107,22 @@ def transpile_batch(
         optimization_level / layout_method / routing_method /
         translation_mode / seed: forwarded to :func:`transpile` for every
             circuit.
-        runner: optional :class:`repro.runtime.ExperimentRunner`; when
-            given, compilations fan out over its process pool and repeated
-            points hit its result cache.  ``None`` builds a private runner
-            from ``parallel`` / ``workers`` / ``cache_dir`` (serial by
-            default) and shuts it down afterwards.
+        runner: optional :class:`repro.runtime.ExperimentRunner`; its
+            process pool fans the compilations out and its result cache
+            serves repeated points.  ``None`` compiles serially, uncached.
         progress: optional callable invoked with a status string per
-            circuit.
-        cache_dir: directory for a disk-backed result cache shared across
-            processes (only used when ``runner`` is ``None``; a provided
-            runner brings its own cache).  ``REPRO_CACHE_DIR`` supplies a
-            default.  With ``parallel=True`` the cache dir is plumbed into
-            every pool worker, which consults and populates it directly.
-        parallel / workers: fan the batch out over a process pool when no
-            ``runner`` is given (ignored otherwise).
+            compiled circuit.
 
     Returns:
         One :class:`TranspileResult` per circuit, aligned with the input.
     """
     circuits = list(circuits)
-    owns_runner = False
     if runner is None:
         # Imported lazily: the runtime package builds on core, which builds
         # on this package, so a module-level import would be cyclic.
-        from repro.runtime.disk_cache import cache_dir_from_env, resolve_result_cache
-        from repro.runtime.runner import ExperimentRunner
+        from repro.runtime.runner import serial_runner
 
-        directory = cache_dir if cache_dir is not None else cache_dir_from_env()
-        cache = resolve_result_cache(directory) if directory is not None else None
-        runner = ExperimentRunner(
-            parallel=parallel, max_workers=workers, result_cache=cache
-        )
-        owns_runner = True
+        runner = serial_runner()
     tasks = [
         (
             circuit,
@@ -151,7 +136,7 @@ def transpile_batch(
         for circuit in circuits
     ]
     keys = None
-    if getattr(runner, "result_cache", None) is not None:
+    if runner.result_cache is not None:
         keys = [
             batch_cache_key(
                 circuit,
@@ -165,10 +150,4 @@ def transpile_batch(
             for circuit in circuits
         ]
     labels = [f"{circuit.name} on {target.name}" for circuit in circuits]
-    try:
-        return runner.map(
-            _transpile_task, tasks, keys=keys, labels=labels, progress=progress
-        )
-    finally:
-        if owns_runner:
-            runner.close()
+    return runner.map(_transpile_task, tasks, keys=keys, labels=labels, progress=progress)

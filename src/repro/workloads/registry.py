@@ -84,13 +84,18 @@ def available_workloads() -> List[str]:
 WORKLOAD_CACHE = LRUCache(maxsize=16)
 
 
+class WorkloadWidthError(ValueError):
+    """A builder rejected the width: bad input, unlike a compile that fails."""
+
+
 def build_workload(name: str, num_qubits: int, seed: int = 0) -> QuantumCircuit:
     """Build a workload instance by name and width.
 
     Instances are memoized in :data:`WORKLOAD_CACHE`.  Every call returns
     a fresh shallow copy (instructions are immutable), so a caller that
     appends to its circuit never changes the next caller's.  A builder
-    that raises caches nothing.
+    that raises caches nothing; its ``ValueError`` surfaces as a
+    :class:`WorkloadWidthError`.
     """
     if name not in _BUILDERS:
         raise KeyError(
@@ -100,7 +105,10 @@ def build_workload(name: str, num_qubits: int, seed: int = 0) -> QuantumCircuit:
     key = (name, num_qubits, seed, builder)
     circuit = WORKLOAD_CACHE.get(key)
     if circuit is None:
-        circuit = builder(num_qubits, seed)
+        try:
+            circuit = builder(num_qubits, seed)
+        except ValueError as error:
+            raise WorkloadWidthError(str(error)) from error
         WORKLOAD_CACHE.put(key, circuit)
     return circuit.copy()
 

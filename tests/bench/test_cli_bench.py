@@ -92,7 +92,9 @@ class TestReport:
         assert "| a | 2 |" in out
         assert "+100.0%" in out
 
-    def test_delta_is_against_the_gated_baseline(self, make_artifact, tmp_path, capsys):
+    def test_delta_is_against_the_gated_baseline(
+        self, make_artifact, tmp_path, capsys, recwarn
+    ):
         """Δ is n/a wherever `bench check` compares nothing: gone or zero baseline."""
         hist = tmp_path / "hist"
         self._record(
@@ -113,8 +115,14 @@ class TestReport:
         }
         assert rows == {"a": "+0.0% |", "b": "n/a |", "c": "n/a |"}
         gone = r"missing from the current run \(deleted or renamed\): b$"
-        with pytest.warns(RuntimeWarning, match=": c$"), pytest.raises(SystemExit, match=gone):
+        with pytest.raises(SystemExit, match=gone) as excinfo:
             main(["bench", "check", "--history-dir", str(hist)])
+        # The zero baseline is named once, on the report's WARNING line,
+        # not again as a Python warning.
+        reported = [str(w.message) for w in recwarn] + str(excinfo.value).splitlines()
+        assert [line for line in reported if line.endswith(": c")] == [
+            "WARNING: zero/near-zero baseline mean(s) skipped: c"
+        ]
 
     def test_sparkline_shapes(self):
         assert sparkline([]) == ""

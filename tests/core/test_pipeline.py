@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import SweepResult, run_point, run_sweep
+from repro.core import SweepResult, pipeline, run_point, run_sweep
+from repro.core.pipeline import sweep_grid
 from repro.topology import hypercube, square_lattice
 from repro.transpiler import make_target
 
@@ -74,11 +75,35 @@ class TestRunSweep:
         assert len(rows) == len(small_sweep)
         assert {"workload", "backend", "total_swaps"} <= set(rows[0])
 
-    def test_progress_callback(self):
-        messages = []
-        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
-        run_sweep(["GHZ"], [4], [backend], progress=messages.append)
-        assert messages == ["GHZ-4 on Square-CX"]
+    @pytest.mark.parametrize(
+        "workloads, sizes, backends",
+        [
+            (["GHZ"], [4], ["Square-CX"]),
+            # 5 qubits do not fit the 4-qubit Tiny point: that point is skipped.
+            (["GHZ", "QFT"], [4, 5], ["Square-CX", "Tiny"]),
+        ],
+        ids=["one-point", "grid"],
+    )
+    def test_progress_callback(self, monkeypatch, workloads, sizes, backends):
+        """One call per point, in sweep_grid order, each before its compile."""
+        targets = {
+            "Square-CX": make_target(square_lattice(4, 4), "cx", name="Square-CX"),
+            "Tiny": make_target(square_lattice(2, 2), "siswap", name="Tiny"),
+        }
+        backends = [targets[name] for name in backends]
+        events = []
+        compile_point = pipeline.transpile
+
+        def traced_transpile(circuit, target, **options):
+            events.append(f"compile {circuit.num_qubits} on {target.name}")
+            return compile_point(circuit, target, **options)
+
+        monkeypatch.setattr(pipeline, "transpile", traced_transpile)
+        run_sweep(workloads, sizes, backends, progress=events.append)
+        expected = []
+        for workload, size, target in sweep_grid(workloads, sizes, backends):
+            expected += [f"{workload}-{size} on {target.name}", f"compile {size} on {target.name}"]
+        assert events == expected
 
     def test_add_and_iterate(self):
         result = SweepResult()

@@ -9,6 +9,7 @@ from repro.core.statistics import (
     ordering_stability,
     seed_sweep,
 )
+from repro.runtime import ResultCache, serial_runner
 from repro.topology import get_topology
 from repro.transpiler import make_target
 
@@ -59,6 +60,16 @@ class TestSeedSweep:
         # same number of native gates.
         summaries = seed_sweep("GHZ", 6, target_for("Corral1,1", "siswap"), seeds=(0, 1, 2, 3))
         assert summaries["total_2q"].std == pytest.approx(0.0)
+
+    def test_runner_cache_serves_a_repeated_sweep(self):
+        cache = ResultCache()
+        runner = serial_runner(result_cache=cache)
+        target = target_for("Corral1,1", "siswap")
+        first = seed_sweep("QuantumVolume", 6, target, seeds=(0, 1, 2), runner=runner)
+        assert (cache.stats().hits, cache.stats().misses) == (0, 3)
+        second = seed_sweep("QuantumVolume", 6, target, seeds=(0, 1, 2), runner=runner)
+        assert (cache.stats().hits, cache.stats().misses) == (3, 3)
+        assert second == first
 
 
 class TestComparisons:

@@ -47,8 +47,8 @@ class TestRunnerMap:
 
     def test_progress_labels_are_reported(self):
         seen = []
-        runner = ExperimentRunner(parallel=False, progress=seen.append)
-        runner.map(_spaced, [(1,), (2,)], labels=["one", "two"])
+        runner = ExperimentRunner(parallel=False)
+        runner.map(_spaced, [(1,), (2,)], labels=["one", "two"], progress=seen.append)
         assert seen == ["one", "two"]
 
     def test_misaligned_keys_rejected(self):

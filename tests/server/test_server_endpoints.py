@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import run_point
-from repro.server import ServeClient, ServeError
+from repro.server import ServeClient, ServeError, ServerBindError, ServerHandle
 from repro.transpiler.target import Target
 
 pytestmark = pytest.mark.fast
@@ -41,6 +41,30 @@ def test_transpile_batch_preserves_request_order(client):
     assert response["count"] == 3
     assert [r["circuit_qubits"] for r in response["results"]] == [8, 4, 6]
     assert response["cache"]["computed"] == 3
+
+
+def test_transpile_mixed_batch_matches_run_point_in_request_order(client):
+    points = [
+        {"workload": "QuantumVolume", "size": 6, "seed": 3, "level": 3},
+        {"workload": "GHZ", "size": 5, "topology": "Hypercube", "basis": "cx", "level": 0},
+        {"workload": "QFT", "size": 4, "seed": 7, "level": 2, "topology": "Square-Lattice"},
+        {"workload": "QuantumVolume", "size": 6, "seed": 4},
+    ]
+    response = client.transpile(points)
+    expected = []
+    for point in points:
+        topology = point.get("topology", "Corral1,1")
+        basis = point.get("basis", "siswap")
+        target = Target.from_names(topology, basis, scale="small", name=f"{topology}-{basis}")
+        metrics = run_point(
+            point["workload"],
+            point["size"],
+            target,
+            seed=point.get("seed", 0),
+            optimization_level=point.get("level", 1),
+        )
+        expected.append(metrics.as_dict())
+    assert response["results"] == expected
 
 
 def test_transpile_warm_repeat_hits_memory(client):
@@ -91,6 +115,11 @@ def test_wrong_method_is_405(client):
         {"workload": "GHZ", "size": 4, "routing": "not-a-pass"},
         {"workload": "GHZ", "size": 4, "bogus": 1},
         {"workload": "GHZ", "size": 4, "topology": "NotATopology"},
+        # Refused by the CLI too: a width the builder rejects, a width
+        # wider than the device, a seed NumPy rejects.
+        {"workload": "Adder", "size": 2},
+        {"workload": "GHZ", "size": 50},
+        {"workload": "GHZ", "size": 4, "seed": -1},
     ],
 )
 def test_invalid_point_is_400(client, payload):
@@ -118,3 +147,17 @@ def test_malformed_json_is_400(live_server):
 def test_client_wait_until_ready_times_out_on_dead_port():
     client = ServeClient(port=1, timeout=0.2)
     assert client.wait_until_ready(timeout=0.3, interval=0.05) is False
+
+
+def test_handle_start_reraises_a_bind_failure_at_once():
+    import socket
+    import time
+
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        handle = ServerHandle(port=holder.getsockname()[1], parallel=False, no_cache=True)
+        began = time.monotonic()
+        with pytest.raises(ServerBindError):
+            handle.start(timeout=30)
+    assert time.monotonic() - began < 5.0

@@ -84,12 +84,12 @@ def test_parse_sweep_grid_matches_canonical_order():
             "chunk_size": 3,
         }
     )
-    grid = request.specs
+    grid = request.points
     assert request.chunk_size == 3
     assert request.run_id is None
     target = Target.from_names("Corral1,1", "siswap", scale="small")
     expected = sweep_grid(["GHZ", "QuantumVolume"], [4, 6], [target])
-    assert [(spec.workload, spec.size) for spec in grid] == [
+    assert [(workload, size) for workload, size, *_ in grid] == [
         (workload, size) for workload, size, _ in expected
     ]
 

@@ -59,6 +59,22 @@ def test_sweep_empty_grid_is_400(client):
     assert excinfo.value.status == 400
 
 
+def test_sweep_reports_a_width_the_builder_rejects_in_band(client):
+    # The grid is checked without building circuits, so the adder's own
+    # minimum surfaces from the job as the stream's error line.
+    with pytest.raises(ServeError) as excinfo:
+        client.sweep(["Adder"], [2], TARGETS)
+    assert excinfo.value.payload["type"] == "error"
+    assert "four qubits" in excinfo.value.payload["error"]
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_sweep_bad_seed_is_400(client, seed):
+    with pytest.raises(ServeError) as excinfo:
+        client.sweep(["GHZ"], [4], TARGETS, seed=seed)
+    assert excinfo.value.status == 400
+
+
 def test_sweep_unknown_field_is_400(client):
     with pytest.raises(ServeError) as excinfo:
         client.sweep(["GHZ"], [4], TARGETS, bogus_option=1)
