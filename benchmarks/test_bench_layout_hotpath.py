@@ -1,4 +1,4 @@
-"""Benchmark: layout hot path and the worker-shared result cache.
+"""Benchmark: layout hot path and a parallel rerun on a warm result cache.
 
 Companion of ``test_bench_routing_hotpath.py`` for three claims:
 
@@ -12,8 +12,8 @@ Companion of ``test_bench_routing_hotpath.py`` for three claims:
   networkx's ``GraphMatcher`` (the oracle
   ``reference_first_monomorphism``) and returns the same embeddings;
 * a parallel (``--workers N``) rerun against a warm shared cache dir
-  performs **zero** transpiles: every point is served off disk *by the
-  pool workers*, whose hits are visible in the parent's ``CacheStats``.
+  performs **zero** transpiles: the parent serves every point off disk
+  before dispatch, and its ``CacheStats`` count the disk hits.
 
 The DAGs are prebuilt outside the timed region (they are shared with the
 routing stage in a real pipeline and identical for both scorers), so the
@@ -151,14 +151,14 @@ def _parallel_sweep(cache_dir):
 
 
 def test_bench_parallel_rerun_on_warm_cache_transpiles_nothing(benchmark, emit, tmp_path):
-    """Workers of a warm parallel rerun serve every point from shared disk."""
+    """A warm parallel rerun serves every point from disk, in the parent."""
     cold, cold_stats, cold_seconds = _parallel_sweep(tmp_path)
     warm, warm_stats, warm_seconds = _parallel_sweep(tmp_path)
     benchmark.pedantic(lambda: _parallel_sweep(tmp_path), rounds=1, iterations=1)
 
     assert [r.as_dict() for r in warm] == [r.as_dict() for r in cold]
-    # The acceptance bar: zero transpiles on the parallel warm rerun, with
-    # the workers' disk hits surfaced through the parent's CacheStats.
+    # The acceptance bar: zero transpiles on the parallel warm rerun, every
+    # point a disk hit in the parent's CacheStats.
     assert warm_stats.computed == 0
     assert warm_stats.disk_hits == len(cold.records)
     speedup = cold_seconds / max(warm_seconds, 1e-9)

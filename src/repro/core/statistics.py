@@ -67,15 +67,17 @@ def seed_sweep(
     backend: Target,
     seeds: Sequence[int],
     metrics: Sequence[str] = ("total_swaps", "critical_swaps", "total_2q", "critical_2q"),
-    layout_method: str = "dense",
-    routing_method: str = "sabre",
+    layout_method: Optional[str] = None,
+    routing_method: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> Dict[str, MetricSummary]:
     """Run one design point over many seeds and summarise each metric.
 
     Seeds are independent trials, so ``runner`` fans them out over worker
     processes with identical summaries, and its result cache serves the
-    seeds it has already compiled.
+    seeds it has already compiled.  ``layout_method`` / ``routing_method``
+    default to the level preset (dense + SABRE), as in
+    :func:`~repro.core.pipeline.run_sweep`, so the two share cache records.
     """
     if not seeds:
         raise ValueError("seed_sweep needs at least one seed")

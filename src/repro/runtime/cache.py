@@ -7,26 +7,10 @@ Repeated sweeps (a swap study followed by a headline study over the same
 grid, a CLI rerun with one extra size, a benchmark warm pass) then skip
 transpilation entirely for every point already seen in this process.
 
-Two-tier protocol
------------------
-
-:class:`ResultCache` is the single-tier (memory-only) base of a two-tier
-protocol shared with :class:`~repro.runtime.disk_cache.
-PersistentResultCache`.  Besides plain ``get``/``put`` it exposes the
-tier-selective hooks the experiment runner's worker-shared cache protocol
-(see :mod:`repro.runtime.runner`) is built on:
-
-* :meth:`ResultCache.peek_memory` — memory-tier-only lookup, used by the
-  parent before dispatching tasks whose workers will probe the disk tier
-  themselves;
-* :meth:`ResultCache.put_local` — memory-tier-only store, used for
-  values a worker already persisted (outcome ``"stored"``);
-* ``probe_disk`` / ``note_worker_hit`` — disk-tier counterparts that only
-  the persistent subclass implements meaningfully.
-
-For this in-memory class the memory tier *is* the whole cache, so
-``peek_memory`` behaves exactly like ``get`` and ``put_local`` exactly
-like ``put``.
+:class:`ResultCache` is the memory tier; its subclass
+:class:`~repro.runtime.disk_cache.PersistentResultCache` adds a disk tier
+behind the same ``get``/``put``.  Only the experiment runner's parent
+process reads and writes the cache (see :mod:`repro.runtime.runner`).
 """
 
 from __future__ import annotations
@@ -103,25 +87,6 @@ class ResultCache:
     def put(self, key: Hashable, record) -> None:
         """Store a result (metrics are copied before storage)."""
         self._lru.put(key, self._copy(record))
-
-    def peek_memory(self, key: Hashable) -> Optional[object]:
-        """Memory-tier-only lookup.
-
-        For the plain in-process cache this *is* :meth:`get`; a disk-backed
-        subclass overrides :meth:`get` to fall through to disk but keeps
-        this memory-only probe, which the experiment runner uses when pool
-        workers will consult the disk tier themselves (the parent then
-        skips the serial decompress-per-record walk).
-        """
-        return ResultCache.get(self, key)
-
-    def put_local(self, key: Hashable, record) -> None:
-        """Memory-tier-only store (no persistence side effects).
-
-        Used for results a worker process already persisted: the parent
-        only needs its LRU warmed, not a second disk write.
-        """
-        ResultCache.put(self, key, record)
 
     def clear(self) -> None:
         """Drop all cached results."""

@@ -1,8 +1,8 @@
 """Disk-backed result cache shared across processes and CLI invocations.
 
 The in-process :class:`~repro.runtime.cache.ResultCache` dies with its
-process, so every fresh CLI run and every cold worker pool re-transpiles
-sweep points an earlier run already paid for.
+process, so every fresh CLI run or server re-transpiles sweep points an
+earlier run already paid for.
 :class:`PersistentResultCache` keeps the memory LRU in front and adds a
 packed, content-addressed store behind it:
 
@@ -33,19 +33,15 @@ funnel through.  An explicit ``--cache-dir`` always wins over
 ``docs/architecture.md`` for the precedence table and the on-disk format
 reference).
 
-Worker-pool sharing
+Sharing a directory
 -------------------
 
-One cache directory may be shared by many processes at once: the
-experiment runner's pool workers each open their own
-:class:`PersistentResultCache` over the directory named by
-:meth:`PersistentResultCache.worker_spec` and then consult/populate the
-disk tier directly, reporting ``("computed"|"stored"|"shared"|"cached",
-value)`` outcome tuples back to the parent (the full protocol is
-documented in :mod:`repro.runtime.runner`).  Each worker appends to its
-own segment and discovers the others' records through incremental tail
-scans; GC policies deliberately do *not* propagate into workers —
-eviction is the parent's job alone.
+One cache directory may be shared by many processes at once — CLI runs,
+``repro serve`` servers, separate sweeps: each
+:class:`PersistentResultCache` appends to its own segment and discovers
+the others' records through incremental tail scans.  Within one
+experiment runner only the parent process opens the cache; its pool
+workers only compute (see :mod:`repro.runtime.runner`).
 """
 
 from __future__ import annotations
@@ -731,7 +727,6 @@ class PersistentResultCache(ResultCache):
         super().__init__(maxsize=maxsize)
         self._dir = Path(cache_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._maxsize = int(maxsize)
         self._max_bytes = max_bytes
         self._max_age_seconds = max_age_seconds
         self._segment_max_bytes = max(_FRAME.size + 1, int(segment_max_bytes))
@@ -950,16 +945,6 @@ class PersistentResultCache(ResultCache):
         record = super().get(key)
         if record is not None:
             return record
-        return self.probe_disk(key)
-
-    def probe_disk(self, key: Hashable) -> Optional[object]:
-        """Disk-tier-only lookup (promoting hits into the LRU).
-
-        Counter semantics match the fall-through half of :meth:`get`, so a
-        :meth:`~repro.runtime.cache.ResultCache.peek_memory` followed by a
-        ``probe_disk`` counts exactly like one full ``get`` — the sequence
-        the experiment runner performs around worker dispatch.
-        """
         payload = self._lookup_payload(bytes.fromhex(key_digest(key)))
         record = None
         if payload is not None:
@@ -980,15 +965,6 @@ class PersistentResultCache(ResultCache):
         # pickling never mutates the record, so no defensive copy is needed
         # on the write path (the LRU already holds its own private copy).
         self._append_record(key_digest(key), record)
-
-    def put_local(self, key: Hashable, record) -> None:
-        """Memory-only store for a record a *worker* already persisted.
-
-        The worker wrote the frame, but the write belongs to the current
-        run all the same — register it so :meth:`gc` cannot evict it.
-        """
-        super().put_local(key, record)
-        self._written.add(key_digest(key))
 
     def clear(self) -> None:
         """Drop the memory tier and every record in the directory."""
@@ -1079,34 +1055,6 @@ class PersistentResultCache(ResultCache):
         self._scan_state.clear()
         self._refresh_index()
         return report
-
-    # -- worker-pool sharing ---------------------------------------------------
-
-    def worker_spec(self) -> Dict[str, object]:
-        """Constructor arguments for a worker-process twin of this cache.
-
-        Workers share the directory but never a GC policy: eviction is the
-        parent's job, and a worker evicting mid-run could drop records the
-        parent just counted on.
-        """
-        return {
-            "cache_dir": str(self._dir),
-            "maxsize": self._maxsize,
-            "segment_max_bytes": self._segment_max_bytes,
-        }
-
-    def note_worker_hit(self, key: Hashable, record) -> None:
-        """Account a lookup a pool worker served from the shared disk tier.
-
-        The parent deliberately probed only its memory tier before
-        dispatching (see :meth:`~repro.runtime.cache.ResultCache.
-        peek_memory`), so the worker's disk hit is credited here — keeping
-        the ``computed == misses - disk_hits`` invariant of
-        :class:`~repro.linalg.cache.CacheStats` intact — and the record is
-        promoted into the parent's LRU.
-        """
-        self._disk_hits += 1
-        self._lru.put(key, self._copy(record))
 
 
 def resolve_result_cache(

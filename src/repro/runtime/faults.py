@@ -15,7 +15,7 @@ Plan grammar (entries joined by ``;``)::
     crash@3             worker calls os._exit on dispatched task 3 (once)
     hang@5x2=0.4        task 5 sleeps 0.4s before running, twice
     raise@7x*           task 7 raises InjectedFault on every attempt
-    corrupt@9           task 9 appends a bad-CRC frame to the cache
+    corrupt@9           task 9's record is cached as a bad-CRC frame
     state=/tmp/faults   directory for cross-process one-shot bookkeeping
 
 Ordinals count *dispatched* tasks per runner, in dispatch order (cache

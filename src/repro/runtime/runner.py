@@ -40,44 +40,20 @@ it without the isolated probe.  Everything that happened is tallied in
 :attr:`ExperimentRunner.fault_stats`.  Deterministic fault *injection*
 for exercising these paths lives in :mod:`repro.runtime.faults`.
 
-Worker-shared cache protocol
-----------------------------
+Result cache
+------------
 
-When the attached result cache is disk-backed (it exposes a
-``worker_spec()``), a parallel ``map`` does not funnel every lookup
-through the parent.  Instead the pool initializer opens a per-worker
-:class:`~repro.runtime.disk_cache.PersistentResultCache` over the same
-directory, the parent probes only its memory LRU before dispatch
-(:meth:`~repro.runtime.cache.ResultCache.peek_memory`), and each worker
-consults and populates the shared disk tier itself — so a warm parallel
-rerun fans the per-record decompression out across the pool and performs
-zero recomputes.  Every dispatched task reports back an
-``(outcome, value)`` tuple whose first element is one of:
-
-* ``"computed"`` — the worker had no cache; the parent stores the value
-  in both of its tiers;
-* ``"stored"`` — the worker computed the value *and* persisted it to the
-  shared directory; the parent only warms its memory LRU
-  (:meth:`~repro.runtime.cache.ResultCache.put_local`);
-* ``"shared"`` — the worker served the value from the shared disk tier;
-  the parent credits a disk hit into its own
-  :class:`~repro.linalg.cache.CacheStats`
-  (:meth:`~repro.runtime.disk_cache.PersistentResultCache.note_worker_hit`);
-* ``"cached"`` — the *parent's* cache served the value during serial
-  execution (the serial twin finishing a ``peek_memory`` with
-  :meth:`~repro.runtime.disk_cache.PersistentResultCache.probe_disk`);
-  nothing is left to record.
-* ``"uncached"`` — the worker computed the value but could not open the
-  shared cache directory; the parent persists the value itself, emits a
-  one-time :class:`RuntimeWarning` and counts the event in
-  :class:`FaultStats`;
-* ``"failed"`` — the task was quarantined/skipped under the failure
-  policy; its result is ``None`` and nothing touches the cache.
-
-The bookkeeping keeps the ``computed == misses - disk_hits`` invariant of
-:class:`~repro.linalg.cache.CacheStats` intact whichever process did the
-work, so cache reports are comparable between serial, parallel, cold and
-warm runs.
+Only the parent reads and writes the attached result cache, on serial
+and parallel runners alike: ``map`` looks every keyed task up with
+``cache.get`` (the memory LRU, then the disk tier of a
+:class:`~repro.runtime.disk_cache.PersistentResultCache`) before
+dispatch and stores each value it collects with ``cache.put``.  Pool
+workers only compute.  A dispatched task returns ``(corrupt, value)``:
+``corrupt`` is True when an injected ``corrupt`` fault fired for it, and
+the parent then appends a bad-CRC frame for the key to a disk-backed
+cache in place of the record, so the fault acts the same on every
+runner.  A task quarantined under the failure policy yields ``None`` and
+touches no cache.
 """
 
 from __future__ import annotations
@@ -197,7 +173,6 @@ class FaultStats:
     retries: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
-    uncached_tasks: int = 0
     quarantined: List[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
@@ -205,7 +180,6 @@ class FaultStats:
             self.retries
             or self.timeouts
             or self.pool_rebuilds
-            or self.uncached_tasks
             or self.quarantined
         )
 
@@ -215,7 +189,6 @@ class FaultStats:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "pool_rebuilds": self.pool_rebuilds,
-            "uncached_tasks": self.uncached_tasks,
             "quarantined": list(self.quarantined),
         }
 
@@ -230,8 +203,6 @@ class FaultStats:
             parts.append(f"{self.timeouts} timed out")
         if self.pool_rebuilds:
             parts.append(f"{self.pool_rebuilds} pool rebuilds")
-        if self.uncached_tasks:
-            parts.append(f"{self.uncached_tasks} uncached worker tasks")
         if self.quarantined:
             parts.append(
                 f"{len(self.quarantined)} quarantined: "
@@ -249,76 +220,24 @@ class PoisonTaskError(RuntimeError):
         self.reason = reason
 
 
-# -- worker-side shared disk cache --------------------------------------------
-#
-# When the runner's result cache is disk-backed, every pool worker opens its
-# own cache instance over the same directory (atomic record writes make
-# concurrent writers safe).  Workers then consult and populate the shared
-# tier directly: a warm parallel rerun fans the record decompression out
-# across the pool instead of serialising it in the parent, and a record
-# computed by one worker is visible to every other process immediately.
-
-#: Per-worker-process cache instance, set by the pool initializer.
-_WORKER_CACHE: Optional[Any] = None
-
-#: True in a worker whose cache initializer failed — reported back to the
-#: parent per task via the ``uncached`` outcome tag so the degradation is
-#: visible instead of silent.
-_WORKER_CACHE_FAILED = False
+# -- worker-side task wrapper -------------------------------------------------
 
 #: Per-worker-process fault injector (None = no plan), plus a resolved
 #: flag so workers without an initializer lazily consult REPRO_FAULT_PLAN.
 _WORKER_INJECTOR: Optional[FaultInjector] = None
 _WORKER_INJECTOR_RESOLVED = False
 
-#: Result tags of one dispatched task (the first tuple element returned by
-#: :func:`_run_task` and the serial twin):
-#: ``computed`` — parent must store the value in both tiers;
-#: ``stored`` — worker computed *and* persisted it (parent warms its LRU);
-#: ``shared`` — worker served it from the shared cache (a worker disk hit);
-#: ``cached`` — the parent's own cache served it during serial execution;
-#: ``uncached`` — the worker's cache is broken, the parent must persist it;
-#: ``failed`` — the task was quarantined; its result slot is ``None``.
-TASK_COMPUTED = "computed"
-TASK_STORED = "stored"
-TASK_SHARED = "shared"
-TASK_CACHED = "cached"
-TASK_UNCACHED = "uncached"
-TASK_FAILED = "failed"
+#: Outcome of a task given up on under the failure policy (``on_poison``);
+#: every other dispatched task's outcome is a ``(corrupt, value)`` pair.
+_QUARANTINED = "quarantined"
 
 
-def _init_worker_cache(spec: dict) -> None:
-    """Pool initializer: open this worker's view of the shared cache dir.
-
-    A failure leaves the worker uncached but *visible*: the sentinel flag
-    makes every result from this worker carry the ``uncached`` tag, which
-    the parent converts into a one-time RuntimeWarning and a
-    :class:`FaultStats` count instead of silently losing cache coverage.
-    """
-    global _WORKER_CACHE, _WORKER_CACHE_FAILED
-    from repro.runtime.disk_cache import PersistentResultCache
-
-    try:
-        _WORKER_CACHE = PersistentResultCache(**spec)
-    except Exception:
-        _WORKER_CACHE = None
-        _WORKER_CACHE_FAILED = True
-
-
-def _init_worker(cache_spec: Optional[dict], plan_spec: Optional[str] = None) -> None:
-    """Pool initializer: wire up the shared cache and fault plan.
-
-    Runs once per worker *process*, and the pool outlives individual
-    ``map`` calls — so the cache handle (warm LRU + open segment index)
-    stays hot across every stage a multi-stage driver fans out.
-    """
+def _init_worker(plan_spec: str) -> None:
+    """Pool initializer: install the runner's fault plan in this worker."""
     global _WORKER_INJECTOR, _WORKER_INJECTOR_RESOLVED
-    if cache_spec is not None:
-        _init_worker_cache(cache_spec)
-    if plan_spec is not None:
-        plan = FaultPlan.parse(plan_spec)
-        _WORKER_INJECTOR = None if plan is None else FaultInjector(plan)
-        _WORKER_INJECTOR_RESOLVED = True
+    plan = FaultPlan.parse(plan_spec)
+    _WORKER_INJECTOR = None if plan is None else FaultInjector(plan)
+    _WORKER_INJECTOR_RESOLVED = True
 
 
 def _worker_injector() -> Optional[FaultInjector]:
@@ -331,45 +250,17 @@ def _worker_injector() -> Optional[FaultInjector]:
     return _WORKER_INJECTOR
 
 
-def _call_with_worker_cache(fn: Callable[..., Any], key: Hashable, task: Tuple):
-    """Run one task inside a worker, consulting the shared cache first."""
-    cache = _WORKER_CACHE
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return (TASK_SHARED, cached)
-    value = fn(*task)
-    if cache is None:
-        if key is not None and _WORKER_CACHE_FAILED:
-            return (TASK_UNCACHED, value)
-        return (TASK_COMPUTED, value)
-    cache.put(key, value)
-    return (TASK_STORED, value)
-
-
-def _run_task(
-    fn: Callable[..., Any], key: Optional[Hashable], task: Tuple, ordinal: int
-):
-    """Worker-side task wrapper: fault injection + shared-cache protocol.
+def _run_task(fn: Callable[..., Any], task: Tuple, ordinal: int) -> Tuple[bool, Any]:
+    """Worker-side task wrapper: fire the task's faults, then compute.
 
     ``ordinal`` is the task's dispatch ordinal (stable across retries and
     pool rebuilds), which is what a :class:`~repro.runtime.faults.FaultPlan`
-    schedules against.  A claimed ``corrupt`` fault skips the cache read,
-    appends a bad-CRC frame for the key, and reports ``stored`` so the
-    parent does not paper over the damage with a good frame.
+    schedules against.  Returns ``(corrupt, value)``; a claimed
+    ``corrupt`` fault is carried out by the parent, which owns the cache.
     """
     injector = _worker_injector()
-    corrupt = injector.fire(ordinal) if injector is not None else False
-    if corrupt and key is not None:
-        cache = _WORKER_CACHE
-        value = fn(*task)
-        if cache is not None:
-            write_corrupt_frame(cache.cache_dir, key)
-            return (TASK_STORED, value)
-        return (TASK_COMPUTED, value)
-    if key is None:
-        return (TASK_COMPUTED, fn(*task))
-    return _call_with_worker_cache(fn, key, task)
+    corrupt = injector is not None and injector.fire(ordinal)
+    return corrupt, fn(*task)
 
 
 class ExperimentRunner:
@@ -420,7 +311,6 @@ class ExperimentRunner:
         self._start_method = start_method
         self._fault_stats = FaultStats()
         self._serial_injector_instance: Optional[FaultInjector] = None
-        self._warned_uncached = False
         # Dispatch ordinals are assigned per dispatched task across the
         # runner's lifetime (cache hits resolved by the parent are never
         # dispatched) and stay stable across retries/pool rebuilds — they
@@ -428,9 +318,7 @@ class ExperimentRunner:
         self._dispatched = 0
         # The worker pool is created lazily on the first parallel map() and
         # reused by later calls, so multi-stage drivers pay the process
-        # spawn / interpreter import cost once per runner, not per stage —
-        # and each worker's cache handle (warm LRU, open segment index)
-        # stays hot across stages too.
+        # spawn / interpreter import cost once per runner, not per stage.
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- introspection ------------------------------------------------------
@@ -580,17 +468,12 @@ class ExperimentRunner:
             raise ValueError("labels must align one-to-one with tasks")
 
         cache = self._result_cache
-        share = self._shares_cache_with_workers(keys, len(tasks))
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
         for index in range(len(tasks)):
             cached = None
             if cache is not None and keys is not None:
-                # When workers will consult the shared disk tier themselves,
-                # the parent probes only its memory LRU: the per-record
-                # decompression then fans out across the pool instead of
-                # running serially here.
-                cached = cache.peek_memory(keys[index]) if share else cache.get(keys[index])
+                cached = cache.get(keys[index])
             if cached is not None:
                 results[index] = cached
             else:
@@ -598,37 +481,29 @@ class ExperimentRunner:
 
         if pending:
             pending_labels = None if labels is None else [labels[i] for i in pending]
-            pending_keys = [keys[i] for i in pending] if share else None
             base = self._dispatched
             self._dispatched += len(pending)
-            ordinals = list(range(base, base + len(pending)))
             outcomes = self._execute(
                 [tasks[i] for i in pending],
                 fn,
                 pending_labels,
                 progress,
-                pending_keys,
-                ordinals,
+                list(range(base, base + len(pending))),
             )
-            for index, (outcome, value) in zip(pending, outcomes):
-                if outcome == TASK_FAILED:
-                    results[index] = None
+            cache_dir = getattr(cache, "cache_dir", None)
+            for index, outcome in zip(pending, outcomes):
+                if outcome is _QUARANTINED:
                     continue
+                corrupt, value = outcome
                 results[index] = value
-                if cache is not None and keys is not None:
-                    if outcome == TASK_SHARED:
-                        cache.note_worker_hit(keys[index], value)
-                    elif outcome == TASK_STORED:
-                        cache.put_local(keys[index], value)
-                    elif outcome == TASK_UNCACHED:
-                        self._note_uncached_worker()
-                        cache.put(keys[index], value)
-                    elif outcome == TASK_COMPUTED:
-                        cache.put(keys[index], value)
-                    # TASK_CACHED: the parent cache served (and counted) it
-                    # during serial execution; nothing left to record.
-                elif outcome == TASK_UNCACHED:  # pragma: no cover - defensive
-                    self._note_uncached_worker()
+                if cache is None or keys is None:
+                    continue
+                if corrupt and cache_dir is not None:
+                    # The injected fault: a bad-CRC frame takes the
+                    # record's place, and the key stays out of memory.
+                    write_corrupt_frame(cache_dir, keys[index])
+                else:
+                    cache.put(keys[index], value)
         return results
 
     # -- internals ----------------------------------------------------------
@@ -641,19 +516,6 @@ class ExperimentRunner:
     ) -> None:
         if progress is not None and labels is not None:
             progress(labels[position])
-
-    def _note_uncached_worker(self) -> None:
-        """Count (and warn once about) a worker running without its cache."""
-        self._fault_stats.uncached_tasks += 1
-        if not self._warned_uncached:
-            self._warned_uncached = True
-            warnings.warn(
-                "a pool worker failed to open the shared result cache; "
-                "its results are being persisted by the parent instead "
-                "(cache coverage is degraded, not lost)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     def _task_label(
         self, labels: Optional[Sequence[str]], position: int, ordinal: int
@@ -678,36 +540,15 @@ class ExperimentRunner:
         jitter = 0.5 + int.from_bytes(token[:4], "big") / 2**32
         return min(policy.backoff_max, base * jitter)
 
-    def _shares_cache_with_workers(
-        self, keys: Optional[Sequence[Hashable]], task_count: int
-    ) -> bool:
-        """True when dispatched tasks should consult the disk cache in-worker.
-
-        Requires a disk-backed cache (anything exposing ``worker_spec``)
-        and a ``map`` call that will actually fan out.
-        """
-        if keys is None or getattr(self._result_cache, "worker_spec", None) is None:
-            return False
-        return (
-            self._parallel
-            and task_count > 1
-            and min(self._max_workers, task_count) > 1
-        )
-
     def _build_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """Build a pool wiring up the cache dir and fault plan."""
-        spec = getattr(self._result_cache, "worker_spec", None)
-        cache_spec = None if spec is None else spec()
-        plan_spec = None if self._fault_plan is None else self._fault_plan.spec
+        """Build a pool whose workers carry the runner's fault plan."""
         kwargs: Dict[str, Any] = {"max_workers": max_workers}
         if self._start_method is not None:
             kwargs["mp_context"] = multiprocessing.get_context(self._start_method)
-        if cache_spec is None and plan_spec is None:
+        if self._fault_plan is None:
             return ProcessPoolExecutor(**kwargs)
         return ProcessPoolExecutor(
-            initializer=_init_worker,
-            initargs=(cache_spec, plan_spec),
-            **kwargs,
+            initializer=_init_worker, initargs=(self._fault_plan.spec,), **kwargs
         )
 
     def _create_pool(self) -> ProcessPoolExecutor:
@@ -720,22 +561,17 @@ class ExperimentRunner:
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
         progress: Optional[Callable[[str], None]],
-        keys: Optional[Sequence[Hashable]] = None,
-        ordinals: Optional[Sequence[int]] = None,
-    ) -> List[Tuple[str, Any]]:
-        """Run the pending tasks, returning ``(outcome, value)`` pairs.
+        ordinals: Sequence[int],
+    ) -> List[Any]:
+        """Run the pending tasks, returning one outcome per task.
 
-        ``keys`` is only passed when the parent skipped its own disk probe
-        in favour of worker-side lookups; the serial twin then probes the
-        parent cache's disk tier itself so a pool failure never recomputes
-        a record that is already on disk.
+        An outcome is ``(corrupt, value)``, or ``_QUARANTINED`` for a task
+        given up on under the failure policy.
         """
-        if ordinals is None:
-            ordinals = list(range(len(tasks)))
         workers = min(self._max_workers, len(tasks))
         if not self._parallel or workers <= 1 or len(tasks) <= 1:
-            return self._execute_serial(tasks, fn, labels, progress, keys, ordinals)
-        return self._execute_parallel(tasks, fn, labels, progress, keys, ordinals)
+            return self._execute_serial(tasks, fn, labels, progress, ordinals)
+        return self._execute_parallel(tasks, fn, labels, progress, ordinals)
 
     def _execute_parallel(
         self,
@@ -743,9 +579,8 @@ class ExperimentRunner:
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
         progress: Optional[Callable[[str], None]],
-        keys: Optional[Sequence[Hashable]],
         ordinals: Sequence[int],
-    ) -> List[Tuple[str, Any]]:
+    ) -> List[Any]:
         """Dispatch rounds with crash/hang/retry recovery.
 
         Each round submits every still-unfinished task to the (possibly
@@ -757,14 +592,14 @@ class ExperimentRunner:
         """
         policy = self._failure_policy
         total = len(tasks)
-        outcomes: List[Optional[Tuple[str, Any]]] = [None] * total
+        outcomes: List[Any] = [None] * total
         attempts = [0] * total
         rebuilds = 0
         retry_delay = 0.0
         while True:
             unfinished = [p for p in range(total) if outcomes[p] is None]
             if not unfinished:
-                return outcomes  # type: ignore[return-value]
+                return outcomes
             if retry_delay > 0.0:
                 time.sleep(retry_delay)
                 retry_delay = 0.0
@@ -776,16 +611,15 @@ class ExperimentRunner:
                 pool = self._pool
             except (OSError, PermissionError, ImportError) as error:
                 return self._serial_completion(
-                    tasks, fn, labels, progress, keys, ordinals, outcomes, error
+                    tasks, fn, labels, progress, ordinals, outcomes, error
                 )
             futures: Dict[int, Any] = {}
             crashed = False
             try:
                 for position in unfinished:
                     self._announce(progress, labels, position)
-                    key = None if keys is None else keys[position]
                     futures[position] = pool.submit(
-                        _run_task, fn, key, tasks[position], ordinals[position]
+                        _run_task, fn, tasks[position], ordinals[position]
                     )
             except BrokenProcessPool:
                 crashed = True
@@ -793,7 +627,7 @@ class ExperimentRunner:
                 self._kill_pool()
                 self._harvest(futures, outcomes)
                 return self._serial_completion(
-                    tasks, fn, labels, progress, keys, ordinals, outcomes, error
+                    tasks, fn, labels, progress, ordinals, outcomes, error
                 )
             hung: Optional[int] = None
             failure: Optional[BaseException] = None
@@ -861,7 +695,6 @@ class ExperimentRunner:
                         tasks,
                         fn,
                         labels,
-                        keys,
                         ordinals,
                         outcomes,
                         f"hung past the {policy.task_timeout}s task timeout",
@@ -874,15 +707,9 @@ class ExperimentRunner:
                 if rebuilds > policy.max_pool_rebuilds:
                     # Blind re-dispatch has not converged: attribute the
                     # poison task(s) by probing each survivor in isolation.
-                    self._attribute_poison(
-                        tasks, fn, labels, keys, ordinals, outcomes
-                    )
+                    self._attribute_poison(tasks, fn, labels, ordinals, outcomes)
 
-    def _harvest(
-        self,
-        futures: Dict[int, Any],
-        outcomes: List[Optional[Tuple[str, Any]]],
-    ) -> None:
+    def _harvest(self, futures: Dict[int, Any], outcomes: List[Any]) -> None:
         """Fold successfully finished futures into ``outcomes``.
 
         After a crash or hang-kill, work that *did* complete in other
@@ -901,9 +728,8 @@ class ExperimentRunner:
         tasks: Sequence[Tuple],
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
-        keys: Optional[Sequence[Hashable]],
         ordinals: Sequence[int],
-        outcomes: List[Optional[Tuple[str, Any]]],
+        outcomes: List[Any],
         reason: str,
     ) -> None:
         """Apply ``on_poison`` to one attributed poison task."""
@@ -912,15 +738,14 @@ class ExperimentRunner:
         if policy.on_poison == "raise":
             raise PoisonTaskError(label, reason)
         if policy.on_poison == "quarantine":
-            key = None if keys is None else keys[position]
             status, outcome = self._probe_isolated(
-                fn, tasks[position], key, ordinals[position]
+                fn, tasks[position], ordinals[position]
             )
             if status == "ok":
                 outcomes[position] = outcome
                 return
             reason = f"{reason}; isolated probe {status}"
-        outcomes[position] = (TASK_FAILED, None)
+        outcomes[position] = _QUARANTINED
         self._fault_stats.quarantined.append(f"{label} ({reason})")
 
     def _attribute_poison(
@@ -928,9 +753,8 @@ class ExperimentRunner:
         tasks: Sequence[Tuple],
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
-        keys: Optional[Sequence[Hashable]],
         ordinals: Sequence[int],
-        outcomes: List[Optional[Tuple[str, Any]]],
+        outcomes: List[Any],
     ) -> None:
         """Probe every unfinished task in isolation after repeated crashes.
 
@@ -944,14 +768,13 @@ class ExperimentRunner:
                 continue
             label = self._task_label(labels, position, ordinals[position])
             if policy.on_poison == "skip":
-                outcomes[position] = (TASK_FAILED, None)
+                outcomes[position] = _QUARANTINED
                 self._fault_stats.quarantined.append(
                     f"{label} (skipped after repeated pool crashes)"
                 )
                 continue
-            key = None if keys is None else keys[position]
             status, outcome = self._probe_isolated(
-                fn, tasks[position], key, ordinals[position]
+                fn, tasks[position], ordinals[position]
             )
             if status == "ok":
                 outcomes[position] = outcome
@@ -960,7 +783,7 @@ class ExperimentRunner:
                 raise PoisonTaskError(
                     label, f"{status} in an isolated single-worker probe"
                 )
-            outcomes[position] = (TASK_FAILED, None)
+            outcomes[position] = _QUARANTINED
             self._fault_stats.quarantined.append(
                 f"{label} ({status} in an isolated single-worker probe)"
             )
@@ -969,9 +792,8 @@ class ExperimentRunner:
         self,
         fn: Callable[..., Any],
         task: Tuple,
-        key: Optional[Hashable],
         ordinal: int,
-    ) -> Tuple[str, Optional[Tuple[str, Any]]]:
+    ) -> Tuple[str, Optional[Tuple[bool, Any]]]:
         """Run one suspect task in a fresh single-worker pool.
 
         Returns ``("ok", outcome)``, ``("crashed", None)`` or
@@ -987,11 +809,11 @@ class ExperimentRunner:
             # here would take the parent down, but environments without
             # subprocesses cannot crash workers either).
             try:
-                return ("ok", _run_task(fn, key, task, ordinal))
+                return ("ok", _run_task(fn, task, ordinal))
             except BrokenProcessPool:  # pragma: no cover - defensive
                 return ("crashed", None)
         try:
-            future = probe.submit(_run_task, fn, key, task, ordinal)
+            future = probe.submit(_run_task, fn, task, ordinal)
             try:
                 return ("ok", future.result(timeout=policy.probe_timeout))
             except BrokenProcessPool:
@@ -1018,11 +840,10 @@ class ExperimentRunner:
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
         progress: Optional[Callable[[str], None]],
-        keys: Optional[Sequence[Hashable]],
         ordinals: Sequence[int],
-        outcomes: List[Optional[Tuple[str, Any]]],
+        outcomes: List[Any],
         error: BaseException,
-    ) -> List[Tuple[str, Any]]:
+    ) -> List[Any]:
         """Finish the unfinished tasks serially (pool unavailable)."""
         warnings.warn(
             f"process pool unavailable ({error}); completing serially",
@@ -1035,12 +856,11 @@ class ExperimentRunner:
             fn,
             None if labels is None else [labels[p] for p in unfinished],
             progress,
-            None if keys is None else [keys[p] for p in unfinished],
             [ordinals[p] for p in unfinished],
         )
         for position, outcome in zip(unfinished, serial):
             outcomes[position] = outcome
-        return outcomes  # type: ignore[return-value]
+        return outcomes
 
     def _execute_serial(
         self,
@@ -1048,36 +868,18 @@ class ExperimentRunner:
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
         progress: Optional[Callable[[str], None]],
-        keys: Optional[Sequence[Hashable]] = None,
-        ordinals: Optional[Sequence[int]] = None,
-    ) -> List[Tuple[str, Any]]:
+        ordinals: Sequence[int],
+    ) -> List[Tuple[bool, Any]]:
         """The serial twin.  Fault injection fires in-process here (a
         ``crash`` fault exits *this* process — exactly what a durable
         checkpoint must survive); the failure policy's retry/quarantine
         machinery applies only to the parallel path."""
         injector = self._serial_injector()
-        results: List[Tuple[str, Any]] = []
+        results: List[Tuple[bool, Any]] = []
         for position, task in enumerate(tasks):
             self._announce(progress, labels, position)
-            corrupt = False
-            if injector is not None and ordinals is not None:
-                corrupt = injector.fire(ordinals[position])
-            if keys is not None and not corrupt:
-                # The parent only peeked its memory tier before dispatch;
-                # finish the lookup against the disk tier here (counter
-                # semantics identical to a full fall-through get()).
-                cached = self._result_cache.probe_disk(keys[position])
-                if cached is not None:
-                    results.append((TASK_CACHED, cached))
-                    continue
-            value = fn(*task)
-            if corrupt and keys is not None:
-                cache_dir = getattr(self._result_cache, "cache_dir", None)
-                if cache_dir is not None:
-                    write_corrupt_frame(cache_dir, keys[position])
-                    results.append((TASK_STORED, value))
-                    continue
-            results.append((TASK_COMPUTED, value))
+            corrupt = injector is not None and injector.fire(ordinals[position])
+            results.append((corrupt, fn(*task)))
         return results
 
 

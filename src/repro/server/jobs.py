@@ -246,7 +246,9 @@ class SweepRequest:
     """One validated ``/v1/sweep`` request.
 
     The grid is kept in one form, ``workloads x sizes x targets`` plus the
-    options every point shares: :attr:`points` expands it through
+    options every point shares, and ``count`` is its number of points,
+    counted at parse time without building it.  A job builds the grid
+    once: :attr:`points` expands it through
     :func:`repro.core.pipeline.sweep_grid`, and the checkpointed path
     (``run_id`` set) hands it to :func:`repro.core.pipeline.run_sweep_sharded`.
     """
@@ -254,6 +256,7 @@ class SweepRequest:
     workloads: List[str]
     sizes: List[int]
     targets: List[Target]
+    count: int
     chunk_size: int
     run_id: Optional[str] = None
     shard_points: Optional[int] = None
@@ -334,22 +337,28 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         basis = spec.pop("basis", "siswap")
         _require(not spec, f"unknown target fields: {sorted(spec)}")
         targets.append(_resolve_target(str(topology), str(basis), scale))
-    request = SweepRequest(
-        workloads=[_workload(workload) for workload in payload["workloads"]],
-        sizes=[_size(size) for size in payload["sizes"]],
-        targets=targets,
-        chunk_size=chunk_size,
-        run_id=run_id,
-        shard_points=shard_points if shard_points is not None else chunk_size,
-        **options,
+    workloads = [_workload(workload) for workload in payload["workloads"]]
+    sizes = [_size(size) for size in payload["sizes"]]
+    # Parsing runs on the event loop, so the grid is counted, not built:
+    # every workload runs each size that fits each target.
+    count = len(workloads) * sum(
+        sum(size <= target.num_qubits for size in sizes) for target in targets
     )
-    count = len(request.points)
     _require(count > 0, "sweep grid is empty (every size exceeds its target)")
     _require(
         count <= MAX_POINTS_PER_REQUEST,
         f"at most {MAX_POINTS_PER_REQUEST} points per request",
     )
-    return request
+    return SweepRequest(
+        workloads=workloads,
+        sizes=sizes,
+        targets=targets,
+        count=count,
+        chunk_size=chunk_size,
+        run_id=run_id,
+        shard_points=shard_points if shard_points is not None else chunk_size,
+        **options,
+    )
 
 
 # -- execution ----------------------------------------------------------------
@@ -482,7 +491,7 @@ def run_sweep_checkpoint_job(
     cache = runner.result_cache
     before = stats_snapshot(cache)
     start = time.perf_counter()
-    total = len(request.points)
+    total = request.count
     computed_points = 0
 
     def _shard_progress(index: int, shards: int, status: str, points: int) -> None:

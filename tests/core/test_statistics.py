@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import run_sweep
 from repro.core.statistics import (
     MetricSummary,
     compare_backends,
@@ -70,6 +71,14 @@ class TestSeedSweep:
         second = seed_sweep("QuantumVolume", 6, target, seeds=(0, 1, 2), runner=runner)
         assert (cache.stats().hits, cache.stats().misses) == (3, 3)
         assert second == first
+
+    def test_shares_cache_records_with_run_sweep(self):
+        cache = ResultCache()
+        runner = serial_runner(result_cache=cache)
+        target = target_for("Corral1,1", "siswap")
+        run_sweep(["QuantumVolume"], [6], [target], seed=1, runner=runner)
+        seed_sweep("QuantumVolume", 6, target, seeds=[1], runner=runner)
+        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
 
 
 class TestComparisons:

@@ -106,18 +106,6 @@ class TestCurrentRunProtection:
         cache.put("fresh", {"value": 1})
         assert cache.disk_entries() == 1
 
-    def test_worker_stored_records_are_protected_too(self, tmp_path):
-        """A record persisted by a pool worker counts as written this run."""
-        worker_twin = PersistentResultCache(tmp_path)
-        worker_twin.put("worker-key", {"value": 7})  # the worker's disk write
-        worker_twin.close()
-        parent = PersistentResultCache(tmp_path)
-        parent.put_local("worker-key", {"value": 7})  # the parent's absorb step
-        report = parent.gc(max_bytes=0)
-        assert report.protected == 1
-        assert report.removed == 0
-        assert PersistentResultCache(tmp_path).get("worker-key") == {"value": 7}
-
     def test_gcd_entry_is_a_miss_then_heals(self, tmp_path):
         writer = PersistentResultCache(tmp_path)
         writer.put("key", {"value": 41})

@@ -1,17 +1,17 @@
-"""Pool workers sharing one disk-backed result cache directory.
+"""Runners sharing one disk-backed result cache directory.
 
-PR 4 left workers blind to the persistent cache: only the parent process
-consulted it, so a parallel run re-transpiled everything a previous run
-had already paid for unless the parent pre-served it.  These tests pin the
-closed loop: the cache dir is plumbed into every worker (pool
-initializer), workers consult *and* populate the shared tier directly,
-concurrent writers never corrupt or lose records, and the parent's
+The runner's parent process owns the cache: it looks every keyed task up
+(memory, then disk) before dispatch and stores each computed value, while
+pool workers only compute.  These tests pin that one path on serial and
+parallel runners alike: a warm rerun over the same directory computes
+nothing, concurrent writers (separate processes, each with its own
+segment) never corrupt or lose records, and the parent's
 :class:`~repro.linalg.cache.CacheStats` stays internally consistent
 (``hits + misses`` lookups, ``computed == misses - disk_hits``).
 
-The stress test tolerates sandboxes without process pools: the runner's
-serial twin consults the same disk tier, so every assertion below holds
-either way (a RuntimeWarning marks the fallback).
+The parallel tests tolerate sandboxes without process pools: the
+runner's serial twin returns the same values, so every assertion below
+holds either way (a RuntimeWarning marks the fallback).
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from __future__ import annotations
 import multiprocessing
 import warnings
 
+import pytest
+
+from repro.linalg.cache import CacheStats
 from repro.runtime import ExperimentRunner, PersistentResultCache
-from repro.runtime.runner import _call_with_worker_cache, _init_worker_cache
 
 
 def _weigh(token: str, repeats: int):
@@ -30,7 +32,7 @@ def _weigh(token: str, repeats: int):
 
 def _run_hammer(cache_dir, tasks, keys, max_workers=4):
     runner = ExperimentRunner(
-        parallel=True,
+        parallel=max_workers > 1,
         max_workers=max_workers,
         result_cache=PersistentResultCache(cache_dir),
     )
@@ -69,17 +71,34 @@ class TestWorkerSharedCache:
         assert stats.hits + stats.disk_hits + stats.computed == len(tasks)
         assert stats.computed >= 1  # somebody did the cold work
 
-    def test_parallel_warm_rerun_computes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "2-workers"])
+    def test_parallel_warm_rerun_computes_nothing(self, tmp_path, workers):
         tasks, keys, unique = self._grid(copies=1)
-        _run_hammer(tmp_path, tasks, keys)
+        points = len(unique)
+        _, cold = _run_hammer(tmp_path, tasks, keys, max_workers=workers)
+        # Serial or parallel, the parent looks every key up in both tiers
+        # before dispatch: a cold run misses each point once per tier.
+        assert cold.stats() == CacheStats(
+            hits=0,
+            misses=points,
+            currsize=points,
+            maxsize=8192,
+            disk_hits=0,
+            disk_misses=points,
+        )
         # A fresh runner over the same directory models a rerun: its memory
         # LRU starts empty, so every point must come off the shared disk
-        # tier (through the workers), not be recomputed.
-        results, cache = _run_hammer(tmp_path, tasks, keys)
+        # tier, not be recomputed.
+        results, cache = _run_hammer(tmp_path, tasks, keys, max_workers=workers)
         assert results == [_weigh(*task) for task in tasks]
-        stats = cache.stats()
-        assert stats.computed == 0
-        assert stats.disk_hits == len(unique)
+        assert cache.stats() == CacheStats(
+            hits=0,
+            misses=points,
+            currsize=points,
+            maxsize=8192,
+            disk_hits=points,
+            disk_misses=0,
+        )
 
     def test_second_map_in_same_runner_hits_parent_memory(self, tmp_path):
         tasks, keys, _ = self._grid(copies=1)
@@ -152,7 +171,7 @@ class TestConcurrentSegmentAppend:
         reader = PersistentResultCache(tmp_path)
         for worker_id in range(self.WRITERS):
             for index in range(self.RECORDS):
-                assert reader.probe_disk(("stress", worker_id, index)) == (
+                assert reader.get(("stress", worker_id, index)) == (
                     {"worker": worker_id, "index": index}
                 )
         assert reader.disk_entries() == self.WRITERS * self.RECORDS
@@ -165,46 +184,4 @@ class TestConcurrentSegmentAppend:
         fresh = PersistentResultCache(tmp_path)
         for worker_id in range(self.WRITERS):
             for index in range(self.RECORDS):
-                assert fresh.probe_disk(("stress", worker_id, index)) is not None
-
-
-class TestWorkerCacheInternals:
-    def test_initializer_and_wrapper_round_trip(self, tmp_path):
-        """The worker-side path, driven in-process for determinism."""
-        import repro.runtime.runner as runner_module
-
-        _init_worker_cache({"cache_dir": str(tmp_path), "maxsize": 64})
-        try:
-            outcome, value = _call_with_worker_cache(_weigh, ("k", 1), ("token", 2))
-            assert (outcome, value) == ("stored", _weigh("token", 2))
-            outcome, value = _call_with_worker_cache(_weigh, ("k", 1), ("token", 2))
-            assert (outcome, value) == ("shared", _weigh("token", 2))
-        finally:
-            runner_module._WORKER_CACHE = None
-
-    def test_wrapper_without_cache_reports_computed(self):
-        import repro.runtime.runner as runner_module
-
-        assert runner_module._WORKER_CACHE is None
-        outcome, value = _call_with_worker_cache(_weigh, ("k", 2), ("token", 3))
-        assert (outcome, value) == ("computed", _weigh("token", 3))
-
-    def test_worker_spec_never_carries_gc_policy(self, tmp_path):
-        cache = PersistentResultCache(
-            tmp_path, maxsize=32, max_bytes=10_000, segment_max_bytes=1 << 20
-        )
-        spec = cache.worker_spec()
-        assert spec == {
-            "cache_dir": str(tmp_path),
-            "maxsize": 32,
-            "segment_max_bytes": 1 << 20,
-        }
-
-    def test_note_worker_hit_promotes_and_counts(self, tmp_path):
-        cache = PersistentResultCache(tmp_path)
-        cache.peek_memory("key")  # one memory miss, as before dispatch
-        cache.note_worker_hit("key", {"value": 1})
-        stats = cache.stats()
-        assert stats.disk_hits == 1
-        assert stats.computed == 0
-        assert cache.peek_memory("key") == {"value": 1}  # promoted into LRU
+                assert fresh.get(("stress", worker_id, index)) is not None

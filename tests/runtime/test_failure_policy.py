@@ -14,24 +14,19 @@ execution layer:
 * a task that kills every pool it touches is quarantined via an
   isolated probe — its slot is ``None``, everything else completes,
   and :class:`~repro.runtime.runner.FaultStats` names it;
-* a hanging task trips the per-task timeout and is recovered;
-* a worker whose shared cache cannot open degrades loudly, not
-  silently.
+* a hanging task trips the per-task timeout and is recovered.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 
 import pytest
 
-import repro.runtime.runner as runner_module
 from repro.runtime import (
     ExperimentRunner,
     FailurePolicy,
     FaultPlan,
-    PersistentResultCache,
     PoisonTaskError,
 )
 
@@ -115,31 +110,3 @@ class TestCrashRecovery:
             results = runner.map(_double, [(i,) for i in range(4)])
         assert results == [0, 2, 4, 6]
         assert runner.fault_stats.timeouts >= 1
-
-
-class TestUncachedWorkerDegradation:
-    def test_failed_worker_cache_init_tags_results(self):
-        """The worker-side seam: a broken cache yields ``uncached`` tags."""
-        saved = (runner_module._WORKER_CACHE, runner_module._WORKER_CACHE_FAILED)
-        try:
-            runner_module._init_worker_cache({"cache_dir": "/dev/null/nope"})
-            assert runner_module._WORKER_CACHE is None
-            assert runner_module._WORKER_CACHE_FAILED is True
-            tag, value = runner_module._call_with_worker_cache(_double, ("k",), (21,))
-            assert (tag, value) == (runner_module.TASK_UNCACHED, 42)
-        finally:
-            runner_module._WORKER_CACHE, runner_module._WORKER_CACHE_FAILED = saved
-
-    def test_parent_warns_once_and_persists(self, tmp_path):
-        """The parent-side seam: one RuntimeWarning, counted, value cached."""
-        cache = PersistentResultCache(tmp_path)
-        runner = ExperimentRunner(parallel=False, result_cache=cache)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runner._note_uncached_worker()
-            runner._note_uncached_worker()
-        messages = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(messages) == 1
-        assert "cache coverage is degraded" in str(messages[0].message)
-        assert runner.fault_stats.uncached_tasks == 2
-        cache.close()

@@ -1,16 +1,20 @@
 """Unit tests for the deterministic fault-injection harness.
 
 :mod:`repro.runtime.faults` is the seam every chaos test stands on, so
-its own semantics are pinned here without any process pools: plan
-parsing round-trips, ``scatter`` is seed-stable, claims are exactly-once
-(both in-process and through a cross-process ``state_dir``), and
-:func:`write_corrupt_frame` produces damage the cache verifier sees.
+its own semantics are pinned here: plan parsing round-trips, ``scatter``
+is seed-stable, claims are exactly-once (both in-process and through a
+cross-process ``state_dir``), :func:`write_corrupt_frame` produces
+damage the cache verifier sees, and a ``corrupt`` fault acts the same on
+a serial and a parallel runner.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+from repro.runtime import ExperimentRunner
 from repro.runtime.disk_cache import PersistentResultCache, verify_cache
 from repro.runtime.faults import (
     FAULT_PLAN_ENV,
@@ -130,4 +134,33 @@ class TestWriteCorruptFrame:
         # The healthy records survived the repair.
         fresh = PersistentResultCache(tmp_path)
         assert fresh.get(("point", 1)) == {"value": 1}
+        fresh.close()
+
+
+def _square(value):
+    return value * value + 1
+
+
+class TestCorruptFaultThroughRunner:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "2-workers"])
+    def test_one_record_becomes_a_corrupt_frame(self, tmp_path, workers):
+        keys = [("square", value) for value in range(4)]
+        runner = ExperimentRunner(
+            parallel=workers > 1,
+            max_workers=workers,
+            result_cache=PersistentResultCache(tmp_path),
+            fault_plan=FaultPlan.parse("corrupt@1"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # sandbox pool fallback
+            with runner:
+                results = runner.map(_square, [(v,) for v in range(4)], keys=keys)
+        assert results == [1, 2, 5, 10]  # the fault never changes a value
+        runner.result_cache.close()
+        assert verify_cache(tmp_path).frames_corrupt == 1
+        fresh = PersistentResultCache(tmp_path)
+        assert fresh.get(keys[1]) is None
+        assert [fresh.get(key) for key in (keys[0], keys[2], keys[3])] == [1, 5, 10]
+        stats = fresh.stats()
+        assert (stats.disk_hits, stats.disk_misses) == (3, 1)
         fresh.close()

@@ -76,7 +76,6 @@ class TestPoolSelfHealing:
                 "retries": 0,
                 "timeouts": 0,
                 "pool_rebuilds": 0,
-                "uncached_tasks": 0,
                 "quarantined": [],
             }
             assert metrics["pool"] is None  # serial server has no pool

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pipeline import run_sweep
-from repro.server import ServeError
+import repro.core.pipeline as pipeline
+from repro.core.pipeline import run_sweep, sweep_grid
+from repro.server import ServeError, jobs
+from repro.server.jobs import RequestError, parse_sweep_request
 from repro.transpiler.target import Target
+from repro.workloads import available_workloads
 
 pytestmark = pytest.mark.fast
 
@@ -168,3 +171,58 @@ class TestCheckpointedSweep:
                 bare.sweep(["GHZ"], [4], TARGETS, run_id="run-e")
             assert excinfo.value.status == 400
             assert "persistent cache" in str(excinfo.value)
+
+
+class TestGridBuiltOnce:
+    """Parsing counts the grid; each job builds it once, off the event loop."""
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        calls = []
+
+        def counting_sweep_grid(*args):
+            calls.append(args)
+            return sweep_grid(*args)
+
+        monkeypatch.setattr(jobs, "sweep_grid", counting_sweep_grid)
+        monkeypatch.setattr(pipeline, "sweep_grid", counting_sweep_grid)
+        return calls
+
+    def test_parsing_a_large_grid_builds_nothing(self, grid_calls):
+        request = parse_sweep_request(
+            {
+                "workloads": available_workloads(),
+                "sizes": list(range(1, 2001)),
+                "targets": TARGETS * 20,
+            }
+        )
+        # 9 workloads x 20 targets x the 16 sizes that fit each target.
+        assert request.count == 2880
+        assert grid_calls == []
+
+    def test_oversized_and_empty_grids_keep_their_messages(self, grid_calls):
+        with pytest.raises(RequestError) as oversized:
+            parse_sweep_request(
+                {"workloads": ["GHZ"], "sizes": [4] * 4097, "targets": TARGETS}
+            )
+        assert oversized.value.status == 400
+        assert str(oversized.value) == "at most 4096 points per request"
+        with pytest.raises(RequestError) as empty:
+            parse_sweep_request(
+                {"workloads": ["GHZ"], "sizes": [10_000], "targets": TARGETS}
+            )
+        assert empty.value.status == 400
+        assert str(empty.value) == (
+            "sweep grid is empty (every size exceeds its target)"
+        )
+        assert grid_calls == []
+
+    def test_streamed_sweep_builds_the_grid_once(self, client, grid_calls):
+        result = client.sweep(["GHZ"], [4, 5], TARGETS)
+        assert result["count"] == 2
+        assert len(grid_calls) == 1
+
+    def test_run_id_sweep_builds_the_grid_once(self, client, grid_calls):
+        result = client.sweep(["GHZ"], [4, 5], TARGETS, run_id="run-once")
+        assert result["count"] == 2
+        assert len(grid_calls) == 1
