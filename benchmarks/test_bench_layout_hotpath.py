@@ -8,9 +8,11 @@ Companion of ``test_bench_routing_hotpath.py`` for three claims:
   (``tests/oracles.py``), selecting bit-identical layouts;
 * the in-tree VF2 search
   (:func:`~repro.transpiler.passes.vf2_layout.first_monomorphism`) runs
-  every search of the ``l3-noisy`` grid (seed 1) at least 2.5x faster than
+  every search of the ``l3-noisy`` grid (seed 1) at least 20x faster than
   networkx's ``GraphMatcher`` (the oracle
-  ``reference_first_monomorphism``) and returns the same embeddings;
+  ``reference_first_monomorphism``) and returns the same embeddings: it
+  visits candidates in networkx's order but skips the pairs that cannot
+  complete an embedding (degree, triangle and reachability bounds);
 * a parallel (``--workers N``) rerun against a warm shared cache dir
   performs **zero** transpiles: the parent serves every point off disk
   before dispatch, and its ``CacheStats`` count the disk hits.
@@ -126,7 +128,7 @@ def test_bench_vf2_search(benchmark, emit):
             "speedup_vs_networkx": round(speedup, 2),
         },
     )
-    assert speedup >= 2.5
+    assert speedup >= 20.0
 
 
 def _parallel_sweep(cache_dir):

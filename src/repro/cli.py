@@ -858,9 +858,10 @@ def _command_cache(args: argparse.Namespace) -> str:
         report = verify_cache(resolved, repair=args.repair)
         body = f"cache verify [{resolved}]:\n{report.describe()}"
         if not report.clean and not args.repair:
-            raise SystemExit(
-                body + "\nrun again with --repair to drop the corrupt frames"
-            )
+            # On stdout like a clean report, so a caller that captures
+            # stdout sees what failed; the exit code says it failed.
+            print(body + "\nrun again with --repair to drop the corrupt frames")
+            raise SystemExit(1)
         return body
     max_bytes = args.max_bytes if args.max_bytes is not None else max_bytes_from_env()
     max_age = None if args.max_age_hours is None else args.max_age_hours * 3600.0

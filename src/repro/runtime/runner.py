@@ -47,7 +47,8 @@ Only the parent reads and writes the attached result cache, on serial
 and parallel runners alike: ``map`` looks every keyed task up with
 ``cache.get`` (the memory LRU, then the disk tier of a
 :class:`~repro.runtime.disk_cache.PersistentResultCache`) before
-dispatch and stores each value it collects with ``cache.put``.  Pool
+dispatch and stores each value it collects with ``cache.put``.  A key
+repeated within one ``map`` is looked up, dispatched and stored once.  Pool
 workers only compute.  A dispatched task returns ``(corrupt, value)``:
 ``corrupt`` is True when an injected ``corrupt`` fault fired for it, and
 the parent then appends a bad-CRC frame for the key to a disk-backed
@@ -449,7 +450,9 @@ class ExperimentRunner:
                 parallel path) whose result depends only on its arguments.
             tasks: argument tuples, one per task.
             keys: optional cache keys aligned with ``tasks``; tasks whose
-                key hits the attached result cache are not dispatched.
+                key hits the attached result cache are not dispatched, and
+                a key repeated within ``tasks`` is looked up, dispatched
+                and stored once, its value returned at every position.
             labels: optional status strings aligned with ``tasks``,
                 forwarded to ``progress``.
             progress: optional callable invoked with each dispatched
@@ -470,10 +473,17 @@ class ExperimentRunner:
         cache = self._result_cache
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
+        repeats: List[Tuple[int, int]] = []  # (position, first position of its key)
+        first_position: Dict[Hashable, int] = {}
         for index in range(len(tasks)):
             cached = None
-            if cache is not None and keys is not None:
-                cached = cache.get(keys[index])
+            if keys is not None:
+                first = first_position.setdefault(keys[index], index)
+                if first != index:
+                    repeats.append((index, first))
+                    continue
+                if cache is not None:
+                    cached = cache.get(keys[index])
             if cached is not None:
                 results[index] = cached
             else:
@@ -504,6 +514,8 @@ class ExperimentRunner:
                     write_corrupt_frame(cache_dir, keys[index])
                 else:
                     cache.put(keys[index], value)
+        for index, first in repeats:
+            results[index] = results[first]
         return results
 
     # -- internals ----------------------------------------------------------

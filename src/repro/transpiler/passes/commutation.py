@@ -6,16 +6,19 @@ frequently leave inverse pairs separated by gates that *commute* with them
 (e.g. two CX gates on the same pair separated by an RZ on the control, or
 back-to-back routing SWAPs separated by a gate on an unrelated qubit pair
 that happens to share one endpoint).  :class:`CommutativeCancellation`
-handles that case: it walks backwards from every instruction over gates
-that commute with it on the shared qubits and cancels the pair when it
-finds an inverse.
+handles that case: it looks back from every instruction over the 20 most
+recent live instructions and cancels the pair when it finds an inverse
+that every nearer instruction commutes with.  Only an instruction on the
+same qubit tuple can be the inverse, so the look-back asks about those
+first and about the rest only once it has found one.
 
 Commutation is decided numerically on the joint unitary of the two
 instructions (at most four qubits), so the pass is conservative but exact:
 it never changes the circuit unitary, which the tests verify directly.
+Two exactly diagonal gates commute, which needs no joint unitary.
 
-Routing emits the same few gates over and over, so the tens of thousands
-of overlapping pairs a sweep checks reduce to a few thousand distinct
+Routing emits the same few gates over and over, so the thousands of
+overlapping pairs a sweep checks reduce to under a thousand distinct
 questions.  :func:`pair_verdict` answers each distinct question once with
 the numeric predicates and then serves it from :data:`COMMUTATION_CACHE`.
 """
@@ -43,7 +46,7 @@ BLOCKS = "blocks"
 #: It outlives pass instances because the pass registry builds a new pass
 #: for every compiled circuit; each pool worker builds its own, as with
 #: :data:`repro.linalg.cache.UNITARY_CACHE`.  One sweep of the level-3
-#: benchmark grid needs about 1,700 entries.
+#: benchmark grid needs about 850 entries.
 COMMUTATION_CACHE = LRUCache(maxsize=4096)
 
 
@@ -69,12 +72,23 @@ def _joint_unitary(first: Instruction, second: Instruction) -> Tuple[np.ndarray,
     return expand(first), expand(second)
 
 
+def _is_diagonal(matrix: np.ndarray) -> bool:
+    """True when every off-diagonal entry of ``matrix`` is exactly zero."""
+    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
+
+
 def instructions_commute(first: Instruction, second: Instruction) -> bool:
-    """True when the two instructions commute (exactly, up to numerical tolerance)."""
+    """True when the two instructions commute (exactly, up to numerical tolerance).
+
+    Two exactly diagonal gates commute on any qubits, so they are answered
+    without building the joint unitaries.
+    """
     if not set(first.qubits) & set(second.qubits):
         return True
     if first.name == "barrier" or second.name == "barrier":
         return False
+    if _is_diagonal(first.gate.matrix()) and _is_diagonal(second.gate.matrix()):
+        return True
     matrix_a, matrix_b = _joint_unitary(first, second)
     return bool(np.allclose(matrix_a @ matrix_b, matrix_b @ matrix_a, atol=_ATOL))
 
@@ -177,18 +191,39 @@ class CommutativeCancellation(TranspilerPass):
     def _find_cancellable_partner(
         self, instruction: Instruction, kept: List[Optional[Instruction]]
     ) -> Optional[int]:
-        """Index into ``kept`` of an earlier instruction that cancels this one."""
-        seen = 0
+        """Index into ``kept`` of an earlier instruction that cancels this one.
+
+        The window is the ``max_lookback`` most recent live entries of
+        ``kept``; slots emptied by earlier cancellations do not count.  The
+        partner is the nearest entry that is :data:`INVERSE` with every
+        nearer entry :data:`COMMUTES`.  Only an entry on the identical
+        qubit tuple can be :data:`INVERSE`, so those are asked first,
+        nearest first, and the first one that :data:`BLOCKS` ends the
+        search.  Only for an inverse one are the entries between it and
+        ``instruction`` asked whether any blocks.
+        """
+        qubits = instruction.qubits
+        live = 0
         for index in range(len(kept) - 1, -1, -1):
             earlier = kept[index]
             if earlier is None:
                 continue
-            seen += 1
-            if seen > self._max_lookback:
+            live += 1
+            if live > self._max_lookback:
                 return None
+            if earlier.qubits != qubits:
+                continue
             verdict = pair_verdict(earlier, instruction)
-            if verdict == INVERSE:
-                return index
             if verdict == BLOCKS:
                 return None
+            if verdict == INVERSE:
+                # Nearer entries on this tuple were already asked: they commute.
+                for between in reversed(kept[index + 1 :]):
+                    if (
+                        between is not None
+                        and between.qubits != qubits
+                        and pair_verdict(between, instruction) == BLOCKS
+                    ):
+                        return None
+                return index
         return None

@@ -21,7 +21,11 @@ The search itself is :func:`first_monomorphism`, a depth-first VF2
 monomorphism search over plain Python lists.  It visits candidate pairs in
 the order of networkx's VF2 matcher and so returns the same first
 embedding, hence the same layout; ``tests/oracles.py`` keeps the networkx
-call as its parity oracle.
+call as its parity oracle.  It does not descend into a pair that cannot
+be part of a complete embedding (a device node with too few neighbours,
+triangles or common neighbours, or one cut off from too few free device
+nodes), which on modular devices such as the SNAIL trees removes most of
+the search without changing which embedding comes first.
 
 Graphs here are adjacency mappings, ``{node: neighbours}``: the mapping's
 order is the node order and each node's neighbours come in adjacency
@@ -32,7 +36,7 @@ the pattern is :func:`interaction_graph`.  No networkx graph is built.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
@@ -112,6 +116,27 @@ def first_monomorphism(
       read in adjacency order; that set is rebuilt here too whenever the
       order matters, i.e. when a step adds two or more terminals.
 
+    A feasible pair (device node d, pattern node t) is skipped without
+    descending when a necessary condition of a completion fails, because
+    a complete embedding f with f(t) = d maps t's neighbours, triangles
+    and remaining component injectively around d:
+
+    * deg(d) >= deg(t);
+    * d lies on at least as many triangles as t, and for every mapped
+      pattern neighbour o of t the device edge (d, f(o)) has at least as
+      many common neighbours as the pattern edge (t, o);
+    * the unmapped pattern nodes reachable from t through unmapped
+      pattern nodes are no more than the unmapped device nodes reachable
+      from d through unmapped device nodes.
+
+    Each rule removes only subtrees that hold no complete embedding, so
+    the search meets the surviving candidates in the same order and
+    returns the same first embedding.  The reachability count costs
+    O(n + E) per feasible pair.  The device side is counted first and
+    stops at the number of unmapped pattern nodes, which settles most
+    pairs; the pattern side is counted only when the device side falls
+    short, once per frame.
+
     The pattern's terminals are only ever asked for their minimum, so they
     are kept as a membership list that each step grows and its undo
     shrinks.  The search is an explicit stack: it needs no recursion
@@ -132,7 +157,13 @@ def first_monomorphism(
     device_adjacency: List[Tuple[int, ...]] = [()] * len(device_order)
     for node in device_order:
         device_adjacency[node] = tuple(device[node])
-    device_neighbours = [frozenset(neighbours) for neighbours in device_adjacency]
+    # Per edge, the number of common neighbours of its ends; per node, the
+    # sum over its edges (twice its triangle count).
+    device_common = _common_neighbours(device_adjacency)
+    device_triangles = [sum(common.values()) for common in device_common]
+    pattern_common = _common_neighbours(pattern_adjacency)
+    pattern_triangles = [sum(common.values()) for common in pattern_common]
+    pattern_needs = [list(common.items()) for common in pattern_common]
 
     core_device = [-1] * len(device_order)  # device node -> pattern position
     core_pattern = [-1] * size  # pattern position -> device node
@@ -153,21 +184,37 @@ def first_monomorphism(
             return device_side, pattern_side
         return [node for node in device_order if core_device[node] < 0], core_pattern.index(-1)
 
-    stack = [[*candidates(), 0]]
+    # A frame: candidate device nodes, the pattern node, the next candidate
+    # index and the pattern node's reach (0 until a feasible pair needs it).
+    stack = [[*candidates(), 0, 0]]
     while stack:
         frame = stack[-1]
-        options, target, index = frame
-        needed = pattern_adjacency[target]
+        options, target, index, reach = frame
+        needed = pattern_needs[target]
+        degree = len(pattern_adjacency[target])
+        triangles = pattern_triangles[target]
         while index < len(options):
             node = options[index]
             index += 1
-            neighbours = device_neighbours[node]
-            for other in needed:
+            if len(device_adjacency[node]) < degree or device_triangles[node] < triangles:
+                continue
+            common = device_common[node]
+            for other, shared in needed:
                 image = core_pattern[other]
-                if image >= 0 and image not in neighbours:
+                # -1 for a non-edge: every pattern edge shares >= 0 neighbours.
+                if image >= 0 and common.get(image, -1) < shared:
                     break
             else:
-                break
+                # Room for every unmapped pattern node settles it without
+                # counting the pattern side.
+                unmapped = size - len(mapped)
+                free = _free_reach(device_adjacency, core_device, node, unmapped)
+                if free >= unmapped:
+                    break
+                if not reach:
+                    reach = frame[3] = _free_reach(pattern_adjacency, core_pattern, target, size)
+                if free >= reach:
+                    break
         else:
             stack.pop()
             if undo:
@@ -201,12 +248,38 @@ def first_monomorphism(
         terminals.extend(fresh)
         for other in terminals[mark:]:
             is_terminal[other] = True
-        seen = [other for other in (target, *needed) if not pattern_seen[other]]
+        seen = [other for other in (target, *pattern_adjacency[target]) if not pattern_seen[other]]
         for other in seen:
             pattern_seen[other] = True
         undo.append((mark, seen))
-        stack.append([*candidates(), 0])
+        stack.append([*candidates(), 0, 0])
     return None
+
+
+def _free_reach(
+    adjacency: Sequence[Sequence[int]], core: Sequence[int], start: int, limit: int
+) -> int:
+    """Unmapped nodes (``core[node] < 0``) reachable from ``start`` through unmapped nodes.
+
+    The count stops once it reaches ``limit``; below it, it is exact.
+    """
+    reached = {start}
+    todo = [start]
+    while todo and len(reached) < limit:
+        for other in adjacency[todo.pop()]:
+            if core[other] < 0 and other not in reached:
+                reached.add(other)
+                todo.append(other)
+    return len(reached)
+
+
+def _common_neighbours(adjacency: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+    """Per node, ``{neighbour: number of common neighbours of the two}``."""
+    neighbour_sets = [frozenset(neighbours) for neighbours in adjacency]
+    return [
+        {other: len(neighbour_sets[node] & neighbour_sets[other]) for other in neighbours}
+        for node, neighbours in enumerate(adjacency)
+    ]
 
 
 class VF2Layout(TranspilerPass):

@@ -85,11 +85,16 @@ class TestCacheVerifyCli:
         out = capsys.readouterr().out
         assert "verdict: clean" in out
 
-    def test_corrupt_without_repair_exits_nonzero(self, populated):
+    def test_corrupt_without_repair_exits_nonzero(self, populated, capsys):
         write_corrupt_frame(populated, ("point", 99))
         with pytest.raises(SystemExit) as excinfo:
             main(["cache", "verify", "--cache-dir", str(populated)])
-        assert "--repair" in str(excinfo.value)
+        assert excinfo.value.code == 1
+        # The report goes where a clean one goes, so `> out.txt` keeps it.
+        captured = capsys.readouterr()
+        assert "verdict: CORRUPT" in captured.out
+        assert "run again with --repair" in captured.out
+        assert captured.err == ""
 
     def test_repair_fixes_and_exits_zero(self, populated, capsys):
         write_corrupt_frame(populated, ("point", 99))

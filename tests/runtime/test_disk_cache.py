@@ -233,3 +233,15 @@ class TestCliIntegration:
         warm = capsys.readouterr()
         assert cold.out == warm.out
         assert " 0 transpiled" in warm.err
+
+    def test_repeated_size_is_transpiled_and_stored_once(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["swaps", "--sizes", "8", "8", "--workloads", "GHZ", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        # GHZ-8 on the six small design points: six distinct points.
+        assert "0 disk hits, 6 transpiled" in capsys.readouterr().err
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        info = capsys.readouterr().out
+        assert "live records: 6 " in info
+        assert "dead bytes: 0 B" in info

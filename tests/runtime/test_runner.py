@@ -33,6 +33,13 @@ def _raise_missing_file(value):
     raise FileNotFoundError(f"missing {value}")
 
 
+def _logged_square(log, value):
+    """``value ** 2``, appending ``value`` to the file ``log`` (any process)."""
+    with open(log, "a") as handle:
+        handle.write(f"{value}\n")
+    return value * value
+
+
 class TestRunnerMap:
     def test_serial_map_preserves_order(self):
         runner = serial_runner()
@@ -97,6 +104,29 @@ class TestRunnerMap:
             assert runner._pool is None
             # Still usable after close: a fresh pool is started on demand.
             assert runner.map(_square, [(5,), (6,)]) == [25, 36]
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "2-workers"])
+    def test_repeated_key_is_computed_once(self, tmp_path, workers):
+        log = str(tmp_path / "calls.log")
+        cache = ResultCache()
+        announced = []
+        with ExperimentRunner(
+            parallel=workers > 1, max_workers=workers, result_cache=cache
+        ) as runner:
+            results = runner.map(
+                _logged_square,
+                [(log, 2), (log, 2), (log, 3)],
+                keys=["a", "a", "b"],
+                labels=["a-first", "a-again", "b"],
+                progress=announced.append,
+            )
+        assert results == [4, 4, 9]
+        with open(log) as handle:
+            assert sorted(handle.read().split()) == ["2", "3"]
+        assert sorted(announced) == ["a-first", "b"]
+        assert cache.stats().misses == 2 and len(cache) == 2
 
 
 class TestPointSeed:

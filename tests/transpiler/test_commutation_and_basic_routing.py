@@ -11,12 +11,14 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import UnitaryGate
 from repro.circuits.instruction import Instruction
 from repro.gates import (
+    CPhaseGate,
     CXGate,
     CZGate,
     FSimGate,
     NthRootISwapGate,
     RXGate,
     RZGate,
+    RZZGate,
     SqrtISwapGate,
     SwapGate,
     XGate,
@@ -68,6 +70,20 @@ class TestCommutationPredicate:
         assert not instructions_commute(
             Instruction(CXGate(), (0, 1)), Instruction(CXGate(), (1, 2))
         )
+
+    def test_diagonal_gates_commute_without_joint_unitaries(self, monkeypatch):
+        def refuse(first, second):
+            raise AssertionError("joint unitaries built")
+
+        monkeypatch.setattr(commutation, "_joint_unitary", refuse)
+        assert instructions_commute(
+            Instruction(CPhaseGate(0.4), (0, 1)), Instruction(RZZGate(0.7), (1, 2))
+        )
+        # A non-diagonal partner still takes the numeric check.
+        with pytest.raises(AssertionError, match="joint unitaries"):
+            instructions_commute(
+                Instruction(CPhaseGate(0.4), (0, 1)), Instruction(RXGate(0.7), (1,))
+            )
 
 
 class TestCommutativeCancellation:
@@ -156,6 +172,51 @@ class TestCommutativeCancellation:
         optimized = self.run_pass(circuit)
         fidelity = hilbert_schmidt_fidelity(circuit.to_unitary(), optimized.to_unitary())
         assert fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLookBack:
+    """The look-back window: the 20 most recent live instructions."""
+
+    def test_no_entry_on_the_same_qubits_asks_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(first, second):
+            calls.append((first, second))
+            return pair_verdict(first, second)
+
+        monkeypatch.setattr(commutation, "pair_verdict", counted)
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 1)
+        circuit.rz(0.3, 1)
+        circuit.cx(1, 2)
+        circuit.h(2)
+        circuit.cx(2, 3)
+        circuit.cx(1, 0)  # (1, 0) is another tuple than (0, 1)
+        circuit.cx(3, 2)
+        result = CommutativeCancellation().run(circuit, PropertySet())
+        assert calls == []
+        assert list(result) == list(circuit)
+
+    @pytest.mark.parametrize("between, cancels", [(19, True), (20, False)])
+    def test_partner_must_be_within_twenty_live_entries(self, between, cancels):
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        for step in range(between):
+            circuit.rz(0.1 * (step + 1), 2)  # disjoint, and no two cancel
+        circuit.cx(0, 1)
+        result = CommutativeCancellation().run(circuit, PropertySet())
+        assert result.count_ops() == ({"rz": between} if cancels else {"rz": between, "cx": 2})
+
+    def test_emptied_slot_does_not_count_toward_the_window(self):
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 1)
+        circuit.x(2)
+        circuit.x(2)  # cancels the X above and empties its slot
+        for step in range(19):
+            circuit.rz(0.1 * (step + 1), 2)
+        circuit.cx(0, 1)  # the CX above is the 20th live entry
+        result = CommutativeCancellation().run(circuit, PropertySet())
+        assert result.count_ops() == {"rz": 19}
 
 
 def _numeric_verdict(first, second):

@@ -233,6 +233,62 @@ def _shuffled_graph(rng, num_nodes, edge_probability):
     return graph
 
 
+def _relabelled_shuffled(rng, num_nodes, edges):
+    """The graph on 0..n-1 with ``edges`` under a random relabelling, shuffled as above."""
+    labels = list(range(num_nodes))
+    rng.shuffle(labels)
+    nodes = list(range(num_nodes))
+    rng.shuffle(nodes)
+    edges = [
+        (labels[a], labels[b]) if rng.random() < 0.5 else (labels[b], labels[a])
+        for a, b in edges
+    ]
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return graph
+
+
+def _modular_device(rng):
+    """2-4 cliques of 3-5 nodes, at most 12 in all, each joined to an earlier one by one bridge.
+
+    The shape of the small SNAIL Tree and Tree-RR: dense modules and sparse
+    links between them, where a partial mapping often strands the rest of
+    the pattern in a module too small for it.
+    """
+    while True:
+        modules = [rng.randint(3, 5) for _ in range(rng.randint(2, 4))]
+        if sum(modules) <= 12:
+            break
+    members, edges, start = [], [], 0
+    for size in modules:
+        module = list(range(start, start + size))
+        edges += itertools.combinations(module, 2)
+        if members:
+            edges.append((rng.choice(rng.choice(members)), rng.choice(module)))
+        members.append(module)
+        start += size
+    return _relabelled_shuffled(rng, start, edges)
+
+
+def _modular_pattern(rng, num_nodes):
+    """A path, a triangle ladder (the CDKM adder's interactions) or a sparse random graph."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        edges = [(node, node + 1) for node in range(num_nodes - 1)]
+    elif kind == 1:
+        edges = [
+            (node, node + step)
+            for node in range(num_nodes)
+            for step in (1, 2)
+            if node + step < num_nodes
+        ]
+    else:
+        return _shuffled_graph(rng, num_nodes, rng.uniform(0.1, 0.3))
+    return _relabelled_shuffled(rng, num_nodes, edges)
+
+
 def _same_embedding(found, expected):
     """Equal mappings with equal insertion order (``None`` only equals ``None``)."""
     if found is None or expected is None:
@@ -259,6 +315,20 @@ class TestFirstMonomorphismParity:
             outcomes[expected is not None] += 1
         assert min(outcomes.values()) >= 100, outcomes
 
+    def test_modular_devices_match_networkx(self):
+        # The pruning rules cut most of the search on these devices; every
+        # cut must hold no embedding, so the first one found is networkx's.
+        rng = random.Random(20240611)
+        outcomes = {True: 0, False: 0}
+        for trial in range(400):
+            device = _modular_device(rng)
+            pattern = _modular_pattern(rng, rng.randint(3, device.number_of_nodes()))
+            expected = reference_first_monomorphism(device, pattern)
+            found = first_monomorphism(_adjacency(device), _adjacency(pattern))
+            assert _same_embedding(found, expected), (trial, found, expected)
+            outcomes[expected is not None] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_l3_noisy_grid_searches_match_networkx(self, seed):
         searches = vf2_searches(seed)
@@ -269,6 +339,29 @@ class TestFirstMonomorphismParity:
             assert _same_embedding(result, expected), label
             found += expected is not None
         assert 0 < found < len(searches)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "workload, topology",
+        [
+            ("GHZ", "Tree-RR"),
+            ("TIMHamiltonian", "Tree-RR"),
+            ("Adder", "Tree-RR"),
+            ("Adder", "Tree"),
+        ],
+    )
+    def test_points_left_out_of_l3_noisy_match_networkx(self, workload, topology):
+        # 14-qubit points on the 20-qubit small trees, each one long search:
+        # networkx needs 0.15-9 s here, the pruned search milliseconds.
+        device = get_topology(topology, scale="small")
+        circuit = DecomposeMultiQubit().run(build_workload(workload, 14, seed=1), PropertySet())
+        interactions = DAGCircuit(circuit).two_qubit_interactions()
+        pattern = interaction_graph(circuit, interactions)
+        assert not embedding_impossible(pattern, device.adjacency())
+        expected = reference_first_monomorphism(
+            device.graph, reference_interaction_graph(circuit, interactions)
+        )
+        assert _same_embedding(first_monomorphism(device.adjacency(), pattern), expected)
 
     def test_empty_pattern_maps_nothing(self):
         assert first_monomorphism(_adjacency(nx.path_graph(3)), {}) == {}
