@@ -938,9 +938,9 @@ def _command_bench(args: argparse.Namespace) -> str:
         )
     body = "\n".join(lines)
     if check.failed:
-        raise SystemExit(
-            body + "\nbench check FAILED: " + "; ".join(check.violations)
-        )
+        # On stdout like a passing report; the exit code says it failed.
+        print(body + "\nbench check FAILED: " + "; ".join(check.violations))
+        raise SystemExit(1)
     return body
 
 

@@ -265,8 +265,3 @@ def weyl_coordinates(
     from repro.linalg.kak import kak_decomposition
 
     return kak_decomposition(unitary).canonical
-
-
-def weyl_distance(u_a: np.ndarray, u_b: np.ndarray) -> float:
-    """Distance between the canonical classes of two unitaries."""
-    return weyl_coordinates(u_a).distance(weyl_coordinates(u_b))

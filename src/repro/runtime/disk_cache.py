@@ -13,7 +13,8 @@ packed, content-addressed store behind it:
   file) as CRC-guarded frames of ``zlib``-compressed pickle, so a
   million-point sweep costs a few dozen inodes, not a million; every
   writer owns its own append-only segment, which makes concurrent
-  writers safe without locks;
+  writers safe without locks, and one private writer creates every
+  segment (the cache's own, GC and repair output, injected faults);
 * **the index** maps key digests to ``(segment, offset, length)``; sealed
   segments carry a compact sidecar index file that is loaded instead of
   re-scanned, and the open (unsealed) segments of other processes are
@@ -25,13 +26,13 @@ packed, content-addressed store behind it:
   compaction so the damage does not survive maintenance.
 
 ``REPRO_CACHE_DIR`` (or the CLI's ``--cache-dir``) selects the directory;
-:func:`resolve_result_cache` is the single decision point the CLI, the
-``repro serve`` server and :func:`repro.transpiler.batch.transpile_batch`
-funnel through.  An explicit ``--cache-dir`` always wins over
-``REPRO_CACHE_DIR``, an explicit ``max_bytes`` over
-``REPRO_CACHE_MAX_BYTES``, and ``--no-cache`` over everything (see
-``docs/architecture.md`` for the precedence table and the on-disk format
-reference).
+:func:`resolve_result_cache` is the single decision point the CLI and the
+``repro serve`` server funnel through.  An explicit ``--cache-dir``
+always wins over ``REPRO_CACHE_DIR``, and ``--no-cache`` over everything.
+``REPRO_CACHE_MAX_BYTES`` bounds the directory a resolved cache opens;
+library code passes ``max_bytes`` to :class:`PersistentResultCache` or
+:func:`collect_garbage` itself (see ``docs/architecture.md`` for the
+precedence table and the on-disk format reference).
 
 Sharing a directory
 -------------------
@@ -90,6 +91,11 @@ DEFAULT_SEGMENT_MAX_BYTES = 8 * 1024 * 1024
 
 _SEGMENT_SUFFIX = ".rps"
 _SIDECAR_SUFFIX = ".rpi"
+
+#: Temp files older than this are leftovers of writers that died between
+#: ``mkstemp`` and ``os.replace``; anything younger may be a concurrent
+#: writer's live staging file and is left alone.
+_STALE_TMP_SECONDS = 3600.0
 
 
 def cache_dir_from_env() -> Optional[str]:
@@ -205,6 +211,21 @@ def _scan_segment(
         return records, start, True
 
 
+def _read_payload(stream, offset: int, length: int, crc: int) -> Optional[bytes]:
+    """The stored payload at ``offset``, or ``None`` when it fails its CRC.
+
+    The only code that reads a record's payload back; a short read (the
+    segment was truncated or compacted away) counts as a failure.
+    ``OSError`` propagates, so a caller never mistakes an unreadable file
+    for a corrupt frame.
+    """
+    stream.seek(offset)
+    payload = stream.read(length)
+    if len(payload) != length or zlib.crc32(payload) != crc:
+        return None
+    return payload
+
+
 def _read_sidecar(path: Path) -> Optional[List[_SegmentRecord]]:
     """Decode one sidecar index file; any failure means "scan the segment"."""
     try:
@@ -241,6 +262,17 @@ def _atomic_write(directory: Path, path: Path, blob: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _sweep_stale_temp_files(directory: Path) -> None:
+    """Delete the temp files of writers that died mid-publish."""
+    cutoff = time.time() - _STALE_TMP_SECONDS
+    for path in directory.glob("*.tmp"):
+        try:
+            if path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:
+            pass
 
 
 def _segment_paths(directory: Path) -> List[Path]:
@@ -375,56 +407,115 @@ class GCReport:
 
 
 class _SegmentWriter:
-    """Append-only writer building fresh compacted segments during GC."""
+    """The one writer of segment files: appends CRC-framed records.
 
-    def __init__(self, directory: Path, segment_max_bytes: int):
+    Every segment it opens is a fresh ``<prefix>-<12 hex>.rps`` file:
+    ``seg-<pid hex>`` for a cache's own appends, ``seg-gc`` for GC and
+    repair output, ``seg-fault`` for injected faults.  Each frame is
+    flushed as it is written, because other processes tail-scan a live
+    segment.  The writer rotates to a fresh segment past ``max_bytes``,
+    and :meth:`seal` publishes the sidecar index of the open one.
+    """
+
+    def __init__(
+        self, directory: Path, prefix: str, max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES
+    ):
         self._directory = directory
-        self._max_bytes = segment_max_bytes
+        self._prefix = prefix
+        self.max_bytes = max_bytes
+        self.path: Optional[Path] = None  #: the open segment, if any
+        self.sealed = 0  #: segments sealed so far
         self._stream: Optional[io.BufferedWriter] = None
-        self._path: Optional[Path] = None
         self._size = 0
         self._records: List[_SegmentRecord] = []
-        self.written: List[Path] = []
 
-    def _open(self) -> None:
-        token = uuid.uuid4().hex[:12]
-        self._path = self._directory / f"seg-gc-{token}{_SEGMENT_SUFFIX}"
-        self._stream = open(self._path, "wb")
-        self._stream.write(SEGMENT_MAGIC)
-        self._size = len(SEGMENT_MAGIC)
-        self._records = []
-
-    def append(self, digest: bytes, payload: bytes, mtime: float, crc: int) -> None:
-        """Write one record frame, rotating segments at the size bound."""
+    def append(
+        self, digest: bytes, payload: bytes, mtime: float, crc: int
+    ) -> _SegmentRecord:
+        """Write one frame, rotating at the size bound; returns its record."""
         if self._stream is None or (
-            self._records and self._size + _FRAME.size + len(payload) > self._max_bytes
+            self._records and self._size + _FRAME.size + len(payload) > self.max_bytes
         ):
             self.seal()
-            self._open()
+            token = uuid.uuid4().hex[:12]
+            path = self._directory / f"{self._prefix}-{token}{_SEGMENT_SUFFIX}"
+            self._stream = open(path, "wb")
+            self.path = path
+            self._stream.write(SEGMENT_MAGIC)
+            self._size = len(SEGMENT_MAGIC)
         self._stream.write(_FRAME.pack(_FRAME_MAGIC, digest, mtime, len(payload), crc))
-        self._records.append(
-            _SegmentRecord(
-                digest=digest,
-                offset=self._size + _FRAME.size,
-                length=len(payload),
-                mtime=mtime,
-                crc=crc,
-            )
-        )
         self._stream.write(payload)
-        self._size += _FRAME.size + len(payload)
+        self._stream.flush()
+        record = _SegmentRecord(
+            digest=digest,
+            offset=self._size + _FRAME.size,
+            length=len(payload),
+            mtime=mtime,
+            crc=crc,
+        )
+        self._records.append(record)
+        self._size += record.frame_bytes
+        return record
 
     def seal(self) -> None:
-        """Flush, close and publish the sidecar of the current segment."""
-        if self._stream is None:
+        """Close the open segment and publish its sidecar index.
+
+        A segment that holds no frame is deleted instead.  The writer is
+        reset before the files are touched, so after an ``OSError`` the
+        next append starts a fresh segment.
+        """
+        stream, path, records = self._stream, self.path, self._records
+        if stream is None:
             return
-        self._stream.close()
-        self._stream = None
-        _atomic_write(
-            self._directory, _sidecar_for(self._path), _sidecar_blob(self._records)
-        )
-        self.written.append(self._path)
-        self._path = None
+        self._stream, self.path, self._records = None, None, []
+        stream.close()
+        if not records:
+            path.unlink()
+            return
+        self.sealed += 1
+        _atomic_write(self._directory, _sidecar_for(path), _sidecar_blob(records))
+
+
+def _rewrite_segments(
+    directory: Path,
+    plan: List[Tuple[Path, List[_SegmentRecord]]],
+    segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
+) -> Tuple[int, int, int]:
+    """Copy the listed frames of each segment into fresh ``seg-gc`` segments.
+
+    The only code that copies frames.  ``plan`` pairs each source segment
+    with the frames to keep from it; a frame whose payload fails its CRC
+    is dropped (its key heals as a miss).  Each source segment and its
+    sidecar are deleted once copied; one that cannot be read stays in
+    place.  Returns ``(segments removed, segments written, frames
+    dropped)``.
+    """
+    writer = _SegmentWriter(directory, "seg-gc", segment_max_bytes)
+    removed = 0
+    dropped = 0
+    for segment, records in plan:
+        bad = 0
+        try:
+            with open(segment, "rb") as stream:
+                for record in records:
+                    payload = _read_payload(
+                        stream, record.offset, record.length, record.crc
+                    )
+                    if payload is None:
+                        bad += 1
+                    else:
+                        writer.append(record.digest, payload, record.mtime, record.crc)
+        except OSError:
+            continue
+        for path in (segment, _sidecar_for(segment)):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        removed += 1
+        dropped += bad
+    writer.seal()
+    return removed, writer.sealed, dropped
 
 
 def collect_garbage(
@@ -432,8 +523,6 @@ def collect_garbage(
     max_bytes: Optional[int] = None,
     max_age_seconds: Optional[float] = None,
     protected: AbstractSet[str] = frozenset(),
-    now: Optional[float] = None,
-    sweep_tmp: bool = True,
     compact: bool = False,
     segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
 ) -> GCReport:
@@ -452,20 +541,12 @@ def collect_garbage(
 
     GC assumes no concurrent *writers* share the directory (readers are
     fine — a compacted-away record heals as a miss).  Stale temp files
-    (crashed writers) are swept as a side effect unless ``sweep_tmp`` is
-    False (read-only inspection must not race a slow live writer's
-    staging file).  Missing-directory and per-file ``OSError`` are
-    tolerated silently.
+    (crashed writers) are swept as a side effect.  Missing-directory and
+    per-file ``OSError`` are tolerated silently.
     """
     directory = Path(cache_dir)
-    now = time.time() if now is None else float(now)
-    if sweep_tmp:
-        for path in directory.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime < now - PersistentResultCache._STALE_TMP_SECONDS:
-                    path.unlink()
-            except OSError:
-                pass
+    now = time.time()
+    _sweep_stale_temp_files(directory)
 
     live, segments, dead_bytes = _scan_directory(directory)
     # Deterministic eviction order: oldest first, digest breaks ties.
@@ -493,49 +574,21 @@ def collect_garbage(
         reclaimed += size
         total -= size
 
-    # Decide which segments must be rewritten: every segment when
-    # compacting, otherwise only those holding evicted or superseded
-    # frames (rewriting is the only way to actually reclaim their bytes).
-    segments_to_rewrite: List[Tuple[Path, List[_SegmentRecord]]] = []
+    # Rewrite every segment when compacting, otherwise only those with a
+    # corrupt tail or an evicted or superseded frame (rewriting is the
+    # only way to actually reclaim their bytes), keeping the live frames.
+    plan: List[Tuple[Path, List[_SegmentRecord]]] = []
     for segment, records, clean in segments:
-        needs = compact or not clean
-        if not needs:
-            for record in records:
-                name = record.digest.hex()
-                source = live.get(record.digest)
-                superseded = source is None or source[0] is not record
-                if name in evicted or superseded:
-                    needs = True
-                    break
-        if needs:
-            segments_to_rewrite.append((segment, records))
-
-    rewrite_set = {segment for segment, _records in segments_to_rewrite}
-    writer = _SegmentWriter(directory, segment_max_bytes)
-    segments_removed = 0
-    for segment, records in segments_to_rewrite:
-        try:
-            with open(segment, "rb") as stream:
-                for record in records:
-                    name = record.digest.hex()
-                    source = live.get(record.digest)
-                    if name in evicted or source is None or source[0] is not record:
-                        continue
-                    stream.seek(record.offset)
-                    payload = stream.read(record.length)
-                    if len(payload) != record.length or zlib.crc32(payload) != record.crc:
-                        continue  # corrupt frame: drop it (heals as a miss)
-                    writer.append(record.digest, payload, record.mtime, record.crc)
-        except OSError:
-            continue
-        for path in (segment, _sidecar_for(segment)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        segments_removed += 1
-
-    writer.seal()
+        keep = [
+            record
+            for record in records
+            if record.digest.hex() not in evicted and live[record.digest][0] is record
+        ]
+        if compact or not clean or len(keep) < len(records):
+            plan.append((segment, keep))
+    segments_removed, segments_written, _dropped = _rewrite_segments(
+        directory, plan, segment_max_bytes
+    )
 
     # Records whose segment was *not* rewritten survive in place; count
     # them plus everything the writer carried over.
@@ -550,7 +603,7 @@ def collect_garbage(
         protected=protected_count,
         segments_scanned=len(segments),
         segments_removed=segments_removed,
-        segments_written=len(writer.written),
+        segments_written=segments_written,
         dead_bytes=dead_bytes,
     )
 
@@ -559,9 +612,9 @@ def collect_garbage(
 class VerifyReport:
     """Outcome of an integrity scan over a cache directory (``cache verify``).
 
-    ``clean`` is the verdict: True when every frame's CRC matches, every
-    segment parses end to end and every sidecar index agrees with its
-    segment.
+    ``clean`` is the verdict on the state found: True when every frame's
+    CRC matches, every segment parses end to end and every sidecar index
+    agrees with its segment.
     """
 
     segments: int  #: packed segment files scanned
@@ -580,7 +633,12 @@ class VerifyReport:
         return not (self.frames_corrupt or self.torn_segments or self.sidecars_stale)
 
     def describe(self) -> str:
-        """Human-readable summary (the CLI ``cache verify`` body)."""
+        """Human-readable summary (the CLI ``cache verify`` body).
+
+        The counters describe what the scan found; the last line says
+        ``clean``, ``repaired`` (a repair rewrote the damage) or
+        ``CORRUPT``.
+        """
         lines = [
             f"segments: {self.segments} ({self.frames_ok} frames ok, "
             f"{self.frames_corrupt} corrupt, {self.torn_segments} torn "
@@ -592,15 +650,17 @@ class VerifyReport:
                 f"repaired: {self.repaired_segments} segments rewritten, "
                 f"{self.dropped_frames} corrupt frames dropped"
             )
-        lines.append("verdict: " + ("clean" if self.clean else "CORRUPT"))
+        if self.clean:
+            verdict = "clean"
+        elif self.repaired_segments:
+            verdict = "repaired"
+        else:
+            verdict = "CORRUPT"
+        lines.append("verdict: " + verdict)
         return "\n".join(lines)
 
 
-def verify_cache(
-    cache_dir: Union[str, Path],
-    repair: bool = False,
-    segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
-) -> VerifyReport:
+def verify_cache(cache_dir: Union[str, Path], repair: bool = False) -> VerifyReport:
     """Validate every frame and sidecar index in a cache directory.
 
     Unlike the lazy read path (which drops a corrupt frame only when its
@@ -608,17 +668,17 @@ def verify_cache(
     segment is re-parsed from byte zero — deliberately ignoring sidecar
     indexes, which are themselves being audited — and every payload's
     CRC-32 is recomputed.  Without ``repair`` the scan is strictly
-    read-only.  With ``repair=True`` damaged segments are rewritten
-    keeping only their valid frames (corrupt frames and torn tails are
-    dropped — those records heal as cache misses) and stale sidecars are
-    rebuilt.
+    read-only.  With ``repair=True`` every damaged segment (a corrupt
+    frame, a torn tail or a stale sidecar) goes through the rewrite GC
+    compaction uses, copying the valid frames this scan found into a
+    fresh segment with a fresh sidecar; corrupt frames and torn tails are
+    dropped, and those records heal as cache misses.
 
     Like GC, repair assumes no concurrent writer shares the directory.
     The counters in the returned :class:`VerifyReport` always describe
     the state *found*, not the state after repair.
     """
     directory = Path(cache_dir)
-    writer = _SegmentWriter(directory, segment_max_bytes) if repair else None
     segments = 0
     frames_ok = 0
     frames_corrupt = 0
@@ -626,8 +686,7 @@ def verify_cache(
     torn_bytes = 0
     sidecars = 0
     sidecars_stale = 0
-    repaired_segments = 0
-    dropped_frames = 0
+    damaged: List[Tuple[Path, List[_SegmentRecord]]] = []
     for segment in _segment_paths(directory):
         try:
             size = segment.stat().st_size
@@ -635,59 +694,36 @@ def verify_cache(
             continue
         segments += 1
         records, end, clean_tail = _scan_segment(segment, 0, size)
-        torn = max(0, size - end)
-        good: List[Tuple[_SegmentRecord, bytes]] = []
-        bad = 0
         try:
             with open(segment, "rb") as stream:
-                for record in records:
-                    stream.seek(record.offset)
-                    payload = stream.read(record.length)
-                    if (
-                        len(payload) != record.length
-                        or zlib.crc32(payload) != record.crc
-                    ):
-                        bad += 1
-                    else:
-                        good.append((record, payload))
+                ok = sum(
+                    _read_payload(stream, r.offset, r.length, r.crc) is not None
+                    for r in records
+                )
         except OSError:
             continue
-        frames_ok += len(good)
-        frames_corrupt += bad
-        damaged = bad > 0 or not clean_tail or torn > 0
-        if not clean_tail or torn > 0:
+        frames_ok += ok
+        frames_corrupt += len(records) - ok
+        torn = max(0, size - end)
+        torn_tail = not clean_tail or torn > 0
+        if torn_tail:
             torn_segments += 1
             torn_bytes += torn
         sidecar = _sidecar_for(segment)
-        sidecar_stale = False
+        stale = False
         if sidecar.is_file():
             sidecars += 1
-            indexed = _read_sidecar(sidecar)
-            expected = [
-                (r.digest, r.offset, r.length, r.mtime, r.crc) for r in records
-            ]
-            actual = (
-                None
-                if indexed is None
-                else [(r.digest, r.offset, r.length, r.mtime, r.crc) for r in indexed]
-            )
-            if actual != expected:
+            stale = _read_sidecar(sidecar) != records
+            if stale:
                 sidecars_stale += 1
-                sidecar_stale = True
-        if writer is not None and damaged:
-            for record, payload in good:
-                writer.append(record.digest, payload, record.mtime, record.crc)
-            for path in (segment, sidecar):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            repaired_segments += 1
-            dropped_frames += bad
-        elif writer is not None and sidecar_stale:
-            _atomic_write(directory, sidecar, _sidecar_blob(records))
-    if writer is not None:
-        writer.seal()
+        if ok < len(records) or torn_tail or stale:
+            damaged.append((segment, records))
+    repaired_segments = 0
+    dropped_frames = 0
+    if repair and damaged:
+        repaired_segments, _written, dropped_frames = _rewrite_segments(
+            directory, damaged
+        )
     return VerifyReport(
         segments=segments,
         frames_ok=frames_ok,
@@ -711,25 +747,17 @@ class PersistentResultCache(ResultCache):
     makes the cache slower, never wrong.
     """
 
-    #: Temp files older than this are leftovers of writers that died
-    #: between ``mkstemp`` and ``os.replace``; anything younger may be a
-    #: concurrent writer's live staging file and is left alone.
-    _STALE_TMP_SECONDS = 3600.0
-
     def __init__(
         self,
         cache_dir: Union[str, Path],
         maxsize: int = 8192,
         max_bytes: Optional[int] = None,
-        max_age_seconds: Optional[float] = None,
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
     ):
         super().__init__(maxsize=maxsize)
         self._dir = Path(cache_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._max_bytes = max_bytes
-        self._max_age_seconds = max_age_seconds
-        self._segment_max_bytes = max(_FRAME.size + 1, int(segment_max_bytes))
         self._disk_hits = 0
         self._disk_misses = 0
         #: Key digests written by *this* instance — i.e. during the
@@ -737,25 +765,17 @@ class PersistentResultCache(ResultCache):
         self._written: Set[str] = set()
         #: digest -> (segment name, payload offset, length, crc)
         self._index: Dict[bytes, Tuple[str, int, int, int]] = {}
-        #: segment name -> [next scan offset, poisoned, sealed]
+        #: segment name -> [next scan offset, poisoned, fully indexed]
         self._scan_state: Dict[str, List] = {}
-        self._active_path: Optional[Path] = None
-        self._active_stream: Optional[io.BufferedWriter] = None
-        self._active_size = 0
-        self._active_records: List[_SegmentRecord] = []
-        self._sweep_stale_temp_files()
-        if max_bytes is not None or max_age_seconds is not None:
+        self._writer = _SegmentWriter(
+            self._dir,
+            f"seg-{os.getpid():x}",
+            max(_FRAME.size + 1, int(segment_max_bytes)),
+        )
+        _sweep_stale_temp_files(self._dir)
+        if max_bytes is not None:
             self.gc()
         self._refresh_index()
-
-    def _sweep_stale_temp_files(self) -> None:
-        cutoff = time.time() - self._STALE_TMP_SECONDS
-        for path in self._dir.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                pass
 
     @property
     def cache_dir(self) -> Path:
@@ -771,20 +791,18 @@ class PersistentResultCache(ResultCache):
         active segments of *other* processes are scanned incrementally —
         only the bytes appended since the last refresh are parsed, so a
         refresh on a warm directory costs a handful of ``stat`` calls.
+        This instance's own segments are indexed as it writes them.
         """
         try:
             names = os.listdir(self._dir)
         except OSError:
             return
-        own = None if self._active_path is None else self._active_path.name
         for name in names:
             if not name.endswith(_SEGMENT_SUFFIX) or not name.startswith("seg-"):
                 continue
-            if name == own:
-                continue  # our own appends are indexed at write time
             state = self._scan_state.setdefault(name, [0, False, False])
             if state[1] or state[2]:
-                continue  # poisoned tail or sealed-and-loaded: nothing new
+                continue  # poisoned tail, or every frame already indexed
             path = self._dir / name
             sidecar = _sidecar_for(path)
             if sidecar.exists():
@@ -824,14 +842,12 @@ class PersistentResultCache(ResultCache):
         name, offset, length, crc = entry
         try:
             with open(self._dir / name, "rb") as stream:
-                stream.seek(offset)
-                payload = stream.read(length)
+                payload = _read_payload(stream, offset, length, crc)
         except OSError:
-            payload = b""
-        if len(payload) != length or zlib.crc32(payload) != crc:
+            payload = None
+        if payload is None:
             # Compacted away or corrupt: drop the entry so the slot heals.
             self._index.pop(digest, None)
-            return None
         return payload
 
     # -- disk tier -------------------------------------------------------------
@@ -844,63 +860,21 @@ class PersistentResultCache(ResultCache):
         self._refresh_index()
         return self._read_indexed(digest)
 
-    def _rotate_active(self) -> None:
-        """Seal the active segment (sidecar + close) and start a fresh one."""
-        if self._active_stream is not None:
-            self._active_stream.close()
-            try:
-                _atomic_write(
-                    self._dir,
-                    _sidecar_for(self._active_path),
-                    _sidecar_blob(self._active_records),
-                )
-            except OSError:
-                pass
-            self._scan_state[self._active_path.name] = [self._active_size, False, True]
-        token = f"{os.getpid():x}-{uuid.uuid4().hex[:8]}"
-        self._active_path = self._dir / f"seg-{token}{_SEGMENT_SUFFIX}"
-        self._active_stream = open(self._active_path, "ab")
-        if self._active_stream.tell() == 0:
-            self._active_stream.write(SEGMENT_MAGIC)
-            self._active_stream.flush()
-        self._active_size = self._active_stream.tell()
-        self._active_records = []
-
     def _append_record(self, digest_hex: str, record) -> None:
-        """Append one frame to the active segment (failures degrade silently)."""
+        """Append one frame through the writer (failures degrade silently)."""
         try:
             payload = zlib.compress(
                 pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
             )
             digest = bytes.fromhex(digest_hex)
-            if self._active_stream is None or (
-                self._active_records
-                and self._active_size + _FRAME.size + len(payload)
-                > self._segment_max_bytes
-            ):
-                self._rotate_active()
-            crc = zlib.crc32(payload)
-            mtime = time.time()
-            frame = _FRAME.pack(_FRAME_MAGIC, digest, mtime, len(payload), crc)
-            self._active_stream.write(frame + payload)
-            self._active_stream.flush()
-            offset = self._active_size + _FRAME.size
-            self._active_size += len(frame) + len(payload)
-            self._index[digest] = (
-                self._active_path.name,
-                offset,
-                len(payload),
-                crc,
+            frame = self._writer.append(
+                digest, payload, time.time(), zlib.crc32(payload)
             )
-            self._active_records.append(
-                _SegmentRecord(
-                    digest=digest,
-                    offset=offset,
-                    length=len(payload),
-                    mtime=mtime,
-                    crc=crc,
-                )
-            )
+            name = self._writer.path.name
+            # Indexed at write time, so a refresh never rescans the segment
+            # (not while it is open, nor once the writer has sealed it).
+            self._scan_state[name] = [0, False, True]
+            self._index[digest] = (name, frame.offset, frame.length, frame.crc)
             self._written.add(digest_hex)
         except Exception:
             # Unpicklable record, read-only directory, full disk, ...: the
@@ -913,24 +887,10 @@ class PersistentResultCache(ResultCache):
         Optional hygiene (the cache works without it): an unsealed
         segment is still fully readable via tail scans.
         """
-        if self._active_stream is None:
-            return
         try:
-            self._active_stream.close()
-            if self._active_records:
-                _atomic_write(
-                    self._dir,
-                    _sidecar_for(self._active_path),
-                    _sidecar_blob(self._active_records),
-                )
-            else:
-                self._active_path.unlink()
+            self._writer.seal()
         except OSError:
             pass
-        self._active_stream = None
-        self._active_path = None
-        self._active_records = []
-        self._active_size = 0
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
@@ -971,15 +931,7 @@ class PersistentResultCache(ResultCache):
         super().clear()
         self._disk_hits = 0
         self._disk_misses = 0
-        if self._active_stream is not None:
-            try:
-                self._active_stream.close()
-            except OSError:
-                pass
-            self._active_stream = None
-            self._active_path = None
-            self._active_records = []
-            self._active_size = 0
+        self.close()
         self._index.clear()
         self._scan_state.clear()
         for pattern in ("*.tmp", f"seg-*{_SEGMENT_SUFFIX}", f"seg-*{_SIDECAR_SUFFIX}"):
@@ -1006,21 +958,6 @@ class PersistentResultCache(ResultCache):
         self._refresh_index()
         return len(self._index)
 
-    def disk_bytes(self) -> int:
-        """Total size of the segment and sidecar files on disk."""
-        total = 0
-        for pattern in (f"seg-*{_SEGMENT_SUFFIX}", f"seg-*{_SIDECAR_SUFFIX}"):
-            for path in self._dir.glob(pattern):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
-        return total
-
-    def segment_report(self) -> SegmentReport:
-        """Segment-level statistics of the backing directory."""
-        return segment_stats(self._dir)
-
     # -- garbage collection ----------------------------------------------------
 
     def gc(
@@ -1029,12 +966,12 @@ class PersistentResultCache(ResultCache):
         max_age_seconds: Optional[float] = None,
         compact: bool = False,
     ) -> GCReport:
-        """Evict old records by the instance (or overriding) policy.
+        """Evict old records by the instance (or overriding) budget, or by age.
 
         Records written during the current run (by this instance) are
         always kept — a sweep must never evict its own fresh results out
         from under a rerun.  Runs automatically at construction when a
-        policy was configured, so long-lived cache directories stay
+        budget was configured, so long-lived cache directories stay
         bounded without a separate maintenance step.  The active segment
         is sealed first so compaction never rewrites a file this instance
         is still appending to.
@@ -1043,14 +980,13 @@ class PersistentResultCache(ResultCache):
         report = collect_garbage(
             self._dir,
             max_bytes=self._max_bytes if max_bytes is None else max_bytes,
-            max_age_seconds=(
-                self._max_age_seconds if max_age_seconds is None else max_age_seconds
-            ),
+            max_age_seconds=max_age_seconds,
             protected=frozenset(self._written),
             compact=compact,
-            segment_max_bytes=self._segment_max_bytes,
+            segment_max_bytes=self._writer.max_bytes,
         )
-        # Compaction moved frames around: rebuild the index from scratch.
+        # Compaction moved frames around: rebuild the index from scratch,
+        # this instance's sealed segments included.
         self._index.clear()
         self._scan_state.clear()
         self._refresh_index()
@@ -1060,21 +996,18 @@ class PersistentResultCache(ResultCache):
 def resolve_result_cache(
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
-    maxsize: int = 8192,
-    max_bytes: Optional[int] = None,
 ) -> Optional[ResultCache]:
     """Build the result cache a runtime entry point should use.
 
     ``no_cache`` wins over everything; an explicit ``cache_dir`` (or the
     ``REPRO_CACHE_DIR`` environment default) selects the persistent cache;
-    otherwise the plain in-process LRU is returned.  ``max_bytes`` (or the
-    ``REPRO_CACHE_MAX_BYTES`` default) bounds a long-lived cache directory:
-    the persistent cache garbage-collects down to the budget on startup.
+    otherwise the plain in-process LRU is returned.  The
+    ``REPRO_CACHE_MAX_BYTES`` budget bounds a long-lived cache directory:
+    the persistent cache garbage-collects down to it on startup.
     """
     if no_cache:
         return None
     directory = cache_dir if cache_dir is not None else cache_dir_from_env()
     if directory is not None:
-        budget = max_bytes if max_bytes is not None else max_bytes_from_env()
-        return PersistentResultCache(directory, maxsize=maxsize, max_bytes=budget)
-    return ResultCache(maxsize=maxsize)
+        return PersistentResultCache(directory, max_bytes=max_bytes_from_env())
+    return ResultCache()

@@ -292,22 +292,16 @@ def write_corrupt_frame(cache_dir: Union[str, Path], key: object) -> Path:
     rot leaves behind.  Readers must detect and drop it; ``repro cache
     verify`` must report it.  Returns the segment path.
     """
-    from repro.runtime.disk_cache import SEGMENT_MAGIC, _FRAME, _FRAME_MAGIC, key_digest
+    from repro.runtime.disk_cache import _SegmentWriter, key_digest
 
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    digest = key_digest(key)
     payload = zlib.compress(b"corrupt-injected-frame")
     bad_crc = (zlib.crc32(payload) ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    frame = _FRAME.pack(
-        _FRAME_MAGIC, bytes.fromhex(digest), time.time(), len(payload), bad_crc
-    )
-    nonce = hashlib.sha256(f"{digest}|{os.getpid()}".encode()).hexdigest()[:12]
-    path = directory / f"seg-fault-{nonce}.rps"
-    with open(path, "wb") as stream:
-        stream.write(SEGMENT_MAGIC)
-        stream.write(frame)
-        stream.write(payload)
-        stream.flush()
+    writer = _SegmentWriter(directory, "seg-fault")
+    writer.append(bytes.fromhex(key_digest(key)), payload, time.time(), bad_crc)
+    path = writer.path
+    writer.seal()
+    with open(path, "rb") as stream:
         os.fsync(stream.fileno())
     return path

@@ -76,7 +76,7 @@ class SnailModule:
         crosstalk_linewidth_mhz: Lorentzian linewidth governing how strongly
             a pump drives transitions it is detuned from; smaller values
             mean better frequency selectivity.
-        t1_us: common energy-relaxation time used for fidelity envelopes.
+        t1_us: common energy-relaxation time of the module's qubits.
     """
 
     qubit_frequencies_ghz: Sequence[float] = (4.5, 5.0, 5.6, 6.3)
@@ -275,9 +275,3 @@ class SnailModule:
                 sum(probabilities[index] for index in range(dim) if index & mask)
             )
         return spread
-
-    # -- fidelity envelope ----------------------------------------------------------------
-
-    def decoherence_envelope(self, duration_ns: float) -> float:
-        """Common ``exp(-t / T1)`` envelope, as in the two-qubit device model."""
-        return float(np.exp(-(duration_ns * 1e-3) / self.t1_us))

@@ -17,7 +17,7 @@ options.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.transpiler.passmanager import STAGES, TranspilerPass
 from repro.transpiler.passes.basis_translation import BasisTranslation
@@ -201,8 +201,3 @@ def _asap_schedule(target: Target, seed: int = 0) -> TranspilerPass:
 @register_pass("scheduling", "alap")
 def _alap_schedule(target: Target, seed: int = 0) -> TranspilerPass:
     return ScheduleAnalysis(target.gate_durations(), discipline="alap")
-
-
-def _registered_stage_names() -> List[str]:
-    """All (stage, name) pairs, for reporting and tests."""
-    return [f"{stage}:{name}" for stage in STAGES for name in sorted(_REGISTRY[stage])]

@@ -114,12 +114,17 @@ class TestReport:
             if line.startswith("| ") and not line.startswith("| benchmark")
         }
         assert rows == {"a": "+0.0% |", "b": "n/a |", "c": "n/a |"}
-        gone = r"missing from the current run \(deleted or renamed\): b$"
-        with pytest.raises(SystemExit, match=gone) as excinfo:
+        with pytest.raises(SystemExit) as excinfo:
             main(["bench", "check", "--history-dir", str(hist)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith(
+            "missing from the current run (deleted or renamed): b"
+        )
         # The zero baseline is named once, on the report's WARNING line,
         # not again as a Python warning.
-        reported = [str(w.message) for w in recwarn] + str(excinfo.value).splitlines()
+        reported = [str(w.message) for w in recwarn] + captured.out.splitlines()
         assert [line for line in reported if line.endswith(": c")] == [
             "WARNING: zero/near-zero baseline mean(s) skipped: c"
         ]
@@ -162,7 +167,10 @@ class TestCheck:
         capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "check", "--tolerance", "0.25", "--history-dir", str(hist)])
-        message = str(excinfo.value)
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        message = captured.out
         assert "bench check FAILED" in message
         assert "a" in message and "regressed" in message
 
@@ -172,13 +180,18 @@ class TestCheck:
         assert "| a | 3 |" in out and "| b | 3 |" in out
         assert "+60.0%" in out
 
-    def test_check_fails_on_vanished_benchmark(self, make_artifact, tmp_path):
+    def test_check_fails_on_vanished_benchmark(self, make_artifact, tmp_path, capsys):
         hist = tmp_path / "hist"
         main(["bench", "record", str(make_artifact({"a": 1.0, "b": 1.0})), "--history-dir", str(hist)])
         main(["bench", "record", str(make_artifact({"a": 1.0, "b": 1.0})), "--history-dir", str(hist)])
         main(["bench", "record", str(make_artifact({"a": 1.0})), "--history-dir", str(hist)])
-        with pytest.raises(SystemExit, match="missing from the current run"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
             main(["bench", "check", "--history-dir", str(hist)])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "missing from the current run" in captured.out
 
     def test_check_fails_when_every_benchmark_was_renamed(self, make_artifact, tmp_path, capsys):
         hist = tmp_path / "hist"
@@ -186,7 +199,9 @@ class TestCheck:
             main(["bench", "record", str(make_artifact(means)), "--history-dir", str(hist)])
         capsys.readouterr()
         assert _exit_status(["bench", "check", "--history-dir", str(hist)]) == 1
-        assert "the comparison is vacuous" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "the comparison is vacuous" in captured.out
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
     def test_tolerance_that_switches_the_gate_off_is_a_usage_error(self, capsys, tolerance):

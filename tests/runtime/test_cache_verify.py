@@ -73,6 +73,29 @@ class TestVerifyCache:
         verify_cache(populated, repair=True)
         assert verify_cache(populated).clean
 
+    def test_repair_copies_the_scanned_frames_not_a_stale_sidecars(self, tmp_path):
+        """A decodable sidecar listing another segment's frames loses nothing."""
+        sidecars = []
+        for batch in range(2):
+            cache = PersistentResultCache(tmp_path)
+            for index in range(3):
+                cache.put(("point", batch, index), {"value": 10 * batch + index})
+            cache.close()
+            (new,) = set(tmp_path.glob("seg-*.rpi")) - set(sidecars)
+            sidecars.append(new)
+        sidecars[1].write_bytes(sidecars[0].read_bytes())
+        report = verify_cache(tmp_path)
+        assert report.sidecars_stale == 1
+        assert report.frames_ok == 6
+        verify_cache(tmp_path, repair=True)
+        assert verify_cache(tmp_path).clean
+        fresh = PersistentResultCache(tmp_path)
+        for batch in range(2):
+            for index in range(3):
+                assert fresh.get(("point", batch, index)) == {"value": 10 * batch + index}
+        assert fresh.stats().disk_hits == 6
+        fresh.close()
+
     def test_empty_directory_is_clean(self, tmp_path):
         report = verify_cache(tmp_path)
         assert report.clean
@@ -100,7 +123,11 @@ class TestCacheVerifyCli:
         write_corrupt_frame(populated, ("point", 99))
         code = main(["cache", "verify", "--cache-dir", str(populated), "--repair"])
         assert code == 0
-        assert "repaired" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "repaired" in out
+        # The counters say what was found; the verdict says it was fixed.
+        assert "1 corrupt" in out
+        assert out.splitlines()[-1] == "verdict: repaired"
         assert verify_cache(populated).clean
 
     def test_missing_directory_is_a_noop(self, tmp_path, capsys):

@@ -98,6 +98,17 @@ class TestCurrentRunProtection:
         assert cache.get("stale-1") is None
         assert PersistentResultCache(tmp_path).get("fresh") is not None
 
+    def test_own_records_read_from_disk_after_gc(self, tmp_path):
+        """``gc`` seals this instance's segment; its records stay indexed."""
+        cache = PersistentResultCache(tmp_path, maxsize=1)
+        keys = [("point", index) for index in range(3)]
+        for index, key in enumerate(keys):
+            cache.put(key, {"value": index})
+        cache.gc()
+        assert [cache.get(key) for key in keys] == [{"value": i} for i in range(3)]
+        # The one-slot memory tier holds at most one of them.
+        assert cache.stats().disk_hits >= 2
+
     def test_constructor_policy_runs_gc_before_any_write(self, tmp_path):
         _fill(tmp_path, ["stale-1", "stale-2", "stale-3"])
         cache = PersistentResultCache(tmp_path, max_bytes=0)
