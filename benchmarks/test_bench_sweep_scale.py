@@ -58,7 +58,7 @@ def test_bench_packed_segments_and_warm_rerun(benchmark, emit, tmp_path):
     total_files = [path for path in tmp_path.iterdir() if path.is_file()]
     # O(1) file count: a few dozen segments at most, never one per record.
     assert 1 <= len(segments) <= 36
-    assert len(total_files) <= 2 * len(segments)  # only segments + sidecars
+    assert sorted(total_files) == segments  # a segment is its own index
 
     warm_cache = PersistentResultCache(tmp_path)
     warm_runner = ExperimentRunner(parallel=False, result_cache=warm_cache)

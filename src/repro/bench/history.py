@@ -17,8 +17,8 @@ The store borrows the disk-cache record idioms
   the cache's CRC-frame tolerance;
 * **a ``runs.jsonl`` manifest** — one line per recorded run carrying
   the run ordinal and its provenance (git SHA, timestamp passed in,
-  host tag, source artifact), the analogue of the cache's sidecar
-  indexes: the cheap file that says what the series files contain.
+  host tag, source artifact): the cheap file that says what the series
+  files contain.
 
 :meth:`BenchHistory.check` gates the newest run against a **rolling
 baseline**: the median of the up-to-``window`` preceding entries per

@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_verify = cache_commands.add_parser(
         "verify",
-        help="audit every segment frame and sidecar index (CRC validation); "
+        help="audit every segment frame (CRC validation); "
         "exits non-zero on unrepaired corruption",
     )
     cache_verify.add_argument(
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair",
         action="store_true",
         help="rewrite damaged segments keeping only their valid frames "
-        "(dropped records heal as cache misses) and rebuild stale indexes",
+        "(dropped records heal as cache misses)",
     )
 
     bench = commands.add_parser(
@@ -1079,14 +1079,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    output = _COMMANDS[args.command](args)
-    print(output)
-    cache_line = _cache_report(args)
-    if cache_line is not None:
-        print(cache_line, file=sys.stderr)
-    fault_line = _fault_report(args)
-    if fault_line is not None:
-        print(fault_line, file=sys.stderr)
+    try:
+        output = _COMMANDS[args.command](args)
+        print(output)
+        cache_line = _cache_report(args)
+        if cache_line is not None:
+            print(cache_line, file=sys.stderr)
+        fault_line = _fault_report(args)
+        if fault_line is not None:
+            print(fault_line, file=sys.stderr)
+    finally:
+        # Shut the pool down here rather than in interpreter-exit hooks,
+        # which may find its wake-up pipe already closed.
+        runner = getattr(args, "_runner", None)
+        if runner is not None:
+            runner.close()
+            if isinstance(runner.result_cache, PersistentResultCache):
+                runner.result_cache.close()
     return 0
 
 

@@ -10,7 +10,8 @@ ratios averaged over Quantum Volume circuits from 16 to 80 qubits:
   full co-design comparison).
 
 This module recomputes those aggregates from the reproduction's own sweep
-data so they can be placed next to the paper's numbers in EXPERIMENTS.md.
+data so they can be placed next to the paper's numbers (``repro headline``
+prints both; see the README's "Experiments" section).
 """
 
 from __future__ import annotations

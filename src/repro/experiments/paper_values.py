@@ -2,8 +2,8 @@
 
 These numbers are transcribed from the paper's Tables 1-2, abstract and
 Sections 6.1-6.3.  They are *reference points only*: the reproduction's own
-numbers come from running the experiment modules, and EXPERIMENTS.md
-records both.
+numbers come from running the experiment modules (see the README's
+"Experiments" section).
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ packed, content-addressed store behind it:
   writer owns its own append-only segment, which makes concurrent
   writers safe without locks, and one private writer creates every
   segment (the cache's own, GC and repair output, injected faults);
-* **the index** maps key digests to ``(segment, offset, length)``; sealed
-  segments carry a compact sidecar index file that is loaded instead of
-  re-scanned, and the open (unsealed) segments of other processes are
-  scanned incrementally — only bytes appended since the last look;
+* **the index** maps key digests to the newest frame of each key: a
+  segment is its own index, so a reader learns a segment's frames by
+  scanning it, and only the bytes appended since its last look; when
+  several frames hold one key, the greatest ``(mtime, segment name,
+  offset)`` serves it, for every reader and for GC alike;
 * **corruption tolerance**: a torn frame at a segment tail (crashed or
-  killed writer), a garbled sidecar or a foreign file are treated as
-  misses, never errors — a crash mid-write costs at most one record, and
+  killed writer) or a foreign file is treated as a miss, never an error
+  — a crash mid-write costs at most one record, and
   :func:`collect_garbage` physically truncates corrupt tails during
   compaction so the damage does not survive maintenance.
 
@@ -51,7 +52,6 @@ import io
 import os
 import pickle
 import struct
-import tempfile
 import time
 import uuid
 import warnings
@@ -59,7 +59,7 @@ import zlib
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import AbstractSet, Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import AbstractSet, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.linalg.cache import CacheStats
 from repro.runtime.cache import ResultCache
@@ -76,9 +76,6 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 #: old segments safely (they simply read as misses).
 SEGMENT_MAGIC = b"RPSG1\n"
 
-#: Sidecar index file magic + format version.
-INDEX_MAGIC = b"RPIX1\n"
-
 #: Per-record frame header inside a segment: frame magic, raw SHA-256 key
 #: digest, record mtime (epoch seconds), payload length, payload CRC-32.
 _FRAME = struct.Struct(">2s32sdII")
@@ -90,12 +87,6 @@ _FRAME_MAGIC = b"RF"
 DEFAULT_SEGMENT_MAX_BYTES = 8 * 1024 * 1024
 
 _SEGMENT_SUFFIX = ".rps"
-_SIDECAR_SUFFIX = ".rpi"
-
-#: Temp files older than this are leftovers of writers that died between
-#: ``mkstemp`` and ``os.replace``; anything younger may be a concurrent
-#: writer's live staging file and is left alone.
-_STALE_TMP_SECONDS = 3600.0
 
 
 def cache_dir_from_env() -> Optional[str]:
@@ -120,15 +111,17 @@ def max_bytes_from_env() -> Optional[int]:
     if not value:
         return None
     try:
-        budget = int(value)
+        budget: Optional[int] = int(value)
     except ValueError:
+        budget = None
+    if budget is None or budget < 0:
         warnings.warn(
-            f"ignoring non-integer {CACHE_MAX_BYTES_ENV}={value!r}",
+            f"ignoring {CACHE_MAX_BYTES_ENV}={value!r}: not a non-negative integer",
             RuntimeWarning,
             stacklevel=2,
         )
         return None
-    return budget if budget >= 0 else None
+    return budget
 
 
 def human_bytes(count: int) -> str:
@@ -146,38 +139,51 @@ def human_bytes(count: int) -> str:
 # -- segment scanning (module-level so GC and the cache share one parser) ------
 
 
-@dataclass(frozen=True)
-class _SegmentRecord:
-    """One live-or-dead record frame found inside a segment file."""
+class _Frame(NamedTuple):
+    """Where one record frame's payload lives.
 
-    digest: bytes  #: raw SHA-256 key digest
+    Field order is the newest-frame rule: of two frames holding one key,
+    the greater tuple — later ``mtime``, then later segment name, then
+    later offset — serves it (see :func:`_fold`).
+    """
+
+    mtime: float  #: record write time (epoch seconds, from the frame)
+    segment: str  #: name of the segment file holding the frame
     offset: int  #: payload offset inside the segment
     length: int  #: payload length in bytes
-    mtime: float  #: record write time (epoch seconds, from the frame)
     crc: int  #: payload CRC-32 (validated lazily at read time)
 
-    @property
-    def frame_bytes(self) -> int:
-        """Total on-disk footprint of the frame (header + payload)."""
-        return _FRAME.size + self.length
+
+def _fold(index: Dict[bytes, _Frame], digest: bytes, frame: _Frame) -> Optional[_Frame]:
+    """Let the newest of ``frame`` and the indexed frame serve ``digest``.
+
+    The one rule deciding which frame of a key is live: the directory
+    inventory, a reader's refresh and a reader's own appends all fold
+    through here, so the order segments are listed in never matters.
+    Returns the frame that lost (``None`` for a key seen first).
+    """
+    current = index.get(digest)
+    if current is None or frame > current:
+        index[digest] = frame
+        return current
+    return frame
 
 
 def _scan_segment(
-    path: Path, start: int, size: Optional[int] = None
-) -> Tuple[List[_SegmentRecord], int, bool]:
-    """Parse record frames from ``start``, returning ``(records, end, clean)``.
+    path: Union[str, Path], start: int, size: int
+) -> Tuple[List[Tuple[bytes, _Frame]], int, bool]:
+    """Parse record frames from ``start``, returning ``(frames, end, clean)``.
 
-    ``end`` is the offset of the first byte not covered by a complete,
-    well-formed frame; ``clean`` is False when scanning stopped at a
-    corrupt (rather than merely incomplete) frame — an incomplete tail may
-    be a live writer mid-append and is retried on the next refresh, while
-    a corrupt frame poisons the rest of the file until compaction
-    truncates it.
+    ``frames`` pairs each raw key digest with its frame.  ``end`` is the
+    offset of the first byte not covered by a complete, well-formed
+    frame; ``clean`` is False when scanning stopped at a corrupt (rather
+    than merely incomplete) frame — an incomplete tail may be a live
+    writer mid-append and is retried on the next refresh, while a corrupt
+    frame poisons the rest of the file until compaction truncates it.
     """
-    records: List[_SegmentRecord] = []
+    name = os.path.basename(path)
+    frames: List[Tuple[bytes, _Frame]] = []
     try:
-        if size is None:
-            size = path.stat().st_size
         with open(path, "rb") as stream:
             if start == 0:
                 if stream.read(len(SEGMENT_MAGIC)) != SEGMENT_MAGIC:
@@ -191,100 +197,84 @@ def _scan_segment(
                     break
                 magic, digest, mtime, length, crc = _FRAME.unpack(header)
                 if magic != _FRAME_MAGIC:
-                    return records, offset, False
+                    return frames, offset, False
                 payload_end = offset + _FRAME.size + length
                 if payload_end > size:
                     break  # torn tail: a crashed — or still-writing — writer
-                records.append(
-                    _SegmentRecord(
-                        digest=digest,
-                        offset=offset + _FRAME.size,
-                        length=length,
-                        mtime=mtime,
-                        crc=crc,
-                    )
+                frames.append(
+                    (digest, _Frame(mtime, name, offset + _FRAME.size, length, crc))
                 )
                 stream.seek(payload_end)
                 offset = payload_end
-            return records, offset, True
+            return frames, offset, True
     except OSError:
-        return records, start, True
+        return frames, start, True
 
 
-def _read_payload(stream, offset: int, length: int, crc: int) -> Optional[bytes]:
-    """The stored payload at ``offset``, or ``None`` when it fails its CRC.
+def _read_payload(stream, frame: _Frame) -> Optional[bytes]:
+    """The stored payload of ``frame``, or ``None`` when it fails its CRC.
 
     The only code that reads a record's payload back; a short read (the
     segment was truncated or compacted away) counts as a failure.
     ``OSError`` propagates, so a caller never mistakes an unreadable file
     for a corrupt frame.
     """
-    stream.seek(offset)
-    payload = stream.read(length)
-    if len(payload) != length or zlib.crc32(payload) != crc:
+    stream.seek(frame.offset)
+    payload = stream.read(frame.length)
+    if len(payload) != frame.length or zlib.crc32(payload) != frame.crc:
         return None
     return payload
 
 
-def _read_sidecar(path: Path) -> Optional[List[_SegmentRecord]]:
-    """Decode one sidecar index file; any failure means "scan the segment"."""
+def _segment_names(directory: Path) -> List[str]:
+    """Every packed segment file name in the directory, sorted (none if unlistable)."""
     try:
-        blob = path.read_bytes()
-        if not blob.startswith(INDEX_MAGIC):
-            return None
-        entries = pickle.loads(zlib.decompress(blob[len(INDEX_MAGIC) :]))
-        return [_SegmentRecord(*entry) for entry in entries]
-    except Exception:
-        return None
-
-
-def _sidecar_blob(records: List[_SegmentRecord]) -> bytes:
-    """Encode a segment's record list as a sidecar index blob."""
-    entries = [
-        (record.digest, record.offset, record.length, record.mtime, record.crc)
-        for record in records
-    ]
-    return INDEX_MAGIC + zlib.compress(
-        pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(
+        name for name in names if name.startswith("seg-") and name.endswith(_SEGMENT_SUFFIX)
     )
 
 
-def _atomic_write(directory: Path, path: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``path`` via the temp-file + rename dance."""
-    handle, temp_name = tempfile.mkstemp(dir=directory, prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(blob)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _sweep_stale_temp_files(directory: Path) -> None:
-    """Delete the temp files of writers that died mid-publish."""
-    cutoff = time.time() - _STALE_TMP_SECONDS
-    for path in directory.glob("*.tmp"):
-        try:
-            if path.stat().st_mtime < cutoff:
-                path.unlink()
-        except OSError:
-            pass
-
-
-def _segment_paths(directory: Path) -> List[Path]:
-    """Every packed segment file in the directory, sorted by name."""
-    return sorted(directory.glob(f"seg-*{_SEGMENT_SUFFIX}"))
-
-
-def _sidecar_for(segment: Path) -> Path:
-    return segment.with_suffix(_SIDECAR_SUFFIX)
-
-
 # -- directory inspection ------------------------------------------------------
+
+
+class _SegmentScan(NamedTuple):
+    """One segment as the directory inventory found it."""
+
+    path: Path  #: the segment file
+    size: int  #: file size when scanned
+    frames: List[Tuple[bytes, _Frame]]  #: every well-formed frame, in file order
+    end: int  #: offset of the first byte no well-formed frame covers
+    clean: bool  #: False when the scan stopped at a corrupt frame
+
+
+def _inventory(directory: Path) -> Tuple[Dict[bytes, _Frame], List[_SegmentScan], int]:
+    """Scan every segment of a cache directory from byte zero.
+
+    The one inventory behind ``cache info``, GC and ``cache verify``.
+    Returns ``(live, segments, dead_bytes)``: ``live`` maps each key
+    digest to its newest frame, ``segments`` lists every segment with its
+    frames, and ``dead_bytes`` counts the frame bytes newer duplicates
+    superseded.
+    """
+    live: Dict[bytes, _Frame] = {}
+    segments: List[_SegmentScan] = []
+    dead_bytes = 0
+    for name in _segment_names(directory):
+        path = directory / name
+        try:
+            size = os.stat(path).st_size
+        except OSError:
+            continue
+        frames, end, clean = _scan_segment(path, 0, size)
+        segments.append(_SegmentScan(path, size, frames, end, clean))
+        for digest, frame in frames:
+            superseded = _fold(live, digest, frame)
+            if superseded is not None:
+                dead_bytes += _FRAME.size + superseded.length
+    return live, segments, dead_bytes
 
 
 @dataclass(frozen=True)
@@ -292,86 +282,30 @@ class SegmentReport:
     """Segment-level statistics of one cache directory (``cache info``)."""
 
     segments: int  #: packed segment files present
-    sealed: int  #: segments with a sidecar index
     segment_bytes: int  #: total size of the segment files
     live_records: int  #: distinct keys served by the newest frames
     live_bytes: int  #: frame bytes of those newest records
     dead_bytes: int  #: frame bytes superseded by newer duplicates
-    index_bytes: int  #: total size of the sidecar index files
 
     def describe(self) -> str:
         """Multi-line human-readable summary (the ``cache info`` body)."""
         lines = [
-            f"segments: {self.segments} ({self.sealed} sealed, "
-            f"{human_bytes(self.segment_bytes)})",
+            f"segments: {self.segments} ({human_bytes(self.segment_bytes)})",
             f"live records: {self.live_records} ({human_bytes(self.live_bytes)})",
             f"dead bytes: {human_bytes(self.dead_bytes)}",
-            f"index: {human_bytes(self.index_bytes)}",
         ]
         return "\n".join(lines)
 
 
-def _scan_directory(directory: Path) -> Tuple[
-    Dict[bytes, Tuple[_SegmentRecord, float, int]],
-    List[Tuple[Path, List[_SegmentRecord], bool]],
-    int,
-]:
-    """Inventory a cache directory for GC and statistics.
-
-    Returns ``(live, segments, dead_bytes)`` where ``live`` maps each key
-    digest to its newest frame as ``(record, mtime, bytes)``, ``segments``
-    lists every segment with its parsed records and whether its tail was
-    clean, and ``dead_bytes`` counts frame bytes superseded by newer
-    duplicates of the same key.
-    """
-    live: Dict[bytes, Tuple[_SegmentRecord, float, int]] = {}
-    dead_bytes = 0
-    segments: List[Tuple[Path, List[_SegmentRecord], bool]] = []
-    for segment in _segment_paths(directory):
-        records = _read_sidecar(_sidecar_for(segment))
-        clean = True
-        if records is None:
-            records, _, clean = _scan_segment(segment, 0)
-        segments.append((segment, records, clean))
-        for record in records:
-            size = record.frame_bytes
-            current = live.get(record.digest)
-            if current is None:
-                live[record.digest] = (record, record.mtime, size)
-            elif record.mtime >= current[1]:
-                dead_bytes += current[2]
-                live[record.digest] = (record, record.mtime, size)
-            else:
-                dead_bytes += size
-    return live, segments, dead_bytes
-
-
 def segment_stats(cache_dir: Union[str, Path]) -> SegmentReport:
     """Read-only segment-level statistics of a cache directory."""
-    directory = Path(cache_dir)
-    live, segments, dead_bytes = _scan_directory(directory)
-    segment_bytes = 0
-    sealed = 0
-    index_bytes = 0
-    for segment, _records, _clean in segments:
-        try:
-            segment_bytes += segment.stat().st_size
-        except OSError:
-            pass
-        sidecar = _sidecar_for(segment)
-        try:
-            index_bytes += sidecar.stat().st_size
-            sealed += 1
-        except OSError:
-            pass
+    live, segments, dead_bytes = _inventory(Path(cache_dir))
     return SegmentReport(
         segments=len(segments),
-        sealed=sealed,
-        segment_bytes=segment_bytes,
+        segment_bytes=sum(segment.size for segment in segments),
         live_records=len(live),
-        live_bytes=sum(size for _, _, size in live.values()),
+        live_bytes=sum(_FRAME.size + frame.length for frame in live.values()),
         dead_bytes=dead_bytes,
-        index_bytes=index_bytes,
     )
 
 
@@ -413,8 +347,7 @@ class _SegmentWriter:
     ``seg-<pid hex>`` for a cache's own appends, ``seg-gc`` for GC and
     repair output, ``seg-fault`` for injected faults.  Each frame is
     flushed as it is written, because other processes tail-scan a live
-    segment.  The writer rotates to a fresh segment past ``max_bytes``,
-    and :meth:`seal` publishes the sidecar index of the open one.
+    segment.  The writer rotates to a fresh segment past ``max_bytes``.
     """
 
     def __init__(
@@ -424,19 +357,17 @@ class _SegmentWriter:
         self._prefix = prefix
         self.max_bytes = max_bytes
         self.path: Optional[Path] = None  #: the open segment, if any
-        self.sealed = 0  #: segments sealed so far
+        self.written = 0  #: segments closed holding at least one frame
         self._stream: Optional[io.BufferedWriter] = None
         self._size = 0
-        self._records: List[_SegmentRecord] = []
 
-    def append(
-        self, digest: bytes, payload: bytes, mtime: float, crc: int
-    ) -> _SegmentRecord:
-        """Write one frame, rotating at the size bound; returns its record."""
+    def append(self, digest: bytes, payload: bytes, mtime: float, crc: int) -> _Frame:
+        """Write one frame, rotating at the size bound; returns the frame."""
         if self._stream is None or (
-            self._records and self._size + _FRAME.size + len(payload) > self.max_bytes
+            self._size > len(SEGMENT_MAGIC)
+            and self._size + _FRAME.size + len(payload) > self.max_bytes
         ):
-            self.seal()
+            self.close()
             token = uuid.uuid4().hex[:12]
             path = self._directory / f"{self._prefix}-{token}{_SEGMENT_SUFFIX}"
             self._stream = open(path, "wb")
@@ -446,76 +377,63 @@ class _SegmentWriter:
         self._stream.write(_FRAME.pack(_FRAME_MAGIC, digest, mtime, len(payload), crc))
         self._stream.write(payload)
         self._stream.flush()
-        record = _SegmentRecord(
-            digest=digest,
-            offset=self._size + _FRAME.size,
-            length=len(payload),
-            mtime=mtime,
-            crc=crc,
-        )
-        self._records.append(record)
-        self._size += record.frame_bytes
-        return record
+        frame = _Frame(mtime, self.path.name, self._size + _FRAME.size, len(payload), crc)
+        self._size += _FRAME.size + len(payload)
+        return frame
 
-    def seal(self) -> None:
-        """Close the open segment and publish its sidecar index.
+    def close(self) -> None:
+        """Close the open segment, deleting it if it holds no frame.
 
-        A segment that holds no frame is deleted instead.  The writer is
-        reset before the files are touched, so after an ``OSError`` the
-        next append starts a fresh segment.
+        The writer is reset before the file is touched, so after an
+        ``OSError`` the next append starts a fresh segment.
         """
-        stream, path, records = self._stream, self.path, self._records
+        stream, path = self._stream, self.path
         if stream is None:
             return
-        self._stream, self.path, self._records = None, None, []
+        self._stream, self.path = None, None
         stream.close()
-        if not records:
+        if self._size == len(SEGMENT_MAGIC):
             path.unlink()
             return
-        self.sealed += 1
-        _atomic_write(self._directory, _sidecar_for(path), _sidecar_blob(records))
+        self.written += 1
 
 
 def _rewrite_segments(
     directory: Path,
-    plan: List[Tuple[Path, List[_SegmentRecord]]],
+    plan: List[Tuple[Path, List[Tuple[bytes, _Frame]]]],
     segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
 ) -> Tuple[int, int, int]:
     """Copy the listed frames of each segment into fresh ``seg-gc`` segments.
 
     The only code that copies frames.  ``plan`` pairs each source segment
     with the frames to keep from it; a frame whose payload fails its CRC
-    is dropped (its key heals as a miss).  Each source segment and its
-    sidecar are deleted once copied; one that cannot be read stays in
-    place.  Returns ``(segments removed, segments written, frames
-    dropped)``.
+    is dropped (its key heals as a miss).  Each source segment is deleted
+    once copied; one that cannot be read stays in place.  Returns
+    ``(segments removed, segments written, frames dropped)``.
     """
     writer = _SegmentWriter(directory, "seg-gc", segment_max_bytes)
     removed = 0
     dropped = 0
-    for segment, records in plan:
+    for segment, frames in plan:
         bad = 0
         try:
             with open(segment, "rb") as stream:
-                for record in records:
-                    payload = _read_payload(
-                        stream, record.offset, record.length, record.crc
-                    )
+                for digest, frame in frames:
+                    payload = _read_payload(stream, frame)
                     if payload is None:
                         bad += 1
                     else:
-                        writer.append(record.digest, payload, record.mtime, record.crc)
+                        writer.append(digest, payload, frame.mtime, frame.crc)
         except OSError:
             continue
-        for path in (segment, _sidecar_for(segment)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        try:
+            segment.unlink()
+        except OSError:
+            pass
         removed += 1
         dropped += bad
-    writer.seal()
-    return removed, writer.sealed, dropped
+    writer.close()
+    return removed, writer.written, dropped
 
 
 def collect_garbage(
@@ -540,29 +458,25 @@ def collect_garbage(
     truncating corrupt tails (the ``repro cache gc`` maintenance pass).
 
     GC assumes no concurrent *writers* share the directory (readers are
-    fine — a compacted-away record heals as a miss).  Stale temp files
-    (crashed writers) are swept as a side effect.  Missing-directory and
-    per-file ``OSError`` are tolerated silently.
+    fine — a compacted-away record heals as a miss).  Missing-directory
+    and per-file ``OSError`` are tolerated silently.
     """
     directory = Path(cache_dir)
     now = time.time()
-    _sweep_stale_temp_files(directory)
 
-    live, segments, dead_bytes = _scan_directory(directory)
+    live, segments, dead_bytes = _inventory(directory)
     # Deterministic eviction order: oldest first, digest breaks ties.
     entries = sorted(
-        (
-            (mtime, digest.hex(), size, source)
-            for digest, (source, mtime, size) in live.items()
-        ),
+        (frame.mtime, digest.hex(), _FRAME.size + frame.length)
+        for digest, frame in live.items()
     )
     scanned = len(entries)
-    protected_count = sum(1 for _, name, _, _ in entries if name in protected)
-    total = sum(size for _, _, size, _ in entries)
+    protected_count = sum(1 for _, name, _ in entries if name in protected)
+    total = sum(size for _, _, size in entries)
     evicted: Set[str] = set()
     removed = 0
     reclaimed = 0
-    for mtime, name, size, _source in entries:
+    for mtime, name, size in entries:
         if name in protected:
             continue
         expired = max_age_seconds is not None and now - mtime > max_age_seconds
@@ -577,15 +491,15 @@ def collect_garbage(
     # Rewrite every segment when compacting, otherwise only those with a
     # corrupt tail or an evicted or superseded frame (rewriting is the
     # only way to actually reclaim their bytes), keeping the live frames.
-    plan: List[Tuple[Path, List[_SegmentRecord]]] = []
-    for segment, records, clean in segments:
+    plan: List[Tuple[Path, List[Tuple[bytes, _Frame]]]] = []
+    for segment in segments:
         keep = [
-            record
-            for record in records
-            if record.digest.hex() not in evicted and live[record.digest][0] is record
+            (digest, frame)
+            for digest, frame in segment.frames
+            if live[digest] is frame and digest.hex() not in evicted
         ]
-        if compact or not clean or len(keep) < len(records):
-            plan.append((segment, keep))
+        if compact or not segment.clean or len(keep) < len(segment.frames):
+            plan.append((segment.path, keep))
     segments_removed, segments_written, _dropped = _rewrite_segments(
         directory, plan, segment_max_bytes
     )
@@ -613,8 +527,7 @@ class VerifyReport:
     """Outcome of an integrity scan over a cache directory (``cache verify``).
 
     ``clean`` is the verdict on the state found: True when every frame's
-    CRC matches, every segment parses end to end and every sidecar index
-    agrees with its segment.
+    CRC matches and every segment parses end to end.
     """
 
     segments: int  #: packed segment files scanned
@@ -622,15 +535,13 @@ class VerifyReport:
     frames_corrupt: int  #: frames whose payload failed its CRC
     torn_segments: int  #: segments with a torn or unparseable tail
     torn_bytes: int  #: bytes past the last well-formed frame
-    sidecars: int  #: sidecar index files present
-    sidecars_stale: int  #: sidecars disagreeing with their segment's frames
     repaired_segments: int = 0  #: damaged segments rewritten (``--repair``)
     dropped_frames: int = 0  #: corrupt frames dropped by the repair
 
     @property
     def clean(self) -> bool:
         """True when the scan found no corruption at all."""
-        return not (self.frames_corrupt or self.torn_segments or self.sidecars_stale)
+        return not (self.frames_corrupt or self.torn_segments)
 
     def describe(self) -> str:
         """Human-readable summary (the CLI ``cache verify`` body).
@@ -643,7 +554,6 @@ class VerifyReport:
             f"segments: {self.segments} ({self.frames_ok} frames ok, "
             f"{self.frames_corrupt} corrupt, {self.torn_segments} torn "
             f"tails / {human_bytes(self.torn_bytes)})",
-            f"sidecar indexes: {self.sidecars} ({self.sidecars_stale} stale)",
         ]
         if self.repaired_segments or self.dropped_frames:
             lines.append(
@@ -661,63 +571,44 @@ class VerifyReport:
 
 
 def verify_cache(cache_dir: Union[str, Path], repair: bool = False) -> VerifyReport:
-    """Validate every frame and sidecar index in a cache directory.
+    """Validate every frame in a cache directory.
 
     Unlike the lazy read path (which drops a corrupt frame only when its
-    key happens to be requested) this walks the whole directory: every
-    segment is re-parsed from byte zero — deliberately ignoring sidecar
-    indexes, which are themselves being audited — and every payload's
+    key happens to be requested) this walks the whole directory: the
+    inventory parses every segment from byte zero and every payload's
     CRC-32 is recomputed.  Without ``repair`` the scan is strictly
     read-only.  With ``repair=True`` every damaged segment (a corrupt
-    frame, a torn tail or a stale sidecar) goes through the rewrite GC
-    compaction uses, copying the valid frames this scan found into a
-    fresh segment with a fresh sidecar; corrupt frames and torn tails are
-    dropped, and those records heal as cache misses.
+    frame or a torn tail) goes through the rewrite GC compaction uses,
+    copying the frames this scan found into a fresh segment; corrupt
+    frames and torn tails are dropped, and those records heal as cache
+    misses.
 
     Like GC, repair assumes no concurrent writer shares the directory.
     The counters in the returned :class:`VerifyReport` always describe
     the state *found*, not the state after repair.
     """
     directory = Path(cache_dir)
-    segments = 0
+    _live, segments, _dead_bytes = _inventory(directory)
     frames_ok = 0
     frames_corrupt = 0
     torn_segments = 0
     torn_bytes = 0
-    sidecars = 0
-    sidecars_stale = 0
-    damaged: List[Tuple[Path, List[_SegmentRecord]]] = []
-    for segment in _segment_paths(directory):
+    damaged: List[Tuple[Path, List[Tuple[bytes, _Frame]]]] = []
+    for segment in segments:
         try:
-            size = segment.stat().st_size
-        except OSError:
-            continue
-        segments += 1
-        records, end, clean_tail = _scan_segment(segment, 0, size)
-        try:
-            with open(segment, "rb") as stream:
-                ok = sum(
-                    _read_payload(stream, r.offset, r.length, r.crc) is not None
-                    for r in records
-                )
+            with open(segment.path, "rb") as stream:
+                ok = sum(_read_payload(stream, frame) is not None for _, frame in segment.frames)
         except OSError:
             continue
         frames_ok += ok
-        frames_corrupt += len(records) - ok
-        torn = max(0, size - end)
-        torn_tail = not clean_tail or torn > 0
+        frames_corrupt += len(segment.frames) - ok
+        torn = segment.size - segment.end
+        torn_tail = not segment.clean or torn > 0
         if torn_tail:
             torn_segments += 1
             torn_bytes += torn
-        sidecar = _sidecar_for(segment)
-        stale = False
-        if sidecar.is_file():
-            sidecars += 1
-            stale = _read_sidecar(sidecar) != records
-            if stale:
-                sidecars_stale += 1
-        if ok < len(records) or torn_tail or stale:
-            damaged.append((segment, records))
+        if ok < len(segment.frames) or torn_tail:
+            damaged.append((segment.path, segment.frames))
     repaired_segments = 0
     dropped_frames = 0
     if repair and damaged:
@@ -725,13 +616,11 @@ def verify_cache(cache_dir: Union[str, Path], repair: bool = False) -> VerifyRep
             directory, damaged
         )
     return VerifyReport(
-        segments=segments,
+        segments=len(segments),
         frames_ok=frames_ok,
         frames_corrupt=frames_corrupt,
         torn_segments=torn_segments,
         torn_bytes=torn_bytes,
-        sidecars=sidecars,
-        sidecars_stale=sidecars_stale,
         repaired_segments=repaired_segments,
         dropped_frames=dropped_frames,
     )
@@ -763,16 +652,16 @@ class PersistentResultCache(ResultCache):
         #: Key digests written by *this* instance — i.e. during the
         #: current run — which garbage collection must never evict.
         self._written: Set[str] = set()
-        #: digest -> (segment name, payload offset, length, crc)
-        self._index: Dict[bytes, Tuple[str, int, int, int]] = {}
-        #: segment name -> [next scan offset, poisoned, fully indexed]
-        self._scan_state: Dict[str, List] = {}
+        #: digest -> the newest frame of that key found so far
+        self._index: Dict[bytes, _Frame] = {}
+        #: segment name -> next scan offset, or ``None`` for a segment this
+        #: instance wrote (indexed as written) or whose tail is poisoned
+        self._scan_state: Dict[str, Optional[int]] = {}
         self._writer = _SegmentWriter(
             self._dir,
             f"seg-{os.getpid():x}",
             max(_FRAME.size + 1, int(segment_max_bytes)),
         )
-        _sweep_stale_temp_files(self._dir)
         if max_bytes is not None:
             self.gc()
         self._refresh_index()
@@ -787,66 +676,47 @@ class PersistentResultCache(ResultCache):
     def _refresh_index(self) -> None:
         """Fold newly appeared segment bytes/files into the in-memory index.
 
-        Sealed segments load their compact sidecar once; the unsealed
-        active segments of *other* processes are scanned incrementally —
-        only the bytes appended since the last refresh are parsed, so a
-        refresh on a warm directory costs a handful of ``stat`` calls.
-        This instance's own segments are indexed as it writes them.
+        Segments other writers made are scanned incrementally — only the
+        bytes appended since the last refresh are parsed, so a refresh on
+        a warm directory costs one ``stat`` per segment.  This instance's
+        own segments are indexed as it writes them, and a segment whose
+        tail is poisoned by a corrupt frame is never scanned again.
         """
-        try:
-            names = os.listdir(self._dir)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(_SEGMENT_SUFFIX) or not name.startswith("seg-"):
+        for name in _segment_names(self._dir):
+            start = self._scan_state.get(name, 0)
+            if start is None:
                 continue
-            state = self._scan_state.setdefault(name, [0, False, False])
-            if state[1] or state[2]:
-                continue  # poisoned tail, or every frame already indexed
-            path = self._dir / name
-            sidecar = _sidecar_for(path)
-            if sidecar.exists():
-                records = _read_sidecar(sidecar)
-                if records is not None:
-                    for record in records:
-                        self._index[record.digest] = (
-                            name,
-                            record.offset,
-                            record.length,
-                            record.crc,
-                        )
-                    state[2] = True
-                    continue
+            path = os.path.join(self._dir, name)
             try:
-                size = path.stat().st_size
+                size = os.stat(path).st_size
             except OSError:
                 continue
-            if size <= state[0]:
+            if size <= start:
                 continue
-            records, end, clean = _scan_segment(path, state[0], size)
-            for record in records:
-                self._index[record.digest] = (
-                    name,
-                    record.offset,
-                    record.length,
-                    record.crc,
-                )
-            state[0] = end
-            state[1] = not clean
+            frames, end, clean = _scan_segment(path, start, size)
+            for digest, frame in frames:
+                _fold(self._index, digest, frame)
+            self._scan_state[name] = end if clean else None
 
     def _read_indexed(self, digest: bytes) -> Optional[bytes]:
         """The payload an index entry points at, or ``None`` (entry dropped)."""
-        entry = self._index.get(digest)
-        if entry is None:
+        frame = self._index.get(digest)
+        if frame is None:
             return None
-        name, offset, length, crc = entry
         try:
-            with open(self._dir / name, "rb") as stream:
-                payload = _read_payload(stream, offset, length, crc)
+            with open(self._dir / frame.segment, "rb") as stream:
+                payload = _read_payload(stream, frame)
+        except FileNotFoundError:
+            # Another process's GC compacted the segment away and moved the
+            # frames it kept into segments this index may rank below the
+            # stale entries: forget everything, so the next refresh rebuilds.
+            self._index.clear()
+            self._scan_state.clear()
+            return None
         except OSError:
             payload = None
         if payload is None:
-            # Compacted away or corrupt: drop the entry so the slot heals.
+            # Corrupt or unreadable: drop the entry so the slot heals.
             self._index.pop(digest, None)
         return payload
 
@@ -870,11 +740,9 @@ class PersistentResultCache(ResultCache):
             frame = self._writer.append(
                 digest, payload, time.time(), zlib.crc32(payload)
             )
-            name = self._writer.path.name
-            # Indexed at write time, so a refresh never rescans the segment
-            # (not while it is open, nor once the writer has sealed it).
-            self._scan_state[name] = [0, False, True]
-            self._index[digest] = (name, frame.offset, frame.length, frame.crc)
+            # Indexed at write time, so a refresh never rescans the segment.
+            self._scan_state[frame.segment] = None
+            _fold(self._index, digest, frame)
             self._written.add(digest_hex)
         except Exception:
             # Unpicklable record, read-only directory, full disk, ...: the
@@ -882,13 +750,9 @@ class PersistentResultCache(ResultCache):
             pass
 
     def close(self) -> None:
-        """Seal the active segment so future opens load its sidecar.
-
-        Optional hygiene (the cache works without it): an unsealed
-        segment is still fully readable via tail scans.
-        """
+        """Close the active segment file (a segment left open still reads)."""
         try:
-            self._writer.seal()
+            self._writer.close()
         except OSError:
             pass
 
@@ -934,12 +798,11 @@ class PersistentResultCache(ResultCache):
         self.close()
         self._index.clear()
         self._scan_state.clear()
-        for pattern in ("*.tmp", f"seg-*{_SEGMENT_SUFFIX}", f"seg-*{_SIDECAR_SUFFIX}"):
-            for path in self._dir.glob(pattern):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        for name in _segment_names(self._dir):
+            try:
+                os.unlink(self._dir / name)
+            except OSError:
+                pass
 
     def stats(self) -> CacheStats:
         """Memory counters plus the disk tier's hit/miss counters."""
@@ -973,7 +836,7 @@ class PersistentResultCache(ResultCache):
         from under a rerun.  Runs automatically at construction when a
         budget was configured, so long-lived cache directories stay
         bounded without a separate maintenance step.  The active segment
-        is sealed first so compaction never rewrites a file this instance
+        is closed first so compaction never rewrites a file this instance
         is still appending to.
         """
         self.close()
@@ -986,7 +849,7 @@ class PersistentResultCache(ResultCache):
             segment_max_bytes=self._writer.max_bytes,
         )
         # Compaction moved frames around: rebuild the index from scratch,
-        # this instance's sealed segments included.
+        # rescanning this instance's closed segments too.
         self._index.clear()
         self._scan_state.clear()
         self._refresh_index()

@@ -301,7 +301,7 @@ def write_corrupt_frame(cache_dir: Union[str, Path], key: object) -> Path:
     writer = _SegmentWriter(directory, "seg-fault")
     writer.append(bytes.fromhex(key_digest(key)), payload, time.time(), bad_crc)
     path = writer.path
-    writer.seal()
+    writer.close()
     with open(path, "rb") as stream:
         os.fsync(stream.fileno())
     return path

@@ -304,6 +304,8 @@ class ReproServer:
             except asyncio.TimeoutError:  # pragma: no cover - straggler sockets
                 pass
         self._runner.close()
+        if isinstance(self._cache, PersistentResultCache):
+            self._cache.close()
         if self._stopped is not None:
             self._stopped.set()
 

@@ -2,17 +2,27 @@
 
 The verifier is the offline half of the cache's integrity story (the
 online half being CRC checks at read time): it re-parses every segment
-from byte zero, recomputes every payload CRC, audits the sidecar
-indexes against the scan, and — with ``repair=True`` — rewrites damaged
-segments keeping only the valid frames.
+from byte zero, recomputes every payload CRC, and — with
+``repair=True`` — rewrites damaged segments keeping only the valid
+frames.
 """
 
 from __future__ import annotations
 
+import pickle
+import zlib
+
 import pytest
 
 from repro.cli import main
-from repro.runtime.disk_cache import PersistentResultCache, verify_cache
+from repro.runtime.disk_cache import (
+    _FRAME,
+    SEGMENT_MAGIC,
+    PersistentResultCache,
+    collect_garbage,
+    segment_stats,
+    verify_cache,
+)
 from repro.runtime.faults import write_corrupt_frame
 
 
@@ -64,31 +74,36 @@ class TestVerifyCache:
         verify_cache(populated, repair=True)
         assert verify_cache(populated).clean
 
-    def test_stale_sidecar_is_detected_and_rebuilt(self, populated):
-        sidecars = sorted(populated.glob("seg-*.rpi"))
-        assert sidecars
-        sidecars[0].write_bytes(b"not a sidecar")
-        report = verify_cache(populated)
-        assert report.sidecars_stale >= 1
-        verify_cache(populated, repair=True)
-        assert verify_cache(populated).clean
+    def test_sidecar_left_behind_by_2_0_loses_nothing(self, tmp_path):
+        """A decodable ``.rpi`` listing another segment's frames is ignored.
 
-    def test_repair_copies_the_scanned_frames_not_a_stale_sidecars(self, tmp_path):
-        """A decodable sidecar listing another segment's frames loses nothing."""
-        sidecars = []
+        2.0 wrote a sidecar index (``RPIX1`` + zlib-compressed pickle of
+        ``(digest, offset, length, mtime, crc)`` tuples) beside each closed
+        segment; a stale one must neither hide records from ``cache info``
+        and ``verify`` nor make GC drop them.
+        """
+        segments = []
         for batch in range(2):
             cache = PersistentResultCache(tmp_path)
             for index in range(3):
                 cache.put(("point", batch, index), {"value": 10 * batch + index})
             cache.close()
-            (new,) = set(tmp_path.glob("seg-*.rpi")) - set(sidecars)
-            sidecars.append(new)
-        sidecars[1].write_bytes(sidecars[0].read_bytes())
-        report = verify_cache(tmp_path)
-        assert report.sidecars_stale == 1
-        assert report.frames_ok == 6
-        verify_cache(tmp_path, repair=True)
+            (new,) = set(tmp_path.glob("seg-*.rps")) - set(segments)
+            segments.append(new)
+        entries = []
+        blob = segments[0].read_bytes()
+        offset = len(SEGMENT_MAGIC)
+        while offset < len(blob):
+            _magic, digest, mtime, length, crc = _FRAME.unpack_from(blob, offset)
+            entries.append((digest, offset + _FRAME.size, length, mtime, crc))
+            offset += _FRAME.size + length
+        assert len(entries) == 3
+        segments[1].with_suffix(".rpi").write_bytes(
+            b"RPIX1\n" + zlib.compress(pickle.dumps(entries))
+        )
+        assert segment_stats(tmp_path).live_records == 6
         assert verify_cache(tmp_path).clean
+        collect_garbage(tmp_path, compact=True)
         fresh = PersistentResultCache(tmp_path)
         for batch in range(2):
             for index in range(3):

@@ -107,26 +107,6 @@ class TestPersistentResultCache:
         assert cache.disk_entries() == 0
         assert PersistentResultCache(tmp_path).get("key") is None
 
-    def test_stale_temp_files_are_swept(self, tmp_path):
-        import os
-
-        stale = tmp_path / "deadbeef1234.tmp"
-        stale.write_bytes(b"partial write of a crashed process")
-        old = 1_000_000_000  # well past the staleness cutoff
-        os.utime(stale, (old, old))
-        fresh = tmp_path / "cafecafe5678.tmp"
-        fresh.write_bytes(b"a concurrent writer's live staging file")
-        PersistentResultCache(tmp_path)
-        assert not stale.exists()
-        assert fresh.exists()
-
-    def test_clear_also_removes_temp_files(self, tmp_path, record):
-        cache = PersistentResultCache(tmp_path)
-        cache.put("key", record)
-        (tmp_path / "orphan.tmp").write_bytes(b"leftover")
-        cache.clear()
-        assert list(tmp_path.glob("*.tmp")) == []
-
     def test_point_keys_digest_identically_across_processes(self, target):
         key = point_cache_key("GHZ", 5, target, 1, "dense", "sabre")
         assert key_digest(key) == key_digest(
@@ -167,19 +147,16 @@ class TestPersistentResultCache:
             cache.put(("key", index), record)
         segments = list(tmp_path.glob("seg-*.rps"))
         assert len(segments) > 1
-        # Every sealed (rotated-away) segment carries a sidecar index.
-        sidecars = list(tmp_path.glob("seg-*.rpi"))
-        assert len(sidecars) == len(segments) - 1
         fresh = PersistentResultCache(tmp_path)
         assert fresh.disk_entries() == 50
         assert fresh.get(("key", 17)) is not None
 
-    def test_close_seals_the_active_segment(self, tmp_path, record):
+    def test_close_writes_no_index_file(self, tmp_path, record):
+        """A segment is its own index: closing it leaves the segment alone."""
         cache = PersistentResultCache(tmp_path)
         cache.put("key", record)
-        assert list(tmp_path.glob("seg-*.rpi")) == []
         cache.close()
-        assert len(list(tmp_path.glob("seg-*.rpi"))) == 1
+        assert [path.suffix for path in tmp_path.iterdir()] == [".rps"]  # no .rpi
         assert PersistentResultCache(tmp_path).get("key") is not None
 
     def test_legacy_record_files_are_ignored(self, tmp_path, record):

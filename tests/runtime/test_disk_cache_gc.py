@@ -145,6 +145,33 @@ class TestCompaction:
         assert after.dead_bytes == 0
         assert PersistentResultCache(tmp_path).get("key")["payload"] == "new" * 100
 
+    def test_newest_frame_serves_every_reader(self, tmp_path):
+        """A fresh reader, ``cache info`` and GC agree on which frame is live."""
+        for trial in range(20):
+            directory = tmp_path / str(trial)
+            for value in (1, 2):
+                cache = PersistentResultCache(directory)
+                cache.put("k", value)
+                cache.close()
+            assert PersistentResultCache(directory).get("k") == 2
+            stats = segment_stats(directory)
+            assert stats.live_records == 1
+            assert stats.dead_bytes > 0
+            collect_garbage(directory, compact=True)
+            assert PersistentResultCache(directory).get("k") == 2
+
+    def test_long_lived_reader_survives_compactions_elsewhere(self, tmp_path):
+        """Frames another process's GC moved are found again, not missed."""
+        for trial in range(10):
+            directory = tmp_path / str(trial)
+            _fill(directory, [("p", index) for index in range(5)])
+            collect_garbage(directory, compact=True)
+            reader = PersistentResultCache(directory)  # indexes the seg-gc output
+            _fill(directory, ["other"])
+            collect_garbage(directory, compact=True)  # ... which this pass deletes
+            assert all(reader.get(("p", index)) is not None for index in range(5))
+            assert reader.stats().disk_misses == 0
+
     def test_compaction_consolidates_many_segments(self, tmp_path):
         for key in ("a", "b", "c", "d"):
             _fill(tmp_path, [key])
@@ -163,9 +190,10 @@ class TestResolutionAndEnv:
         cache = resolve_result_cache(cache_dir=tmp_path)
         assert cache.disk_entries() == 0
 
-    def test_invalid_env_budget_ignored_with_warning(self, monkeypatch):
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "lots")
-        with pytest.warns(RuntimeWarning):
+    @pytest.mark.parametrize("value", ["lots", "-5"])
+    def test_invalid_env_budget_ignored_with_warning(self, monkeypatch, value):
+        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, value)
+        with pytest.warns(RuntimeWarning, match="not a non-negative integer"):
             assert max_bytes_from_env() is None
 
 

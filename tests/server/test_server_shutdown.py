@@ -104,3 +104,24 @@ def test_queue_full_answers_503(monkeypatch):
         second.join(timeout=30)
         assert results["first"]["count"] == 0
         assert results["second"]["count"] == 0
+
+
+def test_shutdown_closes_the_pool_and_the_cache(tmp_path, monkeypatch):
+    """The drain closes the resident cache after the runner's pool."""
+    from repro.runtime import PersistentResultCache
+
+    closed = []
+    close_cache = PersistentResultCache.close
+
+    def spy_close(cache):
+        closed.append(cache)
+        close_cache(cache)
+
+    monkeypatch.setattr(PersistentResultCache, "close", spy_close)
+    with ServerHandle(
+        port=0, parallel=True, workers=2, warmup=True, cache_dir=str(tmp_path / "cache")
+    ) as handle:
+        runner = handle.server.runner
+        assert runner.pool_alive
+    assert not runner.pool_alive
+    assert any(cache is runner.result_cache for cache in closed)

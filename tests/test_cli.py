@@ -469,3 +469,48 @@ class TestServeBindFailure:
         # --port 0 (an ephemeral port, as perfbench's serve-mixed uses) binds.
         with pytest.raises(OSError, match="^disk full$"):
             main(["serve", "--serial", "--no-cache", "--port", "0"])
+
+
+class TestRunnerLifetime:
+    """``main`` closes the runner it built and that runner's cache."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Runners built by ``main``, and every cache whose ``close`` ran."""
+        import repro.cli
+        from repro.runtime import PersistentResultCache
+
+        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+        runners, closed = [], []
+        build_runner = repro.cli._runner_from_args
+        close_cache = PersistentResultCache.close
+
+        def spy_runner(args):
+            runners.append(build_runner(args))
+            return runners[-1]
+
+        def spy_close(cache):
+            closed.append(cache)
+            close_cache(cache)
+
+        monkeypatch.setattr(repro.cli, "_runner_from_args", spy_runner)
+        monkeypatch.setattr(PersistentResultCache, "close", spy_close)
+        return runners, closed
+
+    def test_parallel_run_leaves_no_pool_and_no_open_segment(self, built, tmp_path):
+        runners, closed = built
+        argv = ["swaps", "--sizes", "4", "--workloads", "GHZ", "--cache-dir", str(tmp_path)]
+        assert main(argv + ["--parallel", "--workers", "2"]) == 0
+        (runner,) = runners
+        assert not runner.pool_alive
+        assert any(cache is runner.result_cache for cache in closed)
+
+    def test_command_that_exits_still_closes_the_cache(self, built, tmp_path):
+        runners, closed = built
+        argv = ["sweep", "--checkpoint-dir", str(tmp_path / "ckpt"), "--workloads", "GHZ"]
+        argv += ["--topologies", "Corral1,1", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + ["--sizes", "4"]) == 0
+        with pytest.raises(SystemExit, match="repro sweep: "):
+            main(argv + ["--sizes", "5"])  # another grid in the same checkpoint dir
+        assert len(runners) == 2
+        assert any(cache is runners[1].result_cache for cache in closed)
