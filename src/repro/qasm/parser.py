@@ -9,13 +9,17 @@ The parser accepts the dialect produced by :mod:`repro.qasm.exporter`:
 * ``barrier`` statements,
 * ``measure`` statements (accepted and ignored — the IR has no classical bits).
 
-Parameter expressions may use ``pi``, the four arithmetic operators and
-parentheses; they are evaluated with a restricted ``eval``.
+Parameter expressions may use numbers, ``pi``, unary ``+``/``-`` and the
+four arithmetic operators (no parentheses: a parameter list ends at the
+first ``)``).  They are evaluated by walking their syntax tree, never by
+``eval``, and a value that is not finite is refused.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from typing import Callable, Dict, List, Tuple
 
@@ -93,7 +97,13 @@ _GATE_TABLE: Dict[str, Tuple[int, int, Callable[..., Gate]]] = {
     "ccx": (0, 3, CCXGate),
 }
 
-_SAFE_EVAL_NAMES = {"pi": math.pi, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
 
 _STATEMENT_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>[^;]*)$"
@@ -111,19 +121,32 @@ def _strip_comments(text: str) -> str:
     return "\n".join(lines)
 
 
+def _evaluate_node(node: ast.AST) -> float:
+    """The value of a parameter's syntax tree: numbers and ``pi`` under ``+ - * /``."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_evaluate_node(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_evaluate_node(node.left), _evaluate_node(node.right))
+    refused = type(getattr(node, "op", node)).__name__  # e.g. Pow, Call, Attribute
+    raise ValueError(f"{refused} is not allowed in a gate parameter")
+
+
 def _evaluate_parameter(expression: str) -> float:
     expression = expression.strip()
     if not expression:
         raise QasmParseError("empty gate parameter")
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\)\s_A-Za-z]*", expression):
-        raise QasmParseError(f"unsupported characters in parameter {expression!r}")
     try:
-        value = eval(  # noqa: S307 - restricted namespace, validated characters
-            expression, {"__builtins__": {}}, dict(_SAFE_EVAL_NAMES)
-        )
-    except Exception as exc:
+        value = _evaluate_node(ast.parse(expression, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+        # The parser reports a too deeply nested expression as MemoryError.
         raise QasmParseError(f"cannot evaluate parameter {expression!r}") from exc
-    return float(value)
+    if not math.isfinite(value):
+        raise QasmParseError(f"parameter {expression!r} is not finite")
+    return value
 
 
 def _parse_qubits(args: str, register: str, size: int, statement: str) -> List[int]:
@@ -139,6 +162,8 @@ def _parse_qubits(args: str, register: str, size: int, statement: str) -> List[i
         index = int(match.group("index"))
         if index >= size:
             raise QasmParseError(f"qubit index {index} exceeds register size {size}")
+        if index in qubits:
+            raise QasmParseError(f"qubit operand {token!r} repeats in {statement!r}")
         qubits.append(index)
     return qubits
 
@@ -199,7 +224,10 @@ def circuit_from_qasm(text: str, name: str = "from_qasm") -> QuantumCircuit:
             raise QasmParseError(
                 f"gate {gate_name!r} expects {num_qubits} qubits, got {len(qubits)}"
             )
-        circuit.append(factory(*params), tuple(qubits))
+        try:
+            circuit.append(factory(*params), tuple(qubits))
+        except ValueError as exc:  # e.g. niswap(0)
+            raise QasmParseError(f"invalid gate statement {statement!r}: {exc}") from exc
     if not have_register:
         raise QasmParseError("no qreg declaration found")
     return circuit

@@ -27,8 +27,9 @@ shard contains — which is what makes crash recovery, reruns and even
 concurrent shard workers correct.
 
 :func:`repro.core.pipeline.run_sweep_sharded` is the driver built on
-this; ``repro sweep --resume`` and the server's ``/v1/sweep`` (with a
-``run_id``) expose it.
+this, and ``repro sweep --checkpoint-dir`` (with ``--resume``) exposes
+it.  The server keeps no checkpoints: its result cache is the one place
+it stores records, so re-POSTing a ``/v1/sweep`` body resumes it.
 """
 
 from __future__ import annotations

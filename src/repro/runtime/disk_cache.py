@@ -454,8 +454,9 @@ def collect_garbage(
     Records live inside packed segments, so evicting one means rewriting
     its segment's survivors into a fresh segment: segments touched by the
     policy are compacted automatically, and ``compact=True`` additionally
-    rewrites *every* segment — dropping superseded duplicates and
-    truncating corrupt tails (the ``repro cache gc`` maintenance pass).
+    merges every segment into fresh ones and truncates torn tails (the
+    ``repro cache gc`` maintenance pass).  A directory that is already
+    one intact segment of live frames is left alone.
 
     GC assumes no concurrent *writers* share the directory (readers are
     fine — a compacted-away record heals as a miss).  Missing-directory
@@ -491,6 +492,9 @@ def collect_garbage(
     # Rewrite every segment when compacting, otherwise only those with a
     # corrupt tail or an evicted or superseded frame (rewriting is the
     # only way to actually reclaim their bytes), keeping the live frames.
+    # One segment that parses cleanly to its end has nothing to merge.
+    if len(segments) == 1 and segments[0].clean and segments[0].end == segments[0].size:
+        compact = False
     plan: List[Tuple[Path, List[Tuple[bytes, _Frame]]]] = []
     for segment in segments:
         keep = [

@@ -607,23 +607,10 @@ class ReproServer:
         self._points_completed += payload["count"]
         await self._write_response(writer, 200, payload)
 
-    def _checkpoint_dir(self, run_id: str):
-        """The checkpoint directory of a ``run_id`` (requires a disk cache)."""
-        cache = self._runner.result_cache
-        if not isinstance(cache, PersistentResultCache):
-            raise jobs.RequestError(
-                "'run_id' requires a server started with a persistent cache "
-                "directory (--cache-dir / REPRO_CACHE_DIR); checkpoints live "
-                "under it"
-            )
-        return cache.cache_dir / "checkpoints" / run_id
-
     async def _handle_sweep(self, writer: asyncio.StreamWriter, body: bytes) -> None:
         parsed = self._parse_body(body)
         deadline = jobs.pop_deadline(parsed)
         request = jobs.parse_sweep_request(parsed)
-        if request.run_id is not None:
-            checkpoint_dir = self._checkpoint_dir(request.run_id)
         loop = asyncio.get_running_loop()
         lines: asyncio.Queue = asyncio.Queue()
 
@@ -635,10 +622,6 @@ class ReproServer:
             # swallowed (returning None), so a stream whose client already
             # disconnected never leaves an unretrieved future exception.
             try:
-                if request.run_id is not None:
-                    return jobs.run_sweep_checkpoint_job(
-                        request, checkpoint_dir, self._runner, _emit
-                    )
                 return jobs.run_sweep_job(
                     request.points, request.chunk_size, self._runner, _emit
                 )

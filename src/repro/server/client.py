@@ -191,10 +191,13 @@ class ServeClient:
 
         ``targets`` is a list of ``{"topology": ..., "basis": ...}`` dicts;
         ``options`` passes through ``scale`` / ``level`` / ``layout`` /
-        ``routing`` / ``seed`` / ``chunk_size`` / ``run_id`` /
-        ``shard_points`` / ``deadline_s``.  Every streamed line (``start``
-        and ``progress`` types) is handed to ``on_progress``; the final
-        ``result`` line is returned.  An in-stream ``error`` line (which
+        ``routing`` / ``seed`` / ``chunk_size`` / ``deadline_s``.  Every
+        streamed line (``start`` and ``progress`` types) is handed to
+        ``on_progress``; the final ``result`` line is returned, with the
+        points the server's failure policy quarantined in its
+        ``failed_points``.  Sending the same sweep again to a server on
+        the same cache directory resumes it: only points missing from the
+        cache are computed.  An in-stream ``error`` line (which
         is how a ``deadline_s`` expiry surfaces mid-stream, with
         ``status: 504``), a truncated stream or a non-2xx status raises
         :class:`ServeError`.

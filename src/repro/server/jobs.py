@@ -18,12 +18,12 @@ take are consistent without locking.
 from __future__ import annotations
 
 import functools
-import re
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.pipeline import map_points, point_label, run_sweep_sharded, sweep_grid
+from repro.core.pipeline import map_points, point_label, sweep_grid
 from repro.transpiler.compile import available_levels
 from repro.transpiler.registry import available_passes
 from repro.transpiler.target import Target
@@ -81,9 +81,13 @@ def pop_deadline(payload: Any) -> Optional[float]:
     value = payload.pop("deadline_s")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RequestError(f"'deadline_s' must be a number, got {value!r}")
-    deadline = float(value)
-    if deadline <= 0:
-        raise RequestError("'deadline_s' must be positive")
+    try:
+        deadline = float(value)
+    except OverflowError:  # an integer beyond the float range
+        deadline = math.inf
+    # json parses the NaN and Infinity literals: neither is a deadline.
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise RequestError("'deadline_s' must be a finite number greater than 0")
     return deadline
 
 
@@ -236,21 +240,15 @@ def parse_transpile_request(payload: Any) -> List[PointSpec]:
     return specs
 
 
-#: Filesystem-safe checkpoint run identifiers (no separators, no dots at
-#: the front — a ``run_id`` becomes a directory name under the cache dir).
-_RUN_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
-
-
 @dataclass(frozen=True)
 class SweepRequest:
     """One validated ``/v1/sweep`` request.
 
     The grid is kept in one form, ``workloads x sizes x targets`` plus the
     options every point shares, and ``count`` is its number of points,
-    counted at parse time without building it.  A job builds the grid
+    counted at parse time without building it.  The job builds the grid
     once: :attr:`points` expands it through
-    :func:`repro.core.pipeline.sweep_grid`, and the checkpointed path
-    (``run_id`` set) hands it to :func:`repro.core.pipeline.run_sweep_sharded`.
+    :func:`repro.core.pipeline.sweep_grid`.
     """
 
     workloads: List[str]
@@ -258,8 +256,6 @@ class SweepRequest:
     targets: List[Target]
     count: int
     chunk_size: int
-    run_id: Optional[str] = None
-    shard_points: Optional[int] = None
     optimization_level: int = 1
     layout: Optional[str] = None
     routing: Optional[str] = None
@@ -279,12 +275,7 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
     The grid is the cross product ``workloads x sizes x targets`` in
     canonical order (the same nested-loop order as
     :func:`repro.core.pipeline.sweep_grid`), with sizes wider than a
-    target skipped.  An optional ``run_id`` selects checkpointed
-    execution: the sweep runs as deterministic shards persisted under the
-    server's cache directory, and re-POSTing the same body with the same
-    ``run_id`` recomputes only the shards a crashed or interrupted run
-    left missing.  ``shard_points`` sets the shard size (default: the
-    chunk size).
+    target skipped.
     """
     _require(isinstance(payload, dict), "request body must be a JSON object")
     known = {
@@ -297,8 +288,6 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         "routing",
         "seed",
         "chunk_size",
-        "run_id",
-        "shard_points",
     }
     unknown = sorted(set(payload) - known)
     _require(not unknown, f"unknown sweep fields: {unknown}")
@@ -309,20 +298,6 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         )
     chunk_size = _as_int(payload.get("chunk_size", DEFAULT_CHUNK_SIZE), "chunk_size")
     _require(chunk_size >= 1, "'chunk_size' must be at least 1")
-    run_id = payload.get("run_id")
-    if run_id is not None:
-        _require(
-            isinstance(run_id, str) and _RUN_ID_PATTERN.fullmatch(run_id) is not None,
-            "'run_id' must be 1-64 characters of [A-Za-z0-9._-] "
-            "(starting alphanumeric)",
-        )
-    shard_points = payload.get("shard_points")
-    if shard_points is not None:
-        shard_points = _as_int(shard_points, "shard_points")
-        _require(shard_points >= 1, "'shard_points' must be at least 1")
-        _require(
-            run_id is not None, "'shard_points' is only meaningful with 'run_id'"
-        )
     # An explicit null option means its default, as an absent one does.
     options = _options({key: value for key, value in payload.items() if value is not None})
     scale = options.pop("scale")
@@ -355,8 +330,6 @@ def parse_sweep_request(payload: Any) -> SweepRequest:
         targets=targets,
         count=count,
         chunk_size=chunk_size,
-        run_id=run_id,
-        shard_points=shard_points if shard_points is not None else chunk_size,
         **options,
     )
 
@@ -437,8 +410,15 @@ def run_sweep_job(
 
     ``emit`` receives one ``{"type": "start"}`` line, one
     ``{"type": "progress"}`` line per completed chunk and a final
-    ``{"type": "result"}`` line carrying every record plus the
-    per-request cache delta.  Returns the number of points executed.
+    ``{"type": "result"}`` line carrying every record, the
+    ``failed_points`` the runner's failure policy quarantined (each a
+    ``{"label": ...}``, as in :class:`~repro.core.pipeline.SweepResult`)
+    and the per-request cache delta.  Each chunk is one
+    :func:`~repro.core.pipeline.map_points` call, so its records are in
+    the result cache when its progress line goes out: a crash loses at
+    most the running chunk, and re-POSTing the body to a server on the
+    same cache directory recomputes only what is missing.  Returns the
+    number of records.
     """
     cache = runner.result_cache
     before = stats_snapshot(cache)
@@ -446,10 +426,15 @@ def run_sweep_job(
     chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
     emit({"type": "start", "total": len(points), "chunks": len(chunks)})
     records: List[Dict[str, Any]] = []
+    failed_points: List[Dict[str, str]] = []
     completed = 0
     for chunk in chunks:
         chunk_start = time.perf_counter()
-        records.extend(execute_points(chunk, runner))
+        for point, metrics in zip(chunk, map_points(chunk, runner)):
+            if metrics is None:
+                failed_points.append({"label": point_label(point)})
+            else:
+                records.append(metrics.as_dict())
         completed += len(chunk)
         emit(
             {
@@ -464,84 +449,9 @@ def run_sweep_job(
             "type": "result",
             "records": records,
             "count": len(records),
+            "failed_points": failed_points,
             "elapsed_seconds": round(time.perf_counter() - start, 6),
             "cache": stats_delta(before, stats_snapshot(cache)),
         }
     )
-    return completed
-
-
-def run_sweep_checkpoint_job(
-    request: SweepRequest,
-    checkpoint_dir: Any,
-    runner: Any,
-    emit: Callable[[Dict[str, Any]], None],
-) -> int:
-    """The checkpointed ``/v1/sweep`` work item (``run_id`` given).
-
-    Runs the sweep through
-    :func:`repro.core.pipeline.run_sweep_sharded`: deterministic shards
-    persisted under ``checkpoint_dir``, restored shards skipped, one
-    ``{"type": "shard"}`` progress line per shard.  Re-POSTing the same
-    body with the same ``run_id`` after a crash recomputes only the
-    missing shards; the final ``{"type": "result"}`` line always carries
-    the complete record set.  Returns the number of points *computed*
-    this time (restored points are free).
-    """
-    cache = runner.result_cache
-    before = stats_snapshot(cache)
-    start = time.perf_counter()
-    total = request.count
-    computed_points = 0
-
-    def _shard_progress(index: int, shards: int, status: str, points: int) -> None:
-        nonlocal computed_points
-        # "retried" shards (previously failed points recomputed) count as
-        # computed work too; only fully "restored" shards are free.
-        if status in ("computed", "retried"):
-            computed_points += points
-        emit(
-            {
-                "type": "shard",
-                "shard": index + 1,
-                "shards": shards,
-                "status": status,
-                "points": points,
-            }
-        )
-
-    shard_points = request.shard_points or request.chunk_size
-    emit(
-        {
-            "type": "start",
-            "total": total,
-            "run_id": request.run_id,
-            "shards": max(1, -(-total // shard_points)),
-        }
-    )
-    result = run_sweep_sharded(
-        request.workloads,
-        request.sizes,
-        request.targets,
-        checkpoint_dir=checkpoint_dir,
-        seed=request.seed,
-        layout_method=request.layout,
-        routing_method=request.routing,
-        optimization_level=request.optimization_level,
-        shard_points=shard_points,
-        resume=True,
-        shard_progress=_shard_progress,
-        runner=runner,
-    )
-    emit(
-        {
-            "type": "result",
-            "records": result.as_dicts(),
-            "count": len(result),
-            "computed": computed_points,
-            "failed_points": list(result.failed_points),
-            "elapsed_seconds": round(time.perf_counter() - start, 6),
-            "cache": stats_delta(before, stats_snapshot(cache)),
-        }
-    )
-    return computed_points
+    return len(records)

@@ -22,8 +22,7 @@ Two performance features keep validation runs fast:
   single 2x2 matrix product before the tensor contraction, so a chain of
   ``k`` one-qubit gates costs one contraction instead of ``k``.  Fusion
   only reorders operations that commute (single-qubit gates on distinct
-  qubits), so the result is identical up to floating-point rounding; pass
-  ``fuse_single_qubit=False`` to disable it.
+  qubits), so the result is identical up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ HARD_QUBIT_LIMIT = 26
 class StatevectorSimulator:
     """Applies circuits to dense state vectors."""
 
-    def __init__(self, max_qubits: int = 24, fuse_single_qubit: bool = True):
+    def __init__(self, max_qubits: int = 24):
         max_qubits = int(max_qubits)
         if max_qubits < 1:
             raise ValueError("max_qubits must be at least 1")
@@ -55,7 +54,6 @@ class StatevectorSimulator:
                 "cannot be allocated); use a smaller width"
             )
         self._max_qubits = max_qubits
-        self._fuse_single_qubit = bool(fuse_single_qubit)
 
     def run(
         self,
@@ -76,14 +74,7 @@ class StatevectorSimulator:
             state = np.asarray(initial_state, dtype=complex).copy()
             if state.shape != (2 ** num_qubits,):
                 raise ValueError("initial state has the wrong dimension")
-        tensor = state.reshape([2] * num_qubits)
-        if self._fuse_single_qubit:
-            tensor = _run_fused(tensor, circuit, num_qubits)
-        else:
-            for instruction in circuit:
-                if instruction.name == "barrier":
-                    continue
-                tensor = _apply_instruction(tensor, instruction, num_qubits)
+        tensor = _run_fused(state.reshape([2] * num_qubits), circuit, num_qubits)
         return tensor.reshape(2 ** num_qubits)
 
     def probabilities(self, circuit: QuantumCircuit) -> np.ndarray:

@@ -5,7 +5,7 @@ The slow implementation it replaced lives here, and the parity suites
 require the two to agree exactly (density matrices within 1e-10).
 Nothing in ``src/`` imports this module.
 
-Two oracles keep a whole run loop, so a parity test holds the production
+Three oracles keep a whole run loop, so a parity test holds the production
 loop to the one it replaced, not only the scorer:
 
 * :class:`ReferenceSabreRouting` — the SABRE router as it stood before the
@@ -28,6 +28,10 @@ loop to the one it replaced, not only the scorer:
   Used by ``tests/transpiler/test_routing_vectorized.py`` (toy devices,
   the five large design points and the stall escape) and
   ``benchmarks/test_bench_routing_hotpath.py``.
+* :func:`reference_statevector` — the state-vector loop without
+  single-qubit fusion: one contraction per gate, in circuit order, as
+  :class:`repro.simulator.statevector.StatevectorSimulator` ran it with
+  fusion off.  Used by ``tests/simulator/test_fused_statevector.py``.
 
 The remaining oracles subclass the production class and override only its
 one private scorer, so run loops, input checks and property-set plumbing
@@ -105,6 +109,7 @@ from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
 from repro.noise.channels import QuantumChannel
 from repro.noise.density_matrix import DensityMatrixSimulator
+from repro.simulator.fusion import apply_matrix_to_axes
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes.layout_passes import DenseLayout, InteractionGraphLayout
@@ -894,6 +899,24 @@ class ReferenceNoiseAwareRouting(NoiseAwareRouting):
             elif abs(score - best_score) <= _TIE_EPS:
                 best_choices.append(index)
         return best_choices[int(rng.integers(len(best_choices)))]
+
+
+# -- state-vector simulation -------------------------------------------------
+
+
+def reference_statevector(circuit: QuantumCircuit) -> np.ndarray:
+    """The final state of ``circuit`` from ``|0...0>``, one contraction per gate."""
+    n = circuit.num_qubits
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    tensor = state.reshape([2] * n)
+    for instruction in circuit:
+        if instruction.name == "barrier":
+            continue
+        # Qubit q lives on tensor axis n - 1 - q (little-endian register).
+        axes = [n - 1 - q for q in instruction.qubits]
+        tensor = apply_matrix_to_axes(tensor, instruction.gate.cached_matrix(), axes)
+    return tensor.reshape(2 ** n)
 
 
 # -- density-matrix simulation -----------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for OpenQASM 2 export and import."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,61 @@ from repro.workloads import build_workload
 
 def roundtrip(circuit: QuantumCircuit) -> QuantumCircuit:
     return circuit_from_qasm(circuit_to_qasm(circuit))
+
+
+#: gate name -> (parameters, qubits) it takes; ``None`` means any number.
+_GATE_SHAPES = {
+    "h": (0, 1),
+    "rx": (1, 1),
+    "u3": (3, 1),
+    "cx": (0, 2),
+    "cp": (1, 2),
+    "niswap": (1, 2),
+    "fsim": (2, 2),
+    "ccx": (0, 3),
+    "barrier": (0, None),
+    "frob": (0, 1),
+}
+#: Integers below 1000 and at most one ``**`` keep every expression cheap,
+#: even for an evaluator that computes powers.
+_ATOMS = st.integers(min_value=0, max_value=999).map(str) | st.sampled_from(
+    ["pi", "0.5", "2.5e-3", "1e308", "1e400", "x", "pi.real", "__import__", ""]
+)
+_TERMS = st.tuples(st.sampled_from(["", "-", "+"]), _ATOMS).map("".join)
+
+
+@st.composite
+def _expressions(draw):
+    """Terms joined by ``+ - * /``, with at most one ``**``."""
+    terms = draw(st.lists(_TERMS, min_size=1, max_size=4))
+    operators = [draw(st.sampled_from("+-*/")) for _ in terms[1:]]
+    if operators and draw(st.booleans()):
+        operators[draw(st.integers(0, len(operators) - 1))] = "**"
+    return terms[0] + "".join(op + term for op, term in zip(operators, terms[1:]))
+
+
+@st.composite
+def _qasm_programs(draw):
+    """OpenQASM text on a 1-8 qubit register; counts and operands mostly fit."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{width}];"]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        name = draw(st.sampled_from(sorted(_GATE_SHAPES)))
+        num_params, num_qubits = _GATE_SHAPES[name]
+        num_params = draw(st.sampled_from([num_params] * 3 + [num_params + 1]))
+        if num_qubits is None:
+            num_qubits = draw(st.integers(min_value=0, max_value=width))
+        params = [draw(_expressions()) for _ in range(num_params)]
+        qubits = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=width),
+                min_size=num_qubits,
+                max_size=num_qubits,
+            )
+        )
+        head = f"{name}({','.join(params)})" if params else name
+        lines.append(f"{head} {','.join(f'q[{q}]' for q in qubits)};")
+    return "\n".join(lines)
 
 
 class TestExporter:
@@ -114,9 +171,27 @@ class TestParser:
         with pytest.raises(QasmParseError):
             circuit_from_qasm("OPENQASM 2.0; qreg q[2]; cx q[0];")
 
-    def test_malicious_parameter_rejected(self):
+    @pytest.mark.parametrize("parameter", ["__import__", "2**2000", "1e400", "pi.real", "2**10"])
+    def test_malicious_parameter_rejected(self, parameter):
         with pytest.raises(QasmParseError):
-            circuit_from_qasm("OPENQASM 2.0; qreg q[1]; rz(__import__) q[0];")
+            circuit_from_qasm(f"OPENQASM 2.0; qreg q[1]; rz({parameter}) q[0];")
+
+    @pytest.mark.parametrize(
+        "statement", ["cx q[0],q[0]", "barrier q[1],q[1]", "niswap(0) q[0],q[1]"]
+    )
+    def test_invalid_gate_arguments_rejected(self, statement):
+        with pytest.raises(QasmParseError):
+            circuit_from_qasm(f"OPENQASM 2.0; qreg q[2]; {statement};")
+
+    @given(program=_qasm_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_any_program_parses_to_finite_parameters_or_is_refused(self, program):
+        try:
+            circuit = circuit_from_qasm(program)
+        except QasmParseError:
+            return
+        params = [param for instruction in circuit for param in instruction.gate.params]
+        assert all(math.isfinite(param) for param in params)
 
     def test_two_registers_rejected(self):
         with pytest.raises(QasmParseError):

@@ -164,13 +164,38 @@ class TestCompaction:
         """Frames another process's GC moved are found again, not missed."""
         for trial in range(10):
             directory = tmp_path / str(trial)
-            _fill(directory, [("p", index) for index in range(5)])
+            # Two writers, so the first compaction has segments to merge.
+            _fill(directory, [("p", index) for index in range(3)])
+            _fill(directory, [("p", index) for index in range(3, 5)])
             collect_garbage(directory, compact=True)
             reader = PersistentResultCache(directory)  # indexes the seg-gc output
             _fill(directory, ["other"])
             collect_garbage(directory, compact=True)  # ... which this pass deletes
             assert all(reader.get(("p", index)) is not None for index in range(5))
             assert reader.stats().disk_misses == 0
+
+    def test_a_compact_directory_is_left_alone(self, tmp_path):
+        for key in ("a", "b"):
+            _fill(tmp_path, [key])
+        collect_garbage(tmp_path, compact=True)
+        (segment,) = tmp_path.glob("seg-*.rps")
+        before = segment.read_bytes()
+        report = collect_garbage(tmp_path, compact=True)
+        assert (report.segments_removed, report.segments_written) == (0, 0)
+        assert report.kept == 2
+        assert "compacted" not in report.describe()
+        assert list(tmp_path.glob("seg-*.rps")) == [segment]
+        assert segment.read_bytes() == before
+
+    def test_one_segment_with_a_superseded_frame_is_still_compacted(self, tmp_path):
+        cache = PersistentResultCache(tmp_path)
+        cache.put("k", 1)
+        cache.put("k", 2)
+        cache.close()
+        report = collect_garbage(tmp_path, compact=True)
+        assert (report.segments_removed, report.segments_written) == (1, 1)
+        assert segment_stats(tmp_path).dead_bytes == 0
+        assert PersistentResultCache(tmp_path).get("k") == 2
 
     def test_compaction_consolidates_many_segments(self, tmp_path):
         for key in ("a", "b", "c", "d"):

@@ -117,12 +117,20 @@ class TestDeadlines:
             assert excinfo.value.status == 504
             assert "deadline" in str(excinfo.value)
 
-    def test_invalid_deadline_is_400(self):
+    @pytest.mark.parametrize("deadline", [-1, float("nan"), float("inf")])
+    def test_invalid_deadline_is_400(self, deadline):
+        # json sends a float NaN or infinity as a bare NaN/Infinity literal.
         with ServerHandle(port=0, parallel=False, no_cache=True) as handle:
             client = ServeClient(port=handle.port)
             with pytest.raises(ServeError) as excinfo:
-                client.transpile({"workload": "GHZ", "size": 4}, deadline_s=-1)
+                client.transpile({"workload": "GHZ", "size": 4}, deadline_s=deadline)
             assert excinfo.value.status == 400
+            with pytest.raises(ServeError) as excinfo:
+                client.sweep(
+                    ["GHZ"], [4], [{"topology": "Corral1,1"}], deadline_s=deadline
+                )
+            assert excinfo.value.status == 400
+            assert "deadline_s" in str(excinfo.value)
 
 
 class TestRetryAfter:

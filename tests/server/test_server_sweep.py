@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.core.pipeline as pipeline
 from repro.core.pipeline import run_sweep, sweep_grid
-from repro.server import ServeError, jobs
+from repro.runtime import PersistentResultCache, collect_garbage, serial_runner
+from repro.server import ServeClient, ServeError, ServerHandle, jobs
 from repro.server.jobs import RequestError, parse_sweep_request
 from repro.transpiler.target import Target
 from repro.workloads import available_workloads
@@ -14,6 +21,11 @@ from repro.workloads import available_workloads
 pytestmark = pytest.mark.fast
 
 TARGETS = [{"topology": "Corral1,1", "basis": "siswap"}]
+
+#: The GHZ 4/5/6 sweep body the resume tests send.
+SWEEP = {"workloads": ["GHZ"], "sizes": [4, 5, 6], "targets": TARGETS}
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def test_sweep_streams_start_progress_result(client):
@@ -23,6 +35,7 @@ def test_sweep_streams_start_progress_result(client):
     )
     assert result["type"] == "result"
     assert result["count"] == 3
+    assert result["failed_points"] == []
     assert [e["type"] for e in events] == ["start", "progress", "progress"]
     assert events[0] == {"type": "start", "total": 3, "chunks": 2}
     assert [e["completed"] for e in events[1:]] == [2, 3]
@@ -78,10 +91,14 @@ def test_sweep_bad_seed_is_400(client, seed):
     assert excinfo.value.status == 400
 
 
-def test_sweep_unknown_field_is_400(client):
+@pytest.mark.parametrize(
+    "name, value", [("bogus_option", 1), ("run_id", "run-a"), ("shard_points", 2)]
+)
+def test_sweep_unknown_field_is_400(client, name, value):
     with pytest.raises(ServeError) as excinfo:
-        client.sweep(["GHZ"], [4], TARGETS, bogus_option=1)
+        client.sweep(["GHZ"], [4], TARGETS, **{name: value})
     assert excinfo.value.status == 400
+    assert f"unknown sweep fields: [{name!r}]" in str(excinfo.value)
 
 
 def test_sweep_shares_cache_with_transpile(client):
@@ -93,84 +110,85 @@ def test_sweep_shares_cache_with_transpile(client):
     assert result["cache"]["hits"] == 1
 
 
-class TestCheckpointedSweep:
-    def test_run_id_streams_shard_lines(self, client):
-        events = []
-        result = client.sweep(
-            ["GHZ"],
-            [4, 5, 6],
-            TARGETS,
-            on_progress=events.append,
-            run_id="run-a",
-            shard_points=2,
+class _QuarantiningRunner:
+    """A serial, uncached runner whose failure policy quarantines GHZ-5."""
+
+    result_cache = None
+
+    def map(self, fn, tasks, keys=None, labels=None, progress=None):
+        return [None if task[1] == 5 else fn(*task) for task in tasks]
+
+
+def test_quarantined_point_is_listed_not_fatal():
+    lines = []
+    points = parse_sweep_request(dict(SWEEP)).points
+    assert jobs.run_sweep_job(points, 2, _QuarantiningRunner(), lines.append) == 2
+    assert [line["type"] for line in lines] == ["start", "progress", "progress", "result"]
+    result = lines[-1]
+    assert result["failed_points"] == [{"label": "GHZ-5 on Corral1,1-siswap"}]
+    assert result["count"] == 2
+    assert [record["circuit_qubits"] for record in result["records"]] == [4, 6]
+
+
+class TestResumeFromCache:
+    """A re-POST to a server on the same cache directory is the resume."""
+
+    def test_restarted_server_resumes_from_the_cache(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+
+        def sweep_on_a_fresh_server():
+            with ServerHandle(port=0, parallel=False, cache_dir=str(cache_dir)) as handle:
+                client = ServeClient(port=handle.port, timeout=30.0)
+                return client.sweep(SWEEP["workloads"], SWEEP["sizes"], TARGETS)
+
+        first = sweep_on_a_fresh_server()
+        assert first["cache"]["computed"] == 3
+        second = sweep_on_a_fresh_server()
+        assert second["cache"]["computed"] == 0
+        assert second["cache"]["disk_hits"] == 3
+        assert second["records"] == first["records"]
+        # The cache is the only copy: once GC evicts it, nothing is left.
+        collect_garbage(cache_dir, max_bytes=0, compact=True)
+        assert sweep_on_a_fresh_server()["cache"]["computed"] == 3
+        assert not (cache_dir / "checkpoints").exists()
+
+    def test_sigkilled_sweep_keeps_its_finished_chunks(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        script = f"""
+import os, signal
+from repro.runtime import PersistentResultCache, serial_runner
+from repro.server import jobs
+
+def die_at_first_progress(line):
+    if line["type"] == "progress":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+points = jobs.parse_sweep_request({SWEEP!r}).points
+runner = serial_runner(PersistentResultCache({str(cache_dir)!r}))
+jobs.run_sweep_job(points, 1, runner, die_at_first_progress)
+"""
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        env.pop("REPRO_CACHE_DIR", None)
+        process = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
         )
-        assert result["type"] == "result"
-        assert result["count"] == 3
-        assert result["computed"] == 3
-        assert events[0] == {
-            "type": "start",
-            "total": 3,
-            "run_id": "run-a",
-            "shards": 2,
-        }
-        shard_lines = [e for e in events if e["type"] == "shard"]
-        assert [e["shard"] for e in shard_lines] == [1, 2]
-        assert all(e["status"] == "computed" for e in shard_lines)
-        assert [e["points"] for e in shard_lines] == [2, 1]
-
-    def test_repost_restores_from_checkpoint(self, client):
-        cold = client.sweep(
-            ["GHZ"], [4, 5], TARGETS, run_id="run-b", shard_points=1
+        assert process.returncode == -signal.SIGKILL, process.stderr
+        # The first chunk's record reached the cache before its progress line.
+        lines = []
+        cache = PersistentResultCache(cache_dir)
+        try:
+            points = parse_sweep_request(dict(SWEEP)).points
+            jobs.run_sweep_job(points, 1, serial_runner(cache), lines.append)
+        finally:
+            cache.close()
+        result = lines[-1]
+        assert result["cache"]["computed"] == 2
+        assert result["cache"]["disk_hits"] == 1
+        target = Target.from_names(
+            "Corral1,1", "siswap", scale="small", name="Corral1,1-siswap"
         )
-        assert cold["computed"] == 2
-        events = []
-        warm = client.sweep(
-            ["GHZ"],
-            [4, 5],
-            TARGETS,
-            on_progress=events.append,
-            run_id="run-b",
-            shard_points=1,
-        )
-        assert warm["computed"] == 0
-        statuses = [e["status"] for e in events if e["type"] == "shard"]
-        assert statuses == ["restored", "restored"]
-        assert warm["records"] == cold["records"]
-
-    def test_checkpoints_live_under_the_cache_dir(self, client, live_server):
-        client.sweep(["GHZ"], [4], TARGETS, run_id="run-c", shard_points=1)
-        cache_dir = live_server.server.runner.result_cache.cache_dir
-        checkpoint = cache_dir / "checkpoints" / "run-c"
-        assert (checkpoint / "manifest.json").is_file()
-        assert sorted(p.name for p in checkpoint.glob("shard-*.rsd")) == [
-            "shard-00000.rsd"
-        ]
-
-    def test_different_spec_same_run_id_is_refused(self, client):
-        client.sweep(["GHZ"], [4], TARGETS, run_id="run-d")
-        with pytest.raises(ServeError):
-            client.sweep(["GHZ"], [5], TARGETS, run_id="run-d")
-
-    @pytest.mark.parametrize("run_id", ["", "../escape", "a/b", "x" * 65])
-    def test_bad_run_id_is_400(self, client, run_id):
-        with pytest.raises(ServeError) as excinfo:
-            client.sweep(["GHZ"], [4], TARGETS, run_id=run_id)
-        assert excinfo.value.status == 400
-
-    def test_shard_points_without_run_id_is_400(self, client):
-        with pytest.raises(ServeError) as excinfo:
-            client.sweep(["GHZ"], [4], TARGETS, shard_points=2)
-        assert excinfo.value.status == 400
-
-    def test_run_id_without_persistent_cache_is_400(self):
-        from repro.server import ServeClient, ServerHandle
-
-        with ServerHandle(port=0, parallel=False) as handle:
-            bare = ServeClient(port=handle.port, timeout=30.0)
-            with pytest.raises(ServeError) as excinfo:
-                bare.sweep(["GHZ"], [4], TARGETS, run_id="run-e")
-            assert excinfo.value.status == 400
-            assert "persistent cache" in str(excinfo.value)
+        direct = run_sweep(["GHZ"], [4, 5, 6], [target])
+        assert result["records"] == [record.as_dict() for record in direct.records]
 
 
 class TestGridBuiltOnce:
@@ -219,10 +237,5 @@ class TestGridBuiltOnce:
 
     def test_streamed_sweep_builds_the_grid_once(self, client, grid_calls):
         result = client.sweep(["GHZ"], [4, 5], TARGETS)
-        assert result["count"] == 2
-        assert len(grid_calls) == 1
-
-    def test_run_id_sweep_builds_the_grid_once(self, client, grid_calls):
-        result = client.sweep(["GHZ"], [4, 5], TARGETS, run_id="run-once")
         assert result["count"] == 2
         assert len(grid_calls) == 1

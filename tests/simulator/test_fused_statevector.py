@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import reference_statevector
 from repro.circuits import QuantumCircuit
 from repro.circuits.gate import UnitaryGate
 from repro.linalg.random import random_su2, random_unitary
@@ -40,9 +41,8 @@ class TestFusedFastPath:
     def test_fused_matches_unfused_on_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
         circuit = _random_circuit(4, depth=30, rng=rng)
-        fused = StatevectorSimulator(fuse_single_qubit=True).run(circuit)
-        unfused = StatevectorSimulator(fuse_single_qubit=False).run(circuit)
-        assert np.allclose(fused, unfused, atol=1e-10)
+        fused = StatevectorSimulator().run(circuit)
+        assert np.allclose(fused, reference_statevector(circuit), atol=1e-10)
 
     def test_long_single_qubit_chain(self):
         circuit = QuantumCircuit(2)
@@ -52,9 +52,8 @@ class TestFusedFastPath:
             circuit.s(1)
         circuit.cx(0, 1)
         circuit.h(1)
-        fused = StatevectorSimulator(fuse_single_qubit=True).run(circuit)
-        unfused = StatevectorSimulator(fuse_single_qubit=False).run(circuit)
-        assert np.allclose(fused, unfused, atol=1e-10)
+        fused = StatevectorSimulator().run(circuit)
+        assert np.allclose(fused, reference_statevector(circuit), atol=1e-10)
 
     def test_barriers_are_ignored(self):
         circuit = QuantumCircuit(2)
