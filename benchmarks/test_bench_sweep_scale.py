@@ -8,9 +8,10 @@ Four claims from the scaling work are pinned here:
   least 5x faster than the cold compute, with zero recomputation;
 * **Persistent pool workers** — a second ``map`` on a live runner is
   faster than the same ``map`` on a freshly spawned pool;
-* **Kill-and-resume** — a sweep interrupted after its first shard
-  resumes by recomputing exactly the missing shards, and the final
-  ``SweepResult`` is record-identical to an uninterrupted run.
+* **Kill-and-resume** — a sweep interrupted after its first chunk
+  resumes from its result cache by recomputing exactly the missing
+  points, and the final ``SweepResult`` is record-identical to an
+  uninterrupted run.
 
 The scale legs use a cheap synthetic task (~100 µs) through the real
 ``ExperimentRunner`` + ``PersistentResultCache`` path, so the numbers
@@ -26,7 +27,8 @@ import warnings
 
 import pytest
 
-from repro.core.pipeline import run_sweep, run_sweep_sharded
+from repro.core import pipeline
+from repro.core.pipeline import run_sweep
 from repro.runtime import ExperimentRunner, PersistentResultCache
 from repro.transpiler.target import Target
 
@@ -134,40 +136,40 @@ class _Interrupted(Exception):
     pass
 
 
-def test_bench_kill_and_resume(benchmark, emit, tmp_path):
+def test_bench_kill_and_resume(benchmark, emit, monkeypatch, tmp_path):
     target = Target.from_names(
         "Corral1,1", "siswap", scale="small", name="Corral1,1-siswap"
     )
-    checkpoint_dir = tmp_path / "ckpt"
+    monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", 1)
+    announced = []
 
-    def die_after_first_shard(index, total, status, points):
-        raise _Interrupted
+    def die_at_second_point(label):
+        # Announced before the point compiles: only the first chunk is stored.
+        announced.append(label)
+        if len(announced) == 2:
+            raise _Interrupted
+
+    def cached_sweep(progress=None):
+        cache = PersistentResultCache(tmp_path)
+        try:
+            runner = ExperimentRunner(parallel=False, result_cache=cache)
+            result = run_sweep(["GHZ"], [4, 5, 6], [target], progress=progress, runner=runner)
+            return result, cache.stats()
+        finally:
+            cache.close()
 
     start = time.perf_counter()
     with pytest.raises(_Interrupted):
-        run_sweep_sharded(
-            ["GHZ"], [4, 5, 6], [target], checkpoint_dir,
-            shard_points=1, shard_progress=die_after_first_shard,
-        )
+        cached_sweep(die_at_second_point)
     interrupted_seconds = time.perf_counter() - start
 
-    statuses = {}
     start = time.perf_counter()
-    resumed = run_sweep_sharded(
-        ["GHZ"], [4, 5, 6], [target], checkpoint_dir,
-        shard_points=1,
-        shard_progress=lambda i, n, status, k: statuses.setdefault(i, status),
-    )
+    resumed, stats = cached_sweep()
     resume_seconds = time.perf_counter() - start
-    benchmark.pedantic(
-        run_sweep_sharded,
-        args=(["GHZ"], [4, 5, 6], [target], checkpoint_dir),
-        kwargs={"shard_points": 1},
-        rounds=1, iterations=1,
-    )
+    benchmark.pedantic(cached_sweep, rounds=1, iterations=1)
 
-    # Only the shards the "crash" lost are recomputed...
-    assert statuses == {0: "restored", 1: "computed", 2: "computed"}
+    # Only the points the "crash" lost are recomputed...
+    assert (stats.disk_hits, stats.computed) == (1, 2)
     # ...and the result is record-identical to an uninterrupted sweep.
     direct = run_sweep(["GHZ"], [4, 5, 6], [target])
     assert [r.as_dict() for r in resumed.records] == [
@@ -175,10 +177,11 @@ def test_bench_kill_and_resume(benchmark, emit, tmp_path):
     ]
     emit(
         benchmark,
-        "Kill-and-resume on a 3-shard sweep",
+        "Kill-and-resume on a 3-chunk sweep",
         {
             "interrupted_seconds": round(interrupted_seconds, 3),
             "resume_seconds": round(resume_seconds, 3),
-            "shards": statuses,
+            "disk_hits": stats.disk_hits,
+            "computed": stats.computed,
         },
     )

@@ -41,7 +41,7 @@ from repro.core import (
     design_targets,
     reliability_ranking,
     run_point,
-    run_sweep_sharded,
+    run_sweep,
 )
 from repro.core.reliability import format_reliability_report
 from repro.core.sensitivity import format_sensitivity_report
@@ -496,26 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = commands.add_parser(
         "sweep",
-        help="checkpointed grid sweep: deterministic shards with --resume "
-        "recomputing only what is missing",
-    )
-    sweep.add_argument(
-        "--checkpoint-dir",
-        required=True,
-        help="directory for the shard manifest and per-shard record files",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an existing checkpoint (recompute only missing "
-        "shards); without it an existing checkpoint is an error",
-    )
-    sweep.add_argument(
-        "--shard-points",
-        type=_positive_int,
-        default=256,
-        help="points per shard — the granularity of crash loss and of "
-        "progress reporting (default: 256)",
+        help="grid sweep; a rerun on the same --cache-dir recomputes only "
+        "what is missing",
     )
     sweep.add_argument(
         "--workloads", nargs="*", choices=available_workloads(),
@@ -778,6 +760,8 @@ def _check_grid(
     workload once, at the smallest size that fits, finds every width the
     sweep would fail on.
     """
+    if not workloads:
+        _usage_error(verb, "--workloads names no workload")
     fitting = [size for size in sizes if size <= max(widths)]
     if not fitting:
         _usage_error(
@@ -945,8 +929,6 @@ def _command_bench(args: argparse.Namespace) -> str:
 
 
 def _command_sweep(args: argparse.Namespace) -> str:
-    from repro.runtime.checkpoint import CheckpointMismatch
-
     if args.topologies:
         basis = "siswap" if args.basis is None else args.basis
         targets = [
@@ -966,51 +948,25 @@ def _command_sweep(args: argparse.Namespace) -> str:
         args.scale,
         args.seed,
     )
-    statuses = {"restored": 0, "computed": 0}
-
-    def _shard_progress(index: int, total: int, status: str, points: int) -> None:
-        statuses[status] = statuses.get(status, 0) + 1
-        print(
-            f"shard {index + 1}/{total}: {status} ({points} points)",
-            file=sys.stderr,
-        )
-
-    try:
-        result = run_sweep_sharded(
-            args.workloads,
-            args.sizes,
-            targets,
-            checkpoint_dir=args.checkpoint_dir,
-            seed=args.seed,
-            layout_method=args.layout,
-            routing_method=args.routing,
-            optimization_level=args.level,
-            shard_points=args.shard_points,
-            resume=args.resume,
-            shard_progress=_shard_progress,
-            runner=_runner_from_args(args),
-        )
-    except CheckpointMismatch as error:
-        raise SystemExit(f"repro sweep: {error}") from error
+    result = run_sweep(
+        args.workloads,
+        args.sizes,
+        targets,
+        seed=args.seed,
+        layout_method=args.layout,
+        routing_method=args.routing,
+        optimization_level=args.level,
+        runner=_runner_from_args(args),
+    )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(sweep_to_csv(result))
-    extras = ""
-    if statuses.get("retried"):
-        extras += f", {statuses['retried']} retried"
+    body = f"sweep complete: {len(result)} points"
     if result.failed_points:
-        extras += f", {len(result.failed_points)} failed"
-    body = (
-        f"sweep complete: {len(result)} points "
-        f"({statuses['restored']} shards restored, "
-        f"{statuses['computed']} computed{extras}) [{args.checkpoint_dir}]"
-    )
-    if result.failed_points:
-        labels = "; ".join(str(point.get("label")) for point in result.failed_points)
+        labels = "; ".join(point["label"] for point in result.failed_points)
         body += (
+            f", {len(result.failed_points)} failed"
             f"\nfailed points (quarantined): {labels}"
-            f"\nrecorded in {args.checkpoint_dir}/failures.json"
-            " -- rerun with --resume to retry them"
         )
     return body
 

@@ -15,13 +15,7 @@ from repro.core.fidelity import (
     nth_root_pulse_fidelity,
 )
 from repro.core.noise import NoiseModel
-from repro.core.pipeline import (
-    SweepResult,
-    run_point,
-    run_sweep,
-    run_sweep_sharded,
-    sweep_spec_digest,
-)
+from repro.core.pipeline import SweepResult, run_point, run_sweep
 from repro.core.reliability import (
     ReliabilityEstimate,
     ReliabilityModel,
@@ -63,8 +57,6 @@ __all__ = [
     "SweepResult",
     "run_point",
     "run_sweep",
-    "run_sweep_sharded",
-    "sweep_spec_digest",
     "RootStudyResult",
     "SensitivityStudyResult",
     "format_sensitivity_report",

@@ -144,10 +144,10 @@ def map_points(
 ) -> List[Optional[TranspileMetrics]]:
     """Run :func:`run_point` over argument tuples, returning records in order.
 
-    The one place a compilation point becomes a runner task: CLI sweeps,
-    checkpointed shards, seed sweeps and server requests all dispatch
-    through here, keyed by :func:`~repro.runtime.cache.point_cache_key`
-    when the runner caches, so identical points share cache records.
+    The one place a compilation point becomes a runner task: sweep
+    chunks, seed sweeps and server requests all dispatch through here,
+    keyed by :func:`~repro.runtime.cache.point_cache_key` when the runner
+    caches, so identical points share cache records.
     ``progress`` receives the :func:`point_label` of every point the
     runner dispatches, before it compiles (cache hits are not announced).
     ``runner=None`` runs serially, uncached.  A point quarantined by the
@@ -166,6 +166,11 @@ def map_points(
         keys = [point_cache_key(*point) for point in points]
     labels = [point_label(point) for point in points]
     return runner.map(run_point, points, keys=keys, labels=labels, progress=progress)
+
+
+#: Points per ``map`` call of :func:`run_sweep`: the most a killed sweep on
+#: a persistent result cache can lose.
+SWEEP_CHUNK_POINTS = 256
 
 
 def run_sweep(
@@ -197,170 +202,31 @@ def run_sweep(
             given, points are executed through it (process-pool fan-out
             and/or result caching) with ordered collection, so the returned
             records are identical to the serial loop's.
+
+    The grid is mapped in chunks of :data:`SWEEP_CHUNK_POINTS` consecutive
+    points through the one runner, so a runner with a persistent cache
+    stores each chunk as it finishes: a rerun of a killed sweep on the
+    same cache directory recomputes only the missing points, and a point
+    quarantined by the failure policy is never stored, so any rerun
+    retries it.
     """
     options = (seed, layout_method, routing_method, optimization_level)
     grid = sweep_grid(list(workloads), list(sizes), list(targets))
     points = [(*cell, *options) for cell in grid]
-    result = SweepResult()
-    for point, record in zip(points, map_points(points, runner, progress)):
-        if record is None:
-            # Quarantined under the runner's failure policy: the sweep
-            # completes without the point instead of dying with it.
-            result.failed_points.append({"label": point_label(point)})
-        else:
-            result.add(record)
-    return result
-
-
-def sweep_spec_digest(
-    workloads: Sequence[str],
-    sizes: Sequence[int],
-    targets: Sequence[Target],
-    seed: int,
-    layout_method: Optional[str],
-    routing_method: Optional[str],
-    optimization_level: int,
-) -> str:
-    """Content digest of a full sweep specification.
-
-    Two invocations describing the same sweep — same workloads, sizes,
-    design points (by their cache identity, which includes topology and
-    noise model), seed and transpiler configuration — digest identically
-    across processes, so a checkpoint written by one run is recognized by
-    its resume.
-    """
-    from repro.runtime import key_digest
-
-    return key_digest(
-        (
-            tuple(workloads),
-            tuple(int(size) for size in sizes),
-            tuple(target.cache_key() for target in targets),
-            int(seed),
-            layout_method,
-            routing_method,
-            int(optimization_level),
-        )
-    )
-
-
-def run_sweep_sharded(
-    workloads: Sequence[str],
-    sizes: Sequence[int],
-    targets: Iterable[Target],
-    checkpoint_dir,
-    seed: int = 0,
-    layout_method: Optional[str] = None,
-    routing_method: Optional[str] = None,
-    optimization_level: int = 1,
-    shard_points: int = 256,
-    resume: bool = True,
-    progress: Optional[callable] = None,
-    shard_progress: Optional[callable] = None,
-    runner: Optional["ExperimentRunner"] = None,
-) -> SweepResult:
-    """Run a sweep as deterministic shards with checkpoint/resume.
-
-    The grid is split into contiguous shards of ``shard_points`` points
-    (canonical :func:`sweep_grid` order), each persisted to
-    ``checkpoint_dir`` the moment it completes.  A rerun over the same
-    specification recomputes only the missing shards — a crashed or
-    killed sweep resumes where it stopped, and a finished sweep replays
-    entirely from the checkpoint.  The returned :class:`SweepResult` is
-    record-for-record identical to :func:`run_sweep` over the same
-    arguments.
-
-    Args:
-        checkpoint_dir: directory for the shard manifest and shard files
-            (created if missing).
-        shard_points: points per shard — the granularity of loss on a
-            crash and of progress reporting.
-        resume: continue an existing checkpoint.  When False, an existing
-            manifest raises instead of silently recomputing or mixing —
-            pass ``resume=True`` or point at a fresh directory.
-        shard_progress: optional callable invoked as
-            ``shard_progress(index, num_shards, status, points)`` after
-            each shard, with ``status`` one of ``"restored"`` /
-            ``"computed"`` / ``"retried"`` (a restored shard whose
-            recorded failed points were recomputed).
-        (The remaining arguments match :func:`run_sweep`.)
-
-    Raises:
-        repro.runtime.checkpoint.CheckpointMismatch: the directory
-            checkpoints a different sweep, or ``resume=False`` found an
-            existing checkpoint.
-    """
-    from repro.runtime.checkpoint import CheckpointMismatch, SweepCheckpoint
-
-    targets = list(targets)
-    workloads = list(workloads)
-    sizes = list(sizes)
-    options = (seed, layout_method, routing_method, optimization_level)
-    points = [(*cell, *options) for cell in sweep_grid(workloads, sizes, targets)]
-    digest = sweep_spec_digest(workloads, sizes, targets, *options)
-    checkpoint = SweepCheckpoint(checkpoint_dir)
-    if not resume and checkpoint.exists():
-        raise CheckpointMismatch(
-            f"checkpoint at {checkpoint.directory} already exists; resume it "
-            "or choose a fresh directory"
-        )
-    checkpoint.initialize(digest, len(points), shard_points)
-    shard_points = checkpoint.manifest["shard_points"]
-
     if runner is None:
-        # One runner for every shard: fault plans schedule against its
-        # dispatch ordinals, which must not restart per shard.
+        # One runner for every chunk: fault plans schedule against its
+        # dispatch ordinals, which must not restart per chunk.
         from repro.runtime.runner import serial_runner
 
         runner = serial_runner()
-
-    completed = checkpoint.completed_shards() if resume else set()
     result = SweepResult()
-    for index in range(checkpoint.num_shards):
-        base = index * shard_points
-        chunk = points[base : base + shard_points]
-        records = None
-        if index in completed:
-            records = checkpoint.load_shard(index)
-            if records is not None and len(records) != len(chunk):
-                records = None  # stale/corrupt shard: recompute it
-        status = "restored"
-        if records is None:
-            status = "computed"
-            records = map_points(chunk, runner, progress)
-            checkpoint.store_shard(index, records)
-        elif any(record is None for record in records):
-            # A restored shard with quarantined holes: the successful
-            # points survive untouched, only the recorded failed points
-            # are retried.
-            status = "retried"
-            holes = [pos for pos, record in enumerate(records) if record is None]
-            retried = map_points([chunk[pos] for pos in holes], runner, progress)
-            for pos, record in zip(holes, retried):
-                records[pos] = record
-            checkpoint.store_shard(index, records)
-        if status != "restored":
-            failures = {
-                base + pos: {
-                    "shard": index,
-                    "label": point_label(chunk[pos]),
-                    "reason": "quarantined by the failure policy",
-                }
-                for pos, record in enumerate(records)
-                if record is None
-            }
-            checkpoint.update_failures(base, base + len(chunk), failures)
-        for pos, record in enumerate(records):
+    for base in range(0, len(points), SWEEP_CHUNK_POINTS):
+        chunk = points[base : base + SWEEP_CHUNK_POINTS]
+        for point, record in zip(chunk, map_points(chunk, runner, progress)):
             if record is None:
-                result.failed_points.append(
-                    {
-                        "point": base + pos,
-                        "shard": index,
-                        "label": point_label(chunk[pos]),
-                    }
-                )
+                # Quarantined under the runner's failure policy: the sweep
+                # completes without the point instead of dying with it.
+                result.failed_points.append({"label": point_label(point)})
             else:
                 result.add(record)
-        if shard_progress is not None:
-            shard_progress(index, checkpoint.num_shards, status, len(chunk))
     return result

@@ -456,7 +456,8 @@ def collect_garbage(
     policy are compacted automatically, and ``compact=True`` additionally
     merges every segment into fresh ones and truncates torn tails (the
     ``repro cache gc`` maintenance pass).  A directory that is already
-    one intact segment of live frames is left alone.
+    compact — intact segments of live frames, no two of which would fit
+    in one ``segment_max_bytes`` segment — is left alone.
 
     GC assumes no concurrent *writers* share the directory (readers are
     fine — a compacted-away record heals as a miss).  Missing-directory
@@ -492,8 +493,12 @@ def collect_garbage(
     # Rewrite every segment when compacting, otherwise only those with a
     # corrupt tail or an evicted or superseded frame (rewriting is the
     # only way to actually reclaim their bytes), keeping the live frames.
-    # One segment that parses cleanly to its end has nothing to merge.
-    if len(segments) == 1 and segments[0].clean and segments[0].end == segments[0].size:
+    # Segments that parse cleanly to their end, no two of which fit in one,
+    # have nothing to merge.
+    sizes = sorted(segment.size for segment in segments)
+    if all(segment.clean and segment.end == segment.size for segment in segments) and (
+        len(sizes) < 2 or sizes[0] + sizes[1] - len(SEGMENT_MAGIC) > segment_max_bytes
+    ):
         compact = False
     plan: List[Tuple[Path, List[Tuple[bytes, _Frame]]]] = []
     for segment in segments:

@@ -883,8 +883,8 @@ class ExperimentRunner:
         ordinals: Sequence[int],
     ) -> List[Tuple[bool, Any]]:
         """The serial twin.  Fault injection fires in-process here (a
-        ``crash`` fault exits *this* process — exactly what a durable
-        checkpoint must survive); the failure policy's retry/quarantine
+        ``crash`` fault exits *this* process — exactly what a persistent
+        result cache must survive); the failure policy's retry/quarantine
         machinery applies only to the parallel path."""
         injector = self._serial_injector()
         results: List[Tuple[bool, Any]] = []

@@ -144,8 +144,7 @@ class Target:
         participates through its edge-fidelity table.  Explicit
         ``durations`` add a digest of every field a schedule reads (the
         report label ``name`` is not one); targets on the modulator preset
-        keep the five-part key, so existing cache directories and sweep
-        checkpoints stay valid.
+        keep the five-part key, so existing cache directories stay valid.
         """
         edges = ",".join(f"{a}-{b}" for a, b in self.coupling_map.edges())
         edge_digest = hashlib.sha256(edges.encode("ascii")).hexdigest()[:16]

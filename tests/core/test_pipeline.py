@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import SweepResult, pipeline, run_point, run_sweep
-from repro.core.pipeline import sweep_grid
+from repro.core.pipeline import point_label, sweep_grid
+from repro.runtime import InjectedFault, serial_runner
 from repro.topology import hypercube, square_lattice
 from repro.transpiler import make_target
 
@@ -75,6 +76,7 @@ class TestRunSweep:
         assert len(rows) == len(small_sweep)
         assert {"workload", "backend", "total_swaps"} <= set(rows[0])
 
+    @pytest.mark.parametrize("chunk_points", [1, None], ids=["chunks-of-1", "default-chunks"])
     @pytest.mark.parametrize(
         "workloads, sizes, backends",
         [
@@ -84,8 +86,13 @@ class TestRunSweep:
         ],
         ids=["one-point", "grid"],
     )
-    def test_progress_callback(self, monkeypatch, workloads, sizes, backends):
-        """One call per point, in sweep_grid order, each before its compile."""
+    def test_progress_callback(self, monkeypatch, workloads, sizes, backends, chunk_points):
+        """One call per point, in sweep_grid order, each before its compile.
+
+        The chunk size changes neither the events nor the records.
+        """
+        if chunk_points is not None:
+            monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", chunk_points)
         targets = {
             "Square-CX": make_target(square_lattice(4, 4), "cx", name="Square-CX"),
             "Tiny": make_target(square_lattice(2, 2), "siswap", name="Tiny"),
@@ -99,11 +106,71 @@ class TestRunSweep:
             return compile_point(circuit, target, **options)
 
         monkeypatch.setattr(pipeline, "transpile", traced_transpile)
-        run_sweep(workloads, sizes, backends, progress=events.append)
+        result = run_sweep(workloads, sizes, backends, progress=events.append)
+        monkeypatch.setattr(pipeline, "transpile", compile_point)
+        grid = sweep_grid(workloads, sizes, backends)
         expected = []
-        for workload, size, target in sweep_grid(workloads, sizes, backends):
+        for workload, size, target in grid:
             expected += [f"{workload}-{size} on {target.name}", f"compile {size} on {target.name}"]
         assert events == expected
+        assert [record.as_dict() for record in result] == [
+            run_point(workload, size, target).as_dict() for workload, size, target in grid
+        ]
+
+    def test_fault_ordinals_count_across_chunks(self, monkeypatch):
+        """Without a runner every chunk shares one, so ordinal 2 is the third point."""
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "raise@2")
+        monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", 1)
+        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
+        events = []
+        with pytest.raises(InjectedFault):
+            run_sweep(["GHZ"], [4, 5, 6], [backend], progress=events.append)
+        assert events == [f"GHZ-{size} on Square-CX" for size in (4, 5, 6)]
+
+    @pytest.mark.parametrize(
+        "chunk_points, chunk_sizes",
+        [(None, [5]), (2, [2, 2, 1])],
+        ids=["default-chunks", "chunks-of-2"],
+    )
+    def test_grid_is_mapped_in_chunks_through_one_runner(
+        self, monkeypatch, chunk_points, chunk_sizes
+    ):
+        """Consecutive chunks, one map call each; a grid under the bound is one call."""
+        if chunk_points is not None:
+            monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", chunk_points)
+        calls = []
+        map_points = pipeline.map_points
+
+        def spy(points, runner=None, progress=None):
+            calls.append(([point_label(point) for point in points], runner))
+            return map_points(points, runner, progress)
+
+        monkeypatch.setattr(pipeline, "map_points", spy)
+        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
+        result = run_sweep(["GHZ"], [4, 5, 6, 7, 8], [backend])
+        assert [len(labels) for labels, _ in calls] == chunk_sizes
+        assert [label for labels, _ in calls for label in labels] == [
+            f"GHZ-{size} on Square-CX" for size in (4, 5, 6, 7, 8)
+        ]
+        assert calls[0][1] is not None
+        assert all(runner is calls[0][1] for _, runner in calls)
+        assert [record.circuit_qubits for record in result] == [4, 5, 6, 7, 8]
+
+    def test_every_chunk_goes_through_the_given_runner(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", 1)
+        runners = []
+        map_points = pipeline.map_points
+
+        def spy(points, runner=None, progress=None):
+            runners.append(runner)
+            return map_points(points, runner, progress)
+
+        monkeypatch.setattr(pipeline, "map_points", spy)
+        runner = serial_runner()
+        backend = make_target(square_lattice(4, 4), "cx", name="Square-CX")
+        assert len(run_sweep(["GHZ"], [4, 5, 6], [backend], runner=runner)) == 3
+        assert len(runners) == 3
+        assert all(each is runner for each in runners)
 
     def test_add_and_iterate(self):
         result = SweepResult()

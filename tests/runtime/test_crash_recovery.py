@@ -1,10 +1,13 @@
-"""Crash recovery: a SIGKILLed sweep resumes, recomputing only what died.
+"""Crash recovery: a SIGKILLed sweep resumes from its result cache.
 
-The checkpoint layer's whole reason to exist is the process that never
-got to exit cleanly.  These tests kill a real sweep subprocess mid-flight
-(after its first shard is durable) and assert the resume path — both the
-library call and the ``repro sweep --resume`` CLI — restores the finished
-shards and recomputes exactly the missing ones.
+``run_sweep`` maps its grid in chunks through one runner, and a
+persistent cache holds each chunk once its ``map`` returns.  These tests
+kill a real sweep subprocess mid-flight (after its first chunk is
+stored) and assert that a rerun on the same cache directory — both the
+library call and ``repro sweep --cache-dir`` — reads the finished point
+from disk and computes exactly the missing ones.  The same holds for a
+sweep stopped in-process (Ctrl-C), for a rerun of a finished sweep and
+for a rerun on a grown grid.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.pipeline import run_sweep, run_sweep_sharded
-from repro.runtime.checkpoint import SweepCheckpoint
+from repro.core import pipeline
+from repro.core.pipeline import run_sweep
+from repro.runtime import ExperimentRunner, PersistentResultCache, segment_stats
 from repro.transpiler.target import Target
 
 pytestmark = pytest.mark.fast
@@ -34,30 +38,26 @@ _TARGET_EXPR = (
 
 _KILL_SCRIPT = f"""
 import os, signal
-from repro.core.pipeline import run_sweep_sharded
+from repro.core import pipeline
+from repro.runtime import ExperimentRunner, PersistentResultCache
 from repro.transpiler.target import Target
 
-def die_after_first_shard(index, total, status, points):
-    os.kill(os.getpid(), signal.SIGKILL)
+pipeline.SWEEP_CHUNK_POINTS = 1
+announced = []
 
-run_sweep_sharded(
-    ["GHZ"], [4, 5, 6], [{_TARGET_EXPR}], {{checkpoint_dir!r}},
-    shard_points=1, shard_progress=die_after_first_shard,
+def die_at_second_point(label):
+    # Announced before the point compiles: only the first chunk is stored.
+    announced.append(label)
+    if len(announced) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+runner = ExperimentRunner(
+    parallel=False, result_cache=PersistentResultCache({{cache_dir!r}})
+)
+pipeline.run_sweep(
+    ["GHZ"], [4, 5, 6], [{_TARGET_EXPR}], progress=die_at_second_point, runner=runner
 )
 """
-
-
-def _run_sweep_to_death(checkpoint_dir: Path) -> subprocess.CompletedProcess:
-    """Run a sharded sweep in a subprocess that SIGKILLs itself after
-    its first shard has been persisted."""
-    env = dict(os.environ, PYTHONPATH=_SRC)
-    env.pop("REPRO_CACHE_DIR", None)
-    return subprocess.run(
-        [sys.executable, "-c", _KILL_SCRIPT.format(checkpoint_dir=str(checkpoint_dir))],
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
 
 
 def _target() -> Target:
@@ -66,85 +66,95 @@ def _target() -> Target:
     )
 
 
-class TestSigkillResume:
-    def test_killed_sweep_leaves_a_partial_checkpoint(self, tmp_path):
-        process = _run_sweep_to_death(tmp_path / "ckpt")
-        assert process.returncode == -signal.SIGKILL
-        checkpoint = SweepCheckpoint(tmp_path / "ckpt")
-        assert checkpoint.exists()
-        # The progress callback fires after the shard hits disk, so the
-        # first shard is durable and the other two never happened.
-        assert checkpoint.completed_shards() == {0}
+@pytest.fixture
+def killed_cache(tmp_path) -> Path:
+    """A cache directory left by a sweep SIGKILLed at its second point."""
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for name in ("REPRO_CACHE_DIR", "REPRO_FAULT_PLAN"):
+        env.pop(name, None)
+    process = subprocess.run(
+        [sys.executable, "-c", _KILL_SCRIPT.format(cache_dir=str(cache_dir))],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert process.returncode == -signal.SIGKILL, process.stderr
+    return cache_dir
 
-    def test_resume_recomputes_only_the_missing_shards(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
-        process = _run_sweep_to_death(checkpoint_dir)
-        assert process.returncode == -signal.SIGKILL
-        statuses = {}
-        result = run_sweep_sharded(
-            ["GHZ"],
-            [4, 5, 6],
-            [_target()],
-            checkpoint_dir,
-            shard_points=1,
-            shard_progress=lambda i, n, status, k: statuses.setdefault(i, status),
-        )
-        assert statuses == {0: "restored", 1: "computed", 2: "computed"}
+
+class TestSigkillResume:
+    def test_killed_sweep_leaves_its_first_chunk(self, killed_cache):
+        assert segment_stats(killed_cache).live_records == 1
+
+    def test_rerun_computes_only_the_missing_points(self, killed_cache):
+        cache = PersistentResultCache(killed_cache)
+        try:
+            runner = ExperimentRunner(parallel=False, result_cache=cache)
+            result = run_sweep(["GHZ"], [4, 5, 6], [_target()], runner=runner)
+            stats = cache.stats()
+        finally:
+            cache.close()
+        assert (stats.disk_hits, stats.computed) == (1, 2)
         direct = run_sweep(["GHZ"], [4, 5, 6], [_target()])
         assert [r.as_dict() for r in result.records] == [
             r.as_dict() for r in direct.records
         ]
 
-    def test_cli_resume_after_kill(self, tmp_path, capsys):
-        checkpoint_dir = tmp_path / "ckpt"
-        process = _run_sweep_to_death(checkpoint_dir)
-        assert process.returncode == -signal.SIGKILL
-        exit_code = main(
-            [
-                "sweep",
-                "--checkpoint-dir",
-                str(checkpoint_dir),
-                "--resume",
-                "--shard-points",
-                "1",
-                "--workloads",
-                "GHZ",
-                "--sizes",
-                "4",
-                "5",
-                "6",
-                "--topologies",
-                "Corral1,1",
-                "--seed",
-                "0",
-            ]
-        )
-        assert exit_code == 0
+    def test_cli_rerun_after_kill(self, killed_cache, capsys):
+        argv = ["sweep", "--workloads", "GHZ", "--sizes", "4", "5", "6"]
+        argv += ["--topologies", "Corral1,1", "--seed", "0", "--cache-dir", str(killed_cache)]
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "shard 1/3: restored (1 points)" in captured.err
-        assert "shard 2/3: computed (1 points)" in captured.err
-        assert "sweep complete: 3 points (1 shards restored, 2 computed)" in (
-            captured.out
-        )
+        assert "1 disk hits, 2 transpiled" in captured.err
+        assert "sweep complete: 3 points" in captured.out
 
-    def test_cli_without_resume_refuses_the_partial_checkpoint(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
-        _run_sweep_to_death(checkpoint_dir)
-        with pytest.raises(SystemExit, match="repro sweep:"):
-            main(
-                [
-                    "sweep",
-                    "--checkpoint-dir",
-                    str(checkpoint_dir),
-                    "--workloads",
-                    "GHZ",
-                    "--sizes",
-                    "4",
-                    "5",
-                    "6",
-                    "--topologies",
-                    "Corral1,1",
-                    "--seed",
-                    "0",
-                ]
-            )
+
+def _cached_sweep(cache_dir, sizes, progress=None):
+    """``run_sweep`` of GHZ at ``sizes`` on a serial runner caching in ``cache_dir``."""
+    cache = PersistentResultCache(cache_dir)
+    try:
+        runner = ExperimentRunner(parallel=False, result_cache=cache)
+        result = run_sweep(["GHZ"], sizes, [_target()], progress=progress, runner=runner)
+    finally:
+        cache.close()
+    return result, cache.stats()
+
+
+def _same_records(result, sizes) -> bool:
+    direct = run_sweep(["GHZ"], sizes, [_target()])
+    return [r.as_dict() for r in result.records] == [r.as_dict() for r in direct.records]
+
+
+class TestRerunOnTheSameCache:
+    def test_interrupted_sweep_keeps_its_finished_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", 1)
+        announced = []
+
+        def interrupt_at_second_point(label):
+            announced.append(label)
+            if len(announced) == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _cached_sweep(tmp_path, [4, 5, 6], progress=interrupt_at_second_point)
+        assert segment_stats(tmp_path).live_records == 1
+        result, stats = _cached_sweep(tmp_path, [4, 5, 6])
+        assert (stats.disk_hits, stats.computed) == (1, 2)
+        assert _same_records(result, [4, 5, 6])
+
+    def test_finished_sweep_reruns_without_compiling(self, tmp_path):
+        _cached_sweep(tmp_path, [4, 5, 6])
+        announced = []
+        result, stats = _cached_sweep(tmp_path, [4, 5, 6], progress=announced.append)
+        assert (stats.disk_hits, stats.computed) == (3, 0)
+        assert announced == []  # cache hits are not announced
+        assert _same_records(result, [4, 5, 6])
+
+    def test_grown_grid_computes_only_its_new_points(self, tmp_path):
+        _cached_sweep(tmp_path, [4, 5])
+        announced = []
+        result, stats = _cached_sweep(tmp_path, [4, 5, 6], progress=announced.append)
+        assert (stats.disk_hits, stats.computed) == (2, 1)
+        assert announced == ["GHZ-6 on Corral1,1-siswap"]
+        assert _same_records(result, [4, 5, 6])

@@ -13,6 +13,7 @@ the write, not by backdating files.
 
 from __future__ import annotations
 
+import random
 import time
 from unittest.mock import patch
 
@@ -27,6 +28,7 @@ from repro.runtime import (
     resolve_result_cache,
     segment_stats,
 )
+from repro.runtime.disk_cache import SEGMENT_MAGIC
 
 
 def _fill(cache_dir, keys, payload="x" * 200, age_seconds=0.0):
@@ -187,6 +189,22 @@ class TestCompaction:
         assert list(tmp_path.glob("seg-*.rps")) == [segment]
         assert segment.read_bytes() == before
 
+        # Full segments past the rotation bound: no two fit in one, so
+        # there is nothing to merge either.
+        many = tmp_path / "many"
+        noise = random.Random(0)
+        cache = PersistentResultCache(many, segment_max_bytes=4096)
+        for index in range(40):
+            cache.put(index, noise.randbytes(300))
+        cache.close()
+        before = {path.name: path.read_bytes() for path in many.glob("seg-*.rps")}
+        assert len(before) > 1
+        for _ in range(3):
+            report = collect_garbage(many, compact=True, segment_max_bytes=4096)
+            assert (report.segments_removed, report.segments_written) == (0, 0)
+            assert report.kept == 40
+            assert {path.name: path.read_bytes() for path in many.glob("seg-*.rps")} == before
+
     def test_one_segment_with_a_superseded_frame_is_still_compacted(self, tmp_path):
         cache = PersistentResultCache(tmp_path)
         cache.put("k", 1)
@@ -196,6 +214,41 @@ class TestCompaction:
         assert (report.segments_removed, report.segments_written) == (1, 1)
         assert segment_stats(tmp_path).dead_bytes == 0
         assert PersistentResultCache(tmp_path).get("k") == 2
+
+    def test_full_segments_with_a_superseded_frame_are_still_compacted(self, tmp_path):
+        """Segments too full to merge are still rewritten to drop a dead frame."""
+        noise = random.Random(0)
+        cache = PersistentResultCache(tmp_path, segment_max_bytes=4096)
+        for index in range(40):
+            cache.put(index, noise.randbytes(300))
+        cache.close()
+        cache = PersistentResultCache(tmp_path, segment_max_bytes=4096)
+        cache.put(0, b"again")
+        cache.close()
+        assert segment_stats(tmp_path).dead_bytes > 0
+        report = collect_garbage(tmp_path, compact=True, segment_max_bytes=4096)
+        assert report.segments_removed >= 1
+        assert report.kept == 40
+        assert segment_stats(tmp_path).dead_bytes == 0
+        assert PersistentResultCache(tmp_path).get(0) == b"again"
+        report = collect_garbage(tmp_path, compact=True, segment_max_bytes=4096)
+        assert (report.segments_removed, report.segments_written) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "spare, merged", [(0, True), (-1, False)], ids=["fits", "one-byte-over"]
+    )
+    def test_two_segments_merge_only_when_they_fit(self, tmp_path, spare, merged):
+        """The smallest two merge iff their frames fit under ``segment_max_bytes``."""
+        _fill(tmp_path, ["a", "b"])
+        _fill(tmp_path, ["c"])
+        sizes = [path.stat().st_size for path in tmp_path.glob("seg-*.rps")]
+        bound = sum(sizes) - len(SEGMENT_MAGIC) + spare
+        report = collect_garbage(tmp_path, compact=True, segment_max_bytes=bound)
+        expected = (2, 1) if merged else (0, 0)
+        assert (report.segments_removed, report.segments_written) == expected
+        assert len(list(tmp_path.glob("seg-*.rps"))) == (1 if merged else 2)
+        fresh = PersistentResultCache(tmp_path)
+        assert all(fresh.get(key) is not None for key in ("a", "b", "c"))
 
     def test_compaction_consolidates_many_segments(self, tmp_path):
         for key in ("a", "b", "c", "d"):

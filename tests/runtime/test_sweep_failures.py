@@ -1,11 +1,12 @@
-"""Failure-aware sweeps: quarantined points are recorded and retried.
+"""Failure-aware sweeps: a quarantined point is listed, and a rerun retries it.
 
 The acceptance scenario of the fault-tolerant execution layer: under an
 injected always-crash fault one sweep point is quarantined while the
-rest of its shard completes; the failed point lands in
-``failures.json`` with its shard, label and reason; and a ``--resume``
-run retries *exactly* the recorded failures — producing a result
-identical, record for record, to a never-faulted sweep.
+rest of the sweep completes and lands in the result cache.  The cache
+never stores a quarantined point, so a rerun on the same directory
+reads the finished points from disk and retries *exactly* the failed
+one — producing a result identical, record for record, to a
+never-faulted sweep.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.core.pipeline import run_sweep, run_sweep_sharded
-from repro.runtime import ExperimentRunner, FailurePolicy, FaultPlan
-from repro.runtime.checkpoint import SweepCheckpoint
+from repro.core import pipeline
+from repro.core.pipeline import run_sweep
+from repro.runtime import (
+    ExperimentRunner,
+    FailurePolicy,
+    FaultPlan,
+    PersistentResultCache,
+    segment_stats,
+)
 from repro.transpiler.target import Target
 
 pytestmark = pytest.mark.chaos
@@ -27,9 +34,22 @@ def _target() -> Target:
     )
 
 
-def _poisoned_runner() -> ExperimentRunner:
-    """A parallel runner whose second dispatched task always crashes."""
-    return ExperimentRunner(
+def _sweep(cache_dir, **runner_options):
+    """``run_sweep`` of GHZ 4/5/6 on a runner caching in ``cache_dir``."""
+    cache = PersistentResultCache(cache_dir)
+    runner = ExperimentRunner(result_cache=cache, **runner_options)
+    try:
+        result = run_sweep(["GHZ"], [4, 5, 6], [_target()], runner=runner)
+    finally:
+        runner.close()
+        cache.close()
+    return result, runner, cache.stats()
+
+
+def _poisoned_sweep(cache_dir):
+    """The sweep on a parallel runner whose second dispatched task always crashes."""
+    return _sweep(
+        cache_dir,
         parallel=True,
         max_workers=2,
         failure_policy=FailurePolicy(max_pool_rebuilds=1),
@@ -37,90 +57,52 @@ def _poisoned_runner() -> ExperimentRunner:
     )
 
 
-def _poisoned_sweep(checkpoint_dir, statuses=None):
-    runner = _poisoned_runner()
-    try:
-        result = run_sweep_sharded(
-            ["GHZ"],
-            [4, 5, 6],
-            [_target()],
-            checkpoint_dir,
-            shard_points=3,
-            shard_progress=(
-                None
-                if statuses is None
-                else lambda i, n, s, k: statuses.setdefault(i, s)
-            ),
-            runner=runner,
-        )
-    finally:
-        runner.close()
-    return result, runner
-
-
 class TestFailureRecording:
-    def test_quarantined_point_is_recorded_not_fatal(self, tmp_path):
-        result, runner = _poisoned_sweep(tmp_path / "ckpt")
-        # The other points of the shard completed.
+    def test_quarantined_point_is_listed_not_fatal(self, tmp_path):
+        result, runner, _stats = _poisoned_sweep(tmp_path)
+        # The other points of the sweep completed and were stored.
         assert len(result) == 2
-        assert len(result.failed_points) == 1
-        entry = result.failed_points[0]
-        assert entry["point"] == 1
-        assert entry["label"] == "GHZ-5 on Corral1,1-siswap"
+        assert result.failed_points == [{"label": "GHZ-5 on Corral1,1-siswap"}]
         assert runner.fault_stats.quarantined
+        assert segment_stats(tmp_path).live_records == 2
 
-    def test_failures_json_names_shard_label_and_reason(self, tmp_path):
-        _poisoned_sweep(tmp_path / "ckpt")
-        failed = SweepCheckpoint(tmp_path / "ckpt").failed_points()
-        assert list(failed) == [1]
-        assert failed[1]["shard"] == 0
-        assert failed[1]["label"] == "GHZ-5 on Corral1,1-siswap"
-        assert "quarantined" in failed[1]["reason"]
-
-    def test_resume_retries_exactly_the_failed_points(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
-        _poisoned_sweep(checkpoint_dir)
-        statuses = {}
-        result = run_sweep_sharded(
-            ["GHZ"],
-            [4, 5, 6],
-            [_target()],
-            checkpoint_dir,
-            shard_points=3,
-            shard_progress=lambda i, n, s, k: statuses.setdefault(i, s),
+    def test_quarantine_in_one_chunk_does_not_stop_the_next(self, tmp_path, monkeypatch):
+        """Chunks of two: the poisoned point of the first is listed, the second still runs."""
+        monkeypatch.setattr(pipeline, "SWEEP_CHUNK_POINTS", 2)
+        cache = PersistentResultCache(tmp_path)
+        runner = ExperimentRunner(
+            result_cache=cache,
+            parallel=True,
+            max_workers=2,
+            failure_policy=FailurePolicy(max_pool_rebuilds=1),
+            fault_plan=FaultPlan.parse("crash@1x*"),
         )
-        # The shard holds two finished points; only the hole is recomputed.
-        assert statuses == {0: "retried"}
+        try:
+            result = run_sweep(["GHZ"], [4, 5, 6, 7], [_target()], runner=runner)
+        finally:
+            runner.close()
+            cache.close()
+        assert [record.circuit_qubits for record in result] == [4, 6, 7]
+        assert result.failed_points == [{"label": "GHZ-5 on Corral1,1-siswap"}]
+        assert segment_stats(tmp_path).live_records == 3
+
+    def test_rerun_retries_exactly_the_failed_point(self, tmp_path):
+        _poisoned_sweep(tmp_path)
+        result, _runner, stats = _sweep(tmp_path, parallel=False)
+        # Two finished points come from disk; only the hole is recomputed.
+        assert (stats.disk_hits, stats.computed) == (2, 1)
         assert len(result) == 3
         assert not result.failed_points
-        assert SweepCheckpoint(checkpoint_dir).failed_points() == {}
         direct = run_sweep(["GHZ"], [4, 5, 6], [_target()])
         assert [r.as_dict() for r in result.records] == [
             r.as_dict() for r in direct.records
         ]
 
-    def test_recovered_failures_are_cleared_from_disk(self, tmp_path):
-        checkpoint_dir = tmp_path / "ckpt"
-        _poisoned_sweep(checkpoint_dir)
-        checkpoint = SweepCheckpoint(checkpoint_dir)
-        assert checkpoint.failed_points()
-        run_sweep_sharded(
-            ["GHZ"], [4, 5, 6], [_target()], checkpoint_dir, shard_points=3
-        )
-        assert checkpoint.failed_points() == {}
-        # The file itself is gone once every failure is recovered.
-        assert not (checkpoint_dir / "failures.json").exists()
-
 
 class TestFailureCli:
-    def test_cli_reports_and_resume_retries(self, tmp_path, capsys):
-        checkpoint_dir = tmp_path / "ckpt"
+    def test_cli_reports_and_rerun_retries(self, tmp_path, capsys):
         args = [
             "sweep",
-            "--checkpoint-dir",
-            str(checkpoint_dir),
-            "--shard-points",
-            "3",
             "--workloads",
             "GHZ",
             "--sizes",
@@ -129,6 +111,8 @@ class TestFailureCli:
             "6",
             "--topologies",
             "Corral1,1",
+            "--cache-dir",
+            str(tmp_path),
             "--parallel",
             "--workers",
             "2",
@@ -136,14 +120,13 @@ class TestFailureCli:
         exit_code = main(args + ["--inject-faults", "crash@1x*"])
         assert exit_code == 0
         captured = capsys.readouterr()
-        assert "1 failed" in captured.out
+        assert "sweep complete: 2 points, 1 failed" in captured.out
         assert "failed points (quarantined): GHZ-5 on Corral1,1-siswap" in captured.out
-        assert "rerun with --resume" in captured.out
         assert "quarantined: GHZ-5 on Corral1,1-siswap" in captured.err
 
-        exit_code = main(args + ["--resume"])
+        exit_code = main(args)
         assert exit_code == 0
         captured = capsys.readouterr()
-        assert "shard 1/1: retried (3 points)" in captured.err
+        assert "2 disk hits, 1 transpiled" in captured.err
         assert "sweep complete: 3 points" in captured.out
         assert "failed" not in captured.out

@@ -97,6 +97,34 @@ class TestExecution:
         assert main(["codesign", "--scale", "small", "--sizes", "6", "--workloads", "GHZ"]) == 0
         assert "Corral1,1-siswap" in capsys.readouterr().out
 
+    def test_sweep_command_without_cache_dir(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["sweep", "--workloads", "GHZ", "--sizes", "4", "5"]
+        argv += ["--topologies", "Corral1,1", "--csv", str(csv_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["sweep complete: 2 points"]
+        assert "result cache" not in captured.err
+        assert len(csv_path.read_text().splitlines()) == 3
+        assert list(tmp_path.iterdir()) == [csv_path]
+
+    def test_sweep_rerun_on_a_grown_grid(self, capsys, monkeypatch, tmp_path):
+        """Only the new size compiles, and the CSV equals an uncached run's."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        argv = ["sweep", "--workloads", "GHZ", "--topologies", "Corral1,1"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main([*argv, "--sizes", "8", "10", *cache]) == 0
+        capsys.readouterr()
+        rerun_csv, fresh_csv = tmp_path / "rerun.csv", tmp_path / "fresh.csv"
+        grown = [*argv, "--sizes", "8", "10", "12"]
+        assert main([*grown, *cache, "--csv", str(rerun_csv)]) == 0
+        captured = capsys.readouterr()
+        assert "2 disk hits, 1 transpiled" in captured.err
+        assert captured.out.splitlines() == ["sweep complete: 3 points"]
+        assert main([*grown, "--csv", str(fresh_csv)]) == 0
+        assert rerun_csv.read_bytes() == fresh_csv.read_bytes()
+
     def test_chevron_command(self, capsys):
         assert main(["chevron"]) == 0
         assert "exchange period" in capsys.readouterr().out
@@ -118,7 +146,7 @@ class TestUsageErrors:
             "swap_study",
             "codesign_study",
             "scheduling_study",
-            "run_sweep_sharded",
+            "run_sweep",
             "headline_study",
             "reliability_ranking",
         ):
@@ -150,15 +178,13 @@ class TestUsageErrors:
             ["run", "GHZ", "8", "--topology", "NoSuchTopo"],
             ["run", "GHZ", "8", "--topology", "Corral1,1", "--scale", "large"],
             ["qasm", "GHZ", "8", "--transpile-to", "NoSuchTopo"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--topologies", "Tree", "NoSuchTopo"],
+            ["sweep", "--topologies", "Tree", "NoSuchTopo"],
         ],
     )
-    def test_unknown_topology(self, capsys, tmp_path, argv):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_unknown_topology(self, capsys, argv):
         line = self._usage_error(capsys, argv)
         assert line.startswith(f"repro {argv[0]}: unknown topology ")
         assert "available:" in line
-        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -179,25 +205,22 @@ class TestUsageErrors:
         [
             (["run", "GHZ", "8", "--basis", "nosuch"], "unknown basis gate 'nosuch'"),
             (
-                ["sweep", "--checkpoint-dir", "CHECKPOINT", "--topologies", "Tree",
-                 "--basis", "nosuch"],
+                ["sweep", "--topologies", "Tree", "--basis", "nosuch"],
                 "unknown basis gate 'nosuch'",
             ),
             # Without --topologies the design points fix the basis, so a
             # --basis of any name would be ignored.
             *[
                 (
-                    ["sweep", "--checkpoint-dir", "CHECKPOINT", "--basis", basis],
+                    ["sweep", "--basis", basis],
                     "--basis needs --topologies (each default design point has its own basis)",
                 )
                 for basis in ("nosuch", "cx")
             ],
         ],
     )
-    def test_unknown_basis(self, capsys, tmp_path, argv, message):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_unknown_basis(self, capsys, argv, message):
         assert self._usage_error(capsys, argv) == f"repro {argv[0]}: {message}"
-        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -205,11 +228,10 @@ class TestUsageErrors:
             ["swaps", "--workloads", "NoSuch", "--sizes", "8"],
             ["codesign", "--workloads", "NoSuch", "--sizes", "8"],
             ["schedule", "--workloads", "GHZ", "NoSuch"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--workloads", "NoSuch"],
+            ["sweep", "--workloads", "NoSuch"],
         ],
     )
-    def test_unknown_workload_in_list(self, capsys, tmp_path, argv):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_unknown_workload_in_list(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -219,7 +241,18 @@ class TestUsageErrors:
         assert captured.err.splitlines()[-1].startswith(
             f"repro {argv[0]}: error: argument --workloads: invalid choice: 'NoSuch'"
         )
-        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("verb", ["sweep", "schedule"])
+    def test_empty_workload_list(self, capsys, verb):
+        line = self._usage_error(capsys, [verb, "--workloads"])
+        assert line == f"repro {verb}: --workloads names no workload"
+
+    @pytest.mark.parametrize(
+        "option", [["--checkpoint-dir", "ckpt"], ["--resume"], ["--shard-points", "1"]]
+    )
+    def test_removed_sweep_options(self, capsys, option):
+        line = self._argparse_error(capsys, ["sweep", *option])
+        assert line == "repro: error: unrecognized arguments: " + " ".join(option)
 
     @pytest.mark.parametrize("sizes", [["500"], ["1"], ["16", "85"], []])
     def test_headline_size_out_of_range(self, capsys, sizes):
@@ -247,14 +280,12 @@ class TestUsageErrors:
         [
             ["swaps", "--sizes", "0"],
             ["schedule", "--sizes", "0"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "0"],
+            ["sweep", "--sizes", "0"],
         ],
     )
-    def test_sizes_below_one(self, capsys, tmp_path, argv):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_sizes_below_one(self, capsys, argv):
         line = self._argparse_error(capsys, argv)
         assert line == f"repro {argv[0]}: error: argument --sizes: must be a positive integer"
-        assert not (tmp_path / "ckpt").exists()
 
     def test_negative_seed(self, capsys):
         line = self._argparse_error(capsys, ["run", "QFT", "8", "--seed", "-1"])
@@ -272,7 +303,7 @@ class TestUsageErrors:
             ["frequency"],
             ["schedule"],
             ["reliability", "QFT", "6"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT"],
+            ["sweep"],
         ],
     )
     @pytest.mark.parametrize(
@@ -284,11 +315,9 @@ class TestUsageErrors:
             ("--max-retries", "-1", "must be a non-negative integer"),
         ],
     )
-    def test_bad_runtime_option(self, capsys, tmp_path, verb, option, value, message):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in verb]
-        line = self._argparse_error(capsys, [*argv, option, value])
+    def test_bad_runtime_option(self, capsys, verb, option, value, message):
+        line = self._argparse_error(capsys, [*verb, option, value])
         assert line == f"repro {verb[0]}: error: argument {option}: {message}"
-        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -356,17 +385,15 @@ class TestUsageErrors:
             ["swaps", "--sizes", "500"],
             ["codesign", "--sizes", "500"],
             ["schedule", "--sizes", "500"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "500"],
+            ["sweep", "--sizes", "500"],
         ],
     )
-    def test_no_size_fits_any_design_point(self, capsys, tmp_path, argv):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_no_size_fits_any_design_point(self, capsys, argv):
         line = self._usage_error(capsys, argv)
         assert line == (
             f"repro {argv[0]}: no size in --sizes [500] fits a selected design point "
             "(at most 20 qubits at scale 'small')"
         )
-        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -374,12 +401,11 @@ class TestUsageErrors:
             ["swaps", "--sizes", "2", "--workloads", "Adder"],
             ["codesign", "--sizes", "2", "--workloads", "Adder"],
             ["schedule", "--sizes", "2", "--workloads", "Adder"],
-            ["sweep", "--checkpoint-dir", "CHECKPOINT", "--sizes", "2", "--workloads", "Adder"],
+            ["sweep", "--sizes", "2", "--workloads", "Adder"],
             ["swaps", "--sizes", "8", "3", "--workloads", "GHZ", "Adder"],
         ],
     )
-    def test_grid_width_the_workload_rejects(self, capsys, tmp_path, argv):
-        argv = [str(tmp_path / "ckpt") if arg == "CHECKPOINT" else arg for arg in argv]
+    def test_grid_width_the_workload_rejects(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -389,7 +415,6 @@ class TestUsageErrors:
         assert captured.err.splitlines() == [
             f"repro {argv[0]}: the smallest CDKM adder uses four qubits"
         ]
-        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize(
         "command, study", [("swaps", "swap_study"), ("codesign", "codesign_study")]
@@ -505,12 +530,17 @@ class TestRunnerLifetime:
         assert not runner.pool_alive
         assert any(cache is runner.result_cache for cache in closed)
 
-    def test_command_that_exits_still_closes_the_cache(self, built, tmp_path):
+    def test_command_that_exits_still_closes_the_cache(self, built, monkeypatch, tmp_path):
+        import repro.cli
+
+        def exit_mid_sweep(*args, **kwargs):
+            raise SystemExit("repro sweep: stopped")
+
         runners, closed = built
-        argv = ["sweep", "--checkpoint-dir", str(tmp_path / "ckpt"), "--workloads", "GHZ"]
-        argv += ["--topologies", "Corral1,1", "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv + ["--sizes", "4"]) == 0
-        with pytest.raises(SystemExit, match="repro sweep: "):
-            main(argv + ["--sizes", "5"])  # another grid in the same checkpoint dir
-        assert len(runners) == 2
-        assert any(cache is runners[1].result_cache for cache in closed)
+        monkeypatch.setattr(repro.cli, "run_sweep", exit_mid_sweep)
+        argv = ["sweep", "--workloads", "GHZ", "--sizes", "4"]
+        argv += ["--topologies", "Corral1,1", "--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit, match="repro sweep: stopped"):
+            main(argv)
+        (runner,) = runners
+        assert any(cache is runner.result_cache for cache in closed)

@@ -121,7 +121,7 @@ class TestCacheKey:
         assert a.cache_key() == b.cache_key()
 
     def test_preset_durations_key_unchanged(self):
-        # Existing cache directories and checkpoint manifests hold this key.
+        # Existing cache directories hold records under this key.
         assert Target.from_names("Corral1,1", "siswap").cache_key() == (
             "Corral1,1-siswap",
             "siswap",
