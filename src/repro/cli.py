@@ -76,6 +76,7 @@ from repro.runtime import (
     FailurePolicy,
     FaultPlan,
     PersistentResultCache,
+    PoisonTaskError,
     cache_dir_from_env,
     collect_garbage,
     max_bytes_from_env,
@@ -189,14 +190,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "exponential backoff (default: 0)",
     )
     parser.add_argument(
-        "--on-poison",
-        choices=("quarantine", "raise", "skip"),
-        default=None,
-        help="what to do with a task that repeatedly crashes its worker: "
-        "quarantine it (probe in isolation, then continue without it — "
-        "the default), raise, or skip without probing",
-    )
-    parser.add_argument(
         "--inject-faults",
         default=None,
         metavar="PLAN",
@@ -212,16 +205,10 @@ def _runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     The runner is remembered on the namespace so that :func:`main` can
     report cache and fault statistics once the command has finished.
     """
-    failure_policy = None
-    if any(
-        getattr(args, name, None) is not None
-        for name in ("task_timeout", "max_retries", "on_poison")
-    ):
-        failure_policy = FailurePolicy(
-            task_timeout=getattr(args, "task_timeout", None),
-            max_retries=getattr(args, "max_retries", None) or 0,
-            on_poison=getattr(args, "on_poison", None) or "quarantine",
-        )
+    failure_policy = FailurePolicy(
+        task_timeout=getattr(args, "task_timeout", None),
+        max_retries=getattr(args, "max_retries", None) or 0,
+    )
     runner = ExperimentRunner(
         parallel=getattr(args, "parallel", None),
         max_workers=getattr(args, "workers", None),
@@ -1044,6 +1031,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fault_line = _fault_report(args)
         if fault_line is not None:
             print(fault_line, file=sys.stderr)
+    except PoisonTaskError as error:
+        # A quarantined task leaves a table or figure incomplete: one line
+        # and exit 1 (`repro sweep` lists its failed points instead).
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 1
     finally:
         # Shut the pool down here rather than in interpreter-exit hooks,
         # which may find its wake-up pipe already closed.

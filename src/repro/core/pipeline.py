@@ -28,9 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class SweepResult:
     """A flat collection of per-point metrics with grouping helpers.
 
-    ``failed_points`` names the points that were quarantined/skipped by
-    the runner's failure policy instead of producing a record (each entry
-    at least carries a ``label``); a fault-free sweep leaves it empty.
+    ``failed_points`` names the points that the runner's failure policy
+    quarantined instead of producing a record (each entry at least
+    carries a ``label``); a fault-free sweep leaves it empty.
     """
 
     records: List[TranspileMetrics] = field(default_factory=list)
@@ -150,8 +150,10 @@ def map_points(
     caches, so identical points share cache records.
     ``progress`` receives the :func:`point_label` of every point the
     runner dispatches, before it compiles (cache hits are not announced).
-    ``runner=None`` runs serially, uncached.  A point quarantined by the
-    runner's failure policy yields ``None``.
+    ``runner=None`` runs serially, uncached.  When the runner's failure
+    policy quarantines a point, the runner raises
+    :class:`~repro.runtime.runner.PoisonTaskError` once the other points
+    are stored; its ``results`` hold ``None`` for each quarantined point.
     """
     if runner is None:
         # Imported lazily so the core layer has no import-time dependency
@@ -207,25 +209,31 @@ def run_sweep(
     points through the one runner, so a runner with a persistent cache
     stores each chunk as it finishes: a rerun of a killed sweep on the
     same cache directory recomputes only the missing points, and a point
-    quarantined by the failure policy is never stored, so any rerun
-    retries it.
+    quarantined by the failure policy is listed in ``failed_points`` and
+    never stored, so any rerun retries it.
     """
+    # Imported lazily so the core layer has no import-time dependency on
+    # the runtime package (which itself builds on core).
+    from repro.runtime.runner import PoisonTaskError, serial_runner
+
     options = (seed, layout_method, routing_method, optimization_level)
     grid = sweep_grid(list(workloads), list(sizes), list(targets))
     points = [(*cell, *options) for cell in grid]
     if runner is None:
         # One runner for every chunk: fault plans schedule against its
         # dispatch ordinals, which must not restart per chunk.
-        from repro.runtime.runner import serial_runner
-
         runner = serial_runner()
     result = SweepResult()
     for base in range(0, len(points), SWEEP_CHUNK_POINTS):
         chunk = points[base : base + SWEEP_CHUNK_POINTS]
-        for point, record in zip(chunk, map_points(chunk, runner, progress)):
+        try:
+            records = map_points(chunk, runner, progress)
+        except PoisonTaskError as error:
+            # The sweep completes without the quarantined points instead
+            # of dying with them; the rest of the chunk is stored.
+            records = error.results
+        for point, record in zip(chunk, records):
             if record is None:
-                # Quarantined under the runner's failure policy: the sweep
-                # completes without the point instead of dying with it.
                 result.failed_points.append({"label": point_label(point)})
             else:
                 result.add(record)

@@ -28,8 +28,9 @@ class CacheStats:
     ``disk_hits`` / ``disk_misses`` stay 0 for purely in-memory caches;
     a disk-backed cache (``repro.runtime.disk_cache``) fills them in for
     lookups that fell through the memory tier.  A disk hit therefore
-    also counts as a memory *miss*: ``misses - disk_hits`` is the number
-    of lookups that had to be recomputed.
+    also counts as a memory *miss*.  ``computed`` counts the results a
+    result cache (``repro.runtime.cache``) stored with ``put``, i.e. the
+    points actually computed; it stays 0 for a plain LRU.
     """
 
     hits: int
@@ -38,17 +39,13 @@ class CacheStats:
     maxsize: int
     disk_hits: int = 0
     disk_misses: int = 0
+    computed: int = 0
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from either tier (0.0 when unused)."""
         total = self.hits + self.misses
         return (self.hits + self.disk_hits) / total if total else 0.0
-
-    @property
-    def computed(self) -> int:
-        """Lookups served by neither tier (i.e. actually recomputed)."""
-        return self.misses - self.disk_hits
 
 
 class LRUCache:

@@ -51,6 +51,7 @@ class ResultCache:
 
     def __init__(self, maxsize: int = 8192):
         self._lru = LRUCache(maxsize=maxsize)
+        self._computed = 0
 
     @staticmethod
     def _copy(record):
@@ -87,14 +88,16 @@ class ResultCache:
     def put(self, key: Hashable, record) -> None:
         """Store a result (metrics are copied before storage)."""
         self._lru.put(key, self._copy(record))
+        self._computed += 1
 
     def clear(self) -> None:
-        """Drop all cached results."""
+        """Drop all cached results and reset the counters."""
         self._lru.clear()
+        self._computed = 0
 
     def stats(self) -> CacheStats:
-        """Hit/miss counters."""
-        return self._lru.stats()
+        """Hit/miss counters, and ``computed``: the results ``put`` stored."""
+        return replace(self._lru.stats(), computed=self._computed)
 
     def __len__(self) -> int:
         return len(self._lru)

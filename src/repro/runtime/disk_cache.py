@@ -56,7 +56,7 @@ import time
 import uuid
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
 from typing import AbstractSet, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple, Union
@@ -815,14 +815,8 @@ class PersistentResultCache(ResultCache):
 
     def stats(self) -> CacheStats:
         """Memory counters plus the disk tier's hit/miss counters."""
-        memory = super().stats()
-        return CacheStats(
-            hits=memory.hits,
-            misses=memory.misses,
-            currsize=memory.currsize,
-            maxsize=memory.maxsize,
-            disk_hits=self._disk_hits,
-            disk_misses=self._disk_misses,
+        return replace(
+            super().stats(), disk_hits=self._disk_hits, disk_misses=self._disk_misses
         )
 
     def disk_entries(self) -> int:

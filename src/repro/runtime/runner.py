@@ -4,13 +4,14 @@
 driver funnels through.  It fans independent sweep points out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`, collects results *in
 submission order* (so parallel and serial runs produce identical outputs),
-consults an optional result cache before dispatching, and falls back to an
-inline serial loop whenever parallelism is disabled, unavailable (no
-``fork``/semaphores in restricted sandboxes) or pointless (one task, one
-worker).  Library calls take their runner from the caller and never build
-a pool or read a cache directory themselves.  Compilation points reach it
-through :func:`repro.core.pipeline.map_points`, which makes their tasks,
-cache keys and labels; a progress callback is passed per ``map`` call.
+consults an optional result cache before dispatching, and runs an inline
+serial loop only when parallelism is disabled or unavailable (no
+``fork``/semaphores in restricted sandboxes): a parallel runner sends every
+pending task through its pool, one task as well as many.  Library calls
+take their runner from the caller and never build a pool or read a cache
+directory themselves.  Compilation points reach it through
+:func:`repro.core.pipeline.map_points`, which makes their tasks, cache
+keys and labels; a progress callback is passed per ``map`` call.
 
 Determinism contract: a task function must depend only on its arguments —
 every driver in :mod:`repro.experiments` passes explicit seeds (the
@@ -31,14 +32,16 @@ runner rebuilds the pool and re-dispatches *only* the unfinished tasks
 (results already collected are kept); a task that exceeds
 ``task_timeout`` has its pool killed and is retried; a task exception is
 retried up to ``max_retries`` times with exponential backoff and
-deterministic jitter.  When crashes keep coming, the runner attributes
-the poison task by probing each unfinished task in an isolated
-single-worker pool, then applies ``on_poison``: ``"quarantine"``
-(default) records the task in :class:`FaultStats` and yields ``None``
-for it, ``"raise"`` raises :class:`PoisonTaskError`, ``"skip"`` records
-it without the isolated probe.  Everything that happened is tallied in
-:attr:`ExperimentRunner.fault_stats`.  Deterministic fault *injection*
-for exercising these paths lives in :mod:`repro.runtime.faults`.
+deterministic jitter.  A task that still hangs, or keeps crashing pools
+past ``max_pool_rebuilds``, is probed in an isolated single-worker pool;
+if the probe crashes or hangs too, the task is quarantined and named in
+:class:`FaultStats`.  ``map`` then finishes and stores every other task
+and raises :class:`PoisonTaskError`, whose ``results`` hold ``None`` in
+each quarantined slot: a sweep catches it and lists the failed points,
+and every other caller ends with one clean error.  Everything that
+happened is tallied in :attr:`ExperimentRunner.fault_stats`.
+Deterministic fault *injection* for exercising these paths lives in
+:mod:`repro.runtime.faults`.
 
 Result cache
 ------------
@@ -53,15 +56,16 @@ workers only compute.  A dispatched task returns ``(corrupt, value)``:
 ``corrupt`` is True when an injected ``corrupt`` fault fired for it, and
 the parent then appends a bad-CRC frame for the key to a disk-backed
 cache in place of the record, so the fault acts the same on every
-runner.  A task quarantined under the failure policy yields ``None`` and
-touches no cache.
+runner.  A task quarantined under the failure policy touches no cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import multiprocessing
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -119,6 +123,15 @@ def point_seed(base_seed: int, *parts: Any) -> int:
 # -- failure policy & accounting ----------------------------------------------
 
 
+#: Retry backoff: the first delay in seconds, doubling per attempt (with
+#: deterministic jitter), and the cap on any one delay.
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 2.0
+
+#: Seconds the isolated single-worker probe of a suspect task may run.
+_PROBE_TIMEOUT = 60.0
+
+
 @dataclass(frozen=True)
 class FailurePolicy:
     """How a parallel ``map`` responds to worker death, hangs and errors.
@@ -129,32 +142,16 @@ class FailurePolicy:
             forever, the historical behaviour).
         max_retries: how many times a failed/hung task is re-dispatched
             before the failure is final.
-        backoff_base: first retry delay in seconds; doubles per attempt.
-        backoff_max: upper bound on any single retry delay.
         max_pool_rebuilds: pool crashes tolerated per ``map`` before the
-            runner stops re-dispatching blindly and attributes the
-            poison task via isolated probes.
-        on_poison: what to do with an attributed poison task —
-            ``"quarantine"`` (isolated probe, then record + ``None``
-            result), ``"raise"`` (:class:`PoisonTaskError`), or
-            ``"skip"`` (record + ``None`` result, no probe).
-        probe_timeout: seconds the isolated single-worker probe may run.
+            runner stops re-dispatching blindly and probes each
+            unfinished task in isolation to find the poison.
     """
 
     task_timeout: Optional[float] = None
     max_retries: int = 0
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
     max_pool_rebuilds: int = 3
-    on_poison: str = "quarantine"
-    probe_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.on_poison not in ("quarantine", "raise", "skip"):
-            raise ValueError(
-                f"on_poison must be 'quarantine', 'raise' or 'skip', "
-                f"got {self.on_poison!r}"
-            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_pool_rebuilds < 0:
@@ -213,42 +210,72 @@ class FaultStats:
 
 
 class PoisonTaskError(RuntimeError):
-    """A task repeatedly killed/hung its worker under ``on_poison="raise"``."""
+    """A ``map`` quarantined tasks that kept crashing or hanging their workers.
 
-    def __init__(self, label: str, reason: str):
-        super().__init__(f"poison task {label}: {reason}")
-        self.label = label
-        self.reason = reason
+    Raised once every other task has finished and been stored.
+    ``quarantined`` holds the :attr:`FaultStats.quarantined` entries this
+    map added (``"label (reason)"``); ``results`` is the map's return
+    value, with ``None`` in each quarantined slot.
+    """
+
+    def __init__(self, quarantined: Sequence[str], results: List[Any]):
+        super().__init__("quarantined " + "; ".join(quarantined))
+        self.quarantined = list(quarantined)
+        self.results = results
 
 
-# -- worker-side task wrapper -------------------------------------------------
+# -- worker side --------------------------------------------------------------
 
-#: Per-worker-process fault injector (None = no plan), plus a resolved
-#: flag so workers without an initializer lazily consult REPRO_FAULT_PLAN.
+#: This worker process's fault injector (None = no plan).
 _WORKER_INJECTOR: Optional[FaultInjector] = None
-_WORKER_INJECTOR_RESOLVED = False
 
-#: Outcome of a task given up on under the failure policy (``on_poison``);
-#: every other dispatched task's outcome is a ``(corrupt, value)`` pair.
+#: Outcome of a task quarantined under the failure policy; every other
+#: dispatched task's outcome is a ``(corrupt, value)`` pair.
 _QUARANTINED = "quarantined"
+
+#: The signals a worker must not handle the way its parent does.
+_WORKER_SIGNALS = {signal.SIGTERM, signal.SIGINT}
+
+#: Per-thread signal masks exist on POSIX only.
+_HAS_SIGMASK = hasattr(signal, "pthread_sigmask")
+
+
+@contextlib.contextmanager
+def _holding_worker_signals():
+    """Block :data:`_WORKER_SIGNALS` in this thread while it may start workers.
+
+    A pool starts its workers inside ``submit``, and each inherits the
+    mask, so a SIGTERM sent to a worker before :func:`_init_worker` has
+    run waits for it instead of reaching the parent's handlers.
+    """
+    if not _HAS_SIGMASK:  # pragma: no cover - not POSIX
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _init_worker(plan_spec: str) -> None:
-    """Pool initializer: install the runner's fault plan in this worker."""
-    global _WORKER_INJECTOR, _WORKER_INJECTOR_RESOLVED
+    """Pool initializer: drop the parent's signal set-up, install the fault plan.
+
+    A fork-started worker inherits its parent's signal handlers and
+    wakeup fd; under ``repro serve`` those are the asyncio loop's, so the
+    SIGTERM that tears a pool down would reach the server as its own.
+    The worker starts with those signals blocked (see
+    :func:`_holding_worker_signals`) and unblocks them once its handlers
+    are the defaults.  ``plan_spec`` is the runner's plan, or ``""``.
+    """
+    global _WORKER_INJECTOR
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    if _HAS_SIGMASK:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     plan = FaultPlan.parse(plan_spec)
     _WORKER_INJECTOR = None if plan is None else FaultInjector(plan)
-    _WORKER_INJECTOR_RESOLVED = True
-
-
-def _worker_injector() -> Optional[FaultInjector]:
-    """This process's injector, lazily resolved from REPRO_FAULT_PLAN."""
-    global _WORKER_INJECTOR, _WORKER_INJECTOR_RESOLVED
-    if not _WORKER_INJECTOR_RESOLVED:
-        plan = FaultPlan.from_env()
-        _WORKER_INJECTOR = None if plan is None else FaultInjector(plan)
-        _WORKER_INJECTOR_RESOLVED = True
-    return _WORKER_INJECTOR
 
 
 def _run_task(fn: Callable[..., Any], task: Tuple, ordinal: int) -> Tuple[bool, Any]:
@@ -259,9 +286,32 @@ def _run_task(fn: Callable[..., Any], task: Tuple, ordinal: int) -> Tuple[bool, 
     schedules against.  Returns ``(corrupt, value)``; a claimed
     ``corrupt`` fault is carried out by the parent, which owns the cache.
     """
-    injector = _worker_injector()
-    corrupt = injector is not None and injector.fire(ordinal)
+    corrupt = _WORKER_INJECTOR is not None and _WORKER_INJECTOR.fire(ordinal)
     return corrupt, fn(*task)
+
+
+def _terminate(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting, terminating its workers.
+
+    ``shutdown(wait=False)`` alone leaves a *hung* worker running (and
+    holding its pipe) forever; terminating the processes afterwards is
+    what actually reclaims the workers after a timeout or crash.
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - already-reaped process
+            pass
+
+
+def _backoff_delay(attempt: int, ordinal: int) -> float:
+    """Retry delay: exponential in ``attempt`` with deterministic jitter."""
+    base = _BACKOFF_BASE * (2 ** max(0, attempt - 1))
+    token = hashlib.sha256(f"retry-jitter|{ordinal}|{attempt}".encode()).digest()
+    jitter = 0.5 + int.from_bytes(token[:4], "big") / 2**32
+    return min(_BACKOFF_MAX, base * jitter)
 
 
 class ExperimentRunner:
@@ -277,10 +327,7 @@ class ExperimentRunner:
             task when the caller supplies cache keys; ``None`` disables
             caching.
         failure_policy: retry/timeout/quarantine behaviour for the
-            parallel path (default :class:`FailurePolicy`, which matches
-            the historical semantics except that a broken pool now
-            re-dispatches unfinished work instead of rerunning everything
-            serially).
+            parallel path (default :class:`FailurePolicy`).
         fault_plan: deterministic fault-injection schedule; ``None``
             defers to the ``REPRO_FAULT_PLAN`` environment variable
             (normally unset — injection is for tests and chaos drills).
@@ -373,20 +420,10 @@ class ExperimentRunner:
             self._kill_pool()
         if self._pool is None:
             try:
-                self._pool = self._create_pool()
+                self._pool = self._build_pool(self._max_workers)
             except (OSError, PermissionError, ImportError):
                 return False
         return True
-
-    def restart_pool(self) -> bool:
-        """Tear down any current pool and start a fresh one.
-
-        Returns True when a live pool is up afterwards (False for serial
-        runners).  This is the self-healing hook the server's job loop
-        uses when it finds the pool dead between requests.
-        """
-        self._kill_pool()
-        return self.ensure_pool()
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; the runner stays usable —
@@ -415,23 +452,10 @@ class ExperimentRunner:
             pool.shutdown(wait=wait, cancel_futures=True)
 
     def _kill_pool(self) -> None:
-        """Tear the pool down without waiting, terminating stuck workers.
-
-        ``shutdown(wait=False)`` alone leaves a *hung* worker running (and
-        holding its pipe) forever; terminating the processes afterwards is
-        what actually reclaims the workers after a timeout or crash.
-        """
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - already-reaped process
-                pass
+        """Tear the shared pool down without waiting (see :func:`_terminate`)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            _terminate(pool)
 
     # -- execution ----------------------------------------------------------
 
@@ -460,9 +484,13 @@ class ExperimentRunner:
 
         Returns:
             One result per task, in task order, mixing cached and computed
-            values transparently.  A task quarantined/skipped under the
-            failure policy yields ``None`` (and an entry in
-            :attr:`fault_stats`).
+            values transparently.
+
+        Raises:
+            PoisonTaskError: the failure policy quarantined a task (named
+                in :attr:`fault_stats`).  Every other task has finished
+                and been stored by then; the error's ``results`` is the
+                return value, with ``None`` in each quarantined slot.
         """
         tasks = list(tasks)
         if keys is not None and len(keys) != len(tasks):
@@ -471,6 +499,7 @@ class ExperimentRunner:
             raise ValueError("labels must align one-to-one with tasks")
 
         cache = self._result_cache
+        quarantined_before = len(self._fault_stats.quarantined)
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
         repeats: List[Tuple[int, int]] = []  # (position, first position of its key)
@@ -516,6 +545,9 @@ class ExperimentRunner:
                     cache.put(keys[index], value)
         for index, first in repeats:
             results[index] = results[first]
+        quarantined = self._fault_stats.quarantined[quarantined_before:]
+        if quarantined:
+            raise PoisonTaskError(quarantined, results)
         return results
 
     # -- internals ----------------------------------------------------------
@@ -529,13 +561,6 @@ class ExperimentRunner:
         if progress is not None and labels is not None:
             progress(labels[position])
 
-    def _task_label(
-        self, labels: Optional[Sequence[str]], position: int, ordinal: int
-    ) -> str:
-        if labels is not None:
-            return labels[position]
-        return f"task {ordinal}"
-
     def _serial_injector(self) -> Optional[FaultInjector]:
         """The parent-process injector used by serial execution paths."""
         if self._fault_plan is None:
@@ -544,28 +569,15 @@ class ExperimentRunner:
             self._serial_injector_instance = FaultInjector(self._fault_plan)
         return self._serial_injector_instance
 
-    def _backoff_delay(self, attempt: int, ordinal: int) -> float:
-        """Retry delay: exponential in ``attempt`` with deterministic jitter."""
-        policy = self._failure_policy
-        base = policy.backoff_base * (2 ** max(0, attempt - 1))
-        token = hashlib.sha256(f"retry-jitter|{ordinal}|{attempt}".encode()).digest()
-        jitter = 0.5 + int.from_bytes(token[:4], "big") / 2**32
-        return min(policy.backoff_max, base * jitter)
-
     def _build_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """Build a pool whose workers carry the runner's fault plan."""
-        kwargs: Dict[str, Any] = {"max_workers": max_workers}
+        """A pool whose workers run :func:`_init_worker` with the runner's plan."""
+        context = None
         if self._start_method is not None:
-            kwargs["mp_context"] = multiprocessing.get_context(self._start_method)
-        if self._fault_plan is None:
-            return ProcessPoolExecutor(**kwargs)
+            context = multiprocessing.get_context(self._start_method)
+        spec = "" if self._fault_plan is None else self._fault_plan.spec
         return ProcessPoolExecutor(
-            initializer=_init_worker, initargs=(self._fault_plan.spec,), **kwargs
+            max_workers, mp_context=context, initializer=_init_worker, initargs=(spec,)
         )
-
-    def _create_pool(self) -> ProcessPoolExecutor:
-        """Build the runner's shared worker pool."""
-        return self._build_pool(self._max_workers)
 
     def _execute(
         self,
@@ -580,8 +592,7 @@ class ExperimentRunner:
         An outcome is ``(corrupt, value)``, or ``_QUARANTINED`` for a task
         given up on under the failure policy.
         """
-        workers = min(self._max_workers, len(tasks))
-        if not self._parallel or workers <= 1 or len(tasks) <= 1:
+        if not self._parallel:
             return self._execute_serial(tasks, fn, labels, progress, ordinals)
         return self._execute_parallel(tasks, fn, labels, progress, ordinals)
 
@@ -608,6 +619,18 @@ class ExperimentRunner:
         attempts = [0] * total
         rebuilds = 0
         retry_delay = 0.0
+
+        def retry(position: int) -> bool:
+            """Spend one retry on ``position``; False once its budget is gone."""
+            nonlocal retry_delay
+            if attempts[position] >= policy.max_retries:
+                return False
+            attempts[position] += 1
+            self._fault_stats.retries += 1
+            delay = _backoff_delay(attempts[position], ordinals[position])
+            retry_delay = max(retry_delay, delay)
+            return True
+
         while True:
             unfinished = [p for p in range(total) if outcomes[p] is None]
             if not unfinished:
@@ -615,24 +638,19 @@ class ExperimentRunner:
             if retry_delay > 0.0:
                 time.sleep(retry_delay)
                 retry_delay = 0.0
-            if self.pool_broken:
-                self._kill_pool()
-            try:
-                if self._pool is None:
-                    self._pool = self._create_pool()
-                pool = self._pool
-            except (OSError, PermissionError, ImportError) as error:
-                return self._serial_completion(
-                    tasks, fn, labels, progress, ordinals, outcomes, error
-                )
             futures: Dict[int, Any] = {}
             crashed = False
             try:
-                for position in unfinished:
-                    self._announce(progress, labels, position)
-                    futures[position] = pool.submit(
-                        _run_task, fn, tasks[position], ordinals[position]
-                    )
+                if self.pool_broken:
+                    self._kill_pool()
+                if self._pool is None:
+                    self._pool = self._build_pool(self._max_workers)
+                with _holding_worker_signals():
+                    for position in unfinished:
+                        self._announce(progress, labels, position)
+                        futures[position] = self._pool.submit(
+                            _run_task, fn, tasks[position], ordinals[position]
+                        )
             except BrokenProcessPool:
                 crashed = True
             except (OSError, PermissionError, ImportError) as error:
@@ -645,9 +663,7 @@ class ExperimentRunner:
             failure: Optional[BaseException] = None
             if not crashed:
                 for position in unfinished:
-                    future = futures.get(position)
-                    if future is None:  # pragma: no cover - defensive
-                        continue
+                    future = futures[position]
                     error: Optional[BaseException] = None
                     try:
                         outcomes[position] = future.result(timeout=policy.task_timeout)
@@ -670,20 +686,9 @@ class ExperimentRunner:
                         raise
                     except BaseException as task_error:
                         error = task_error
-                    if error is None:
-                        # Completed between the timeout and the done()
-                        # check; _harvest collects it below.
-                        continue
                     # The task itself raised: retry if budget remains,
                     # otherwise this is the map's failure.
-                    if attempts[position] < policy.max_retries:
-                        attempts[position] += 1
-                        self._fault_stats.retries += 1
-                        retry_delay = max(
-                            retry_delay,
-                            self._backoff_delay(attempts[position], ordinals[position]),
-                        )
-                    else:
+                    if error is not None and not retry(position):
                         failure = error
                         break
             self._harvest(futures, outcomes)
@@ -694,32 +699,32 @@ class ExperimentRunner:
             if hung is not None:
                 self._fault_stats.timeouts += 1
                 self._kill_pool()
-                if attempts[hung] < policy.max_retries:
-                    attempts[hung] += 1
-                    self._fault_stats.retries += 1
-                    retry_delay = max(
-                        retry_delay,
-                        self._backoff_delay(attempts[hung], ordinals[hung]),
-                    )
-                else:
-                    self._settle_poison(
-                        hung,
+                if not retry(hung):
+                    self._quarantine(
+                        [hung],
                         tasks,
                         fn,
                         labels,
                         ordinals,
                         outcomes,
-                        f"hung past the {policy.task_timeout}s task timeout",
+                        f"hung past the {policy.task_timeout:g}s task timeout",
                     )
-                continue
-            if crashed:
+            elif crashed:
                 self._fault_stats.pool_rebuilds += 1
                 rebuilds += 1
                 self._kill_pool()
                 if rebuilds > policy.max_pool_rebuilds:
-                    # Blind re-dispatch has not converged: attribute the
-                    # poison task(s) by probing each survivor in isolation.
-                    self._attribute_poison(tasks, fn, labels, ordinals, outcomes)
+                    # Blind re-dispatch has not converged: probe each
+                    # unfinished task in isolation to find the poison.
+                    self._quarantine(
+                        [p for p in range(total) if outcomes[p] is None],
+                        tasks,
+                        fn,
+                        labels,
+                        ordinals,
+                        outcomes,
+                        f"{rebuilds} pool crashes",
+                    )
 
     def _harvest(self, futures: Dict[int, Any], outcomes: List[Any]) -> None:
         """Fold successfully finished futures into ``outcomes``.
@@ -734,9 +739,9 @@ class ExperimentRunner:
             if future.done() and not future.cancelled() and future.exception() is None:
                 outcomes[position] = future.result()
 
-    def _settle_poison(
+    def _quarantine(
         self,
-        position: int,
+        positions: Sequence[int],
         tasks: Sequence[Tuple],
         fn: Callable[..., Any],
         labels: Optional[Sequence[str]],
@@ -744,60 +749,23 @@ class ExperimentRunner:
         outcomes: List[Any],
         reason: str,
     ) -> None:
-        """Apply ``on_poison`` to one attributed poison task."""
-        policy = self._failure_policy
-        label = self._task_label(labels, position, ordinals[position])
-        if policy.on_poison == "raise":
-            raise PoisonTaskError(label, reason)
-        if policy.on_poison == "quarantine":
-            status, outcome = self._probe_isolated(
-                fn, tasks[position], ordinals[position]
-            )
-            if status == "ok":
-                outcomes[position] = outcome
-                return
-            reason = f"{reason}; isolated probe {status}"
-        outcomes[position] = _QUARANTINED
-        self._fault_stats.quarantined.append(f"{label} ({reason})")
+        """Probe each suspect task in isolation; quarantine the ones that fail.
 
-    def _attribute_poison(
-        self,
-        tasks: Sequence[Tuple],
-        fn: Callable[..., Any],
-        labels: Optional[Sequence[str]],
-        ordinals: Sequence[int],
-        outcomes: List[Any],
-    ) -> None:
-        """Probe every unfinished task in isolation after repeated crashes.
-
-        Tasks that survive their probe keep their result; tasks that
-        crash or hang it are the attributed poison and get the
-        ``on_poison`` treatment.
+        A task that survives its probe keeps its result.  One that crashes
+        or hangs it becomes ``_QUARANTINED`` and is named, with ``reason``
+        and the probe's verdict, in :attr:`fault_stats`.
         """
-        policy = self._failure_policy
-        for position in range(len(tasks)):
-            if outcomes[position] is not None:
-                continue
-            label = self._task_label(labels, position, ordinals[position])
-            if policy.on_poison == "skip":
-                outcomes[position] = _QUARANTINED
-                self._fault_stats.quarantined.append(
-                    f"{label} (skipped after repeated pool crashes)"
-                )
-                continue
+        for position in positions:
             status, outcome = self._probe_isolated(
                 fn, tasks[position], ordinals[position]
             )
             if status == "ok":
                 outcomes[position] = outcome
                 continue
-            if policy.on_poison == "raise":
-                raise PoisonTaskError(
-                    label, f"{status} in an isolated single-worker probe"
-                )
             outcomes[position] = _QUARANTINED
+            label = f"task {ordinals[position]}" if labels is None else labels[position]
             self._fault_stats.quarantined.append(
-                f"{label} ({status} in an isolated single-worker probe)"
+                f"{label} ({reason}, then {status} in an isolated probe)"
             )
 
     def _probe_isolated(
@@ -813,38 +781,28 @@ class ExperimentRunner:
         propagates unchanged.  The probe pool is torn down afterwards so
         a hung probe cannot leak a worker.
         """
-        policy = self._failure_policy
         try:
             probe = self._build_pool(max_workers=1)
         except (OSError, PermissionError, ImportError):
-            # No subprocess available: probe in-process (a crash fault
-            # here would take the parent down, but environments without
-            # subprocesses cannot crash workers either).
-            try:
-                return ("ok", _run_task(fn, task, ordinal))
-            except BrokenProcessPool:  # pragma: no cover - defensive
-                return ("crashed", None)
+            # No subprocess available: probe in-process, through the
+            # runner's own injector (a crash fault here takes the parent
+            # down, but environments without subprocesses cannot crash
+            # workers either).
+            return ("ok", self._execute_serial([task], fn, None, None, [ordinal])[0])
         try:
-            future = probe.submit(_run_task, fn, task, ordinal)
+            with _holding_worker_signals():
+                future = probe.submit(_run_task, fn, task, ordinal)
             try:
-                return ("ok", future.result(timeout=policy.probe_timeout))
+                return ("ok", future.result(timeout=_PROBE_TIMEOUT))
             except BrokenProcessPool:
                 return ("crashed", None)
             except FuturesTimeout:
-                if future.done():
-                    error = future.exception()
-                    if error is not None:
-                        raise error
-                    return ("ok", future.result())  # pragma: no cover
-                return ("hung", None)
+                if not future.done():
+                    return ("hung", None)
+                # The task itself raised a TimeoutError: re-raise it.
+                return ("ok", future.result())
         finally:
-            processes = list((getattr(probe, "_processes", None) or {}).values())
-            probe.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - already reaped
-                    pass
+            _terminate(probe)
 
     def _serial_completion(
         self,

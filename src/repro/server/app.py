@@ -28,8 +28,11 @@ Design notes:
   accepting stops, queued and in-flight jobs finish, their responses are
   delivered, then the pool and cache close.
 * **Resilience** — a dead or broken worker pool never takes the server
-  down: the dispatcher restarts it before the next job, ``/v1/health``
-  reports ``degraded`` (with a ``pool`` sub-object) until it is healed,
+  down: every miss, a single point included, compiles on the pool, a
+  point that keeps crashing its workers is quarantined there and answers
+  500, the dispatcher restarts a broken pool before the next job,
+  ``/v1/health`` reports ``degraded`` (with a ``pool`` sub-object) until
+  it is healed,
   503 responses carry ``Retry-After``, and requests may set
   ``deadline_s`` to receive 504 instead of waiting indefinitely.  See
   ``docs/robustness.md``.
@@ -325,7 +328,7 @@ class ReproServer:
             try:
                 if self._runner.parallel and self._runner.pool_broken:
                     healed = await loop.run_in_executor(
-                        None, self._runner.restart_pool
+                        None, self._runner.ensure_pool
                     )
                     if healed:
                         self._pool_restarts += 1

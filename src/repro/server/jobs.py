@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.pipeline import map_points, point_label, sweep_grid
+from repro.runtime.runner import PoisonTaskError
 from repro.transpiler.compile import available_levels
 from repro.transpiler.registry import available_passes
 from repro.transpiler.target import Target
@@ -368,30 +369,21 @@ def stats_delta(
     return delta
 
 
-def execute_points(points: Sequence[tuple], runner: Any) -> List[Dict[str, Any]]:
-    """Compile :func:`~repro.core.pipeline.run_point` argument tuples, in order.
+def run_transpile_job(specs: Sequence[PointSpec], runner: Any) -> Dict[str, Any]:
+    """The ``/v1/transpile`` work item: execute and package one response body.
 
     Points go through :func:`repro.core.pipeline.map_points` on the
     resident runner, exactly as CLI sweeps do, so server requests and CLI
-    sweeps share cache records for identical points.
+    sweeps share cache records for identical points.  A point the
+    runner's failure policy quarantines raises
+    :class:`~repro.runtime.runner.PoisonTaskError`, which the server
+    answers with 500.
     """
-    records = map_points(points, runner)
-    for point, metrics in zip(points, records):
-        if metrics is None:
-            # The runner's failure policy quarantined this point; answer a
-            # clean failure instead of an AttributeError on None.
-            raise RuntimeError(
-                f"point {point_label(point)} was quarantined by the failure policy"
-            )
-    return [metrics.as_dict() for metrics in records]
-
-
-def run_transpile_job(specs: Sequence[PointSpec], runner: Any) -> Dict[str, Any]:
-    """The ``/v1/transpile`` work item: execute and package one response body."""
     cache = runner.result_cache
     before = stats_snapshot(cache)
     start = time.perf_counter()
-    results = execute_points([spec.point() for spec in specs], runner)
+    records = map_points([spec.point() for spec in specs], runner)
+    results = [metrics.as_dict() for metrics in records]
     return {
         "results": results,
         "count": len(results),
@@ -430,7 +422,12 @@ def run_sweep_job(
     completed = 0
     for chunk in chunks:
         chunk_start = time.perf_counter()
-        for point, metrics in zip(chunk, map_points(chunk, runner)):
+        try:
+            chunk_records = map_points(chunk, runner)
+        except PoisonTaskError as error:
+            # The stream goes on without the quarantined points.
+            chunk_records = error.results
+        for point, metrics in zip(chunk, chunk_records):
             if metrics is None:
                 failed_points.append({"label": point_label(point)})
             else:

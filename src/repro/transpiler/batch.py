@@ -115,6 +115,11 @@ def transpile_batch(
 
     Returns:
         One :class:`TranspileResult` per circuit, aligned with the input.
+
+    Raises:
+        repro.runtime.PoisonTaskError: the runner's failure policy
+            quarantined a compilation that kept crashing or hanging its
+            worker; the others are finished (and cached) by then.
     """
     circuits = list(circuits)
     if runner is None:

@@ -86,6 +86,7 @@ class TestWorkerSharedCache:
             maxsize=8192,
             disk_hits=0,
             disk_misses=points,
+            computed=points,
         )
         # A fresh runner over the same directory models a rerun: its memory
         # LRU starts empty, so every point must come off the shared disk

@@ -12,14 +12,22 @@ execution layer:
   re-dispatches only the unfinished tasks (finished results survive);
 * a transiently raising task is retried with backoff and succeeds;
 * a task that kills every pool it touches is quarantined via an
-  isolated probe — its slot is ``None``, everything else completes,
-  and :class:`~repro.runtime.runner.FaultStats` names it;
-* a hanging task trips the per-task timeout and is recovered.
+  isolated probe — everything else completes, :class:`~repro.runtime.
+  runner.FaultStats` names it, and ``map`` raises
+  :class:`~repro.runtime.runner.PoisonTaskError` with ``None`` in its
+  slot;
+* a hanging task trips the per-task timeout and is recovered;
+* tearing a pool down never signals the parent (a fork-started worker
+  drops the parent's signal wakeup fd).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +45,21 @@ START_METHODS = [
     for method in ("fork", "spawn")
     if method in multiprocessing.get_all_start_methods()
 ]
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _run_child(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, so a crash cannot take pytest down."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("REPRO_FAULT_PLAN", None)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def _double(value: int) -> int:
@@ -82,23 +105,18 @@ class TestCrashRecovery:
         with _runner(
             start_method, "crash@1x*", max_pool_rebuilds=1
         ) as runner:
-            results = runner.map(
-                _double,
-                [(i,) for i in range(4)],
-                labels=[f"pt{i}" for i in range(4)],
-            )
-        assert results == [0, None, 4, 6]
+            with pytest.raises(PoisonTaskError) as excinfo:
+                runner.map(
+                    _double,
+                    [(i,) for i in range(4)],
+                    labels=[f"pt{i}" for i in range(4)],
+                )
+        assert excinfo.value.results == [0, None, 4, 6]
+        assert excinfo.value.quarantined == runner.fault_stats.quarantined
         assert len(runner.fault_stats.quarantined) == 1
         assert runner.fault_stats.quarantined[0].startswith("pt1")
         assert "pt1" in runner.fault_stats.describe()
-
-    def test_on_poison_raise_propagates(self, start_method):
-        with _runner(
-            start_method, "crash@0x*", max_pool_rebuilds=1, on_poison="raise"
-        ) as runner:
-            with pytest.raises(PoisonTaskError) as excinfo:
-                runner.map(_double, [(i,) for i in range(3)], labels=["a", "b", "c"])
-        assert excinfo.value.label == "a"
+        assert str(excinfo.value).startswith("quarantined pt1 (")
 
     def test_hang_trips_the_task_timeout(self, tmp_path, start_method):
         with _runner(
@@ -110,3 +128,81 @@ class TestCrashRecovery:
             results = runner.map(_double, [(i,) for i in range(4)])
         assert results == [0, 2, 4, 6]
         assert runner.fault_stats.timeouts >= 1
+
+
+#: A one-task map on a parallel runner whose first dispatched task always
+#: crashes: the task runs in the pool and is quarantined, not in this process.
+_ONE_TASK_SCRIPT = """
+from repro.runtime import ExperimentRunner, FailurePolicy, FaultPlan, PoisonTaskError
+
+def double(value):
+    return value * 2
+
+runner = ExperimentRunner(
+    parallel=True,
+    max_workers=2,
+    failure_policy=FailurePolicy(max_pool_rebuilds=1),
+    fault_plan=FaultPlan.parse("crash@0x*"),
+)
+try:
+    runner.map(double, [(3,)], labels=["only"])
+except PoisonTaskError as error:
+    print(error.results, error.quarantined)
+finally:
+    runner.close()
+print(runner.map(double, [(4,)]))
+runner.close()
+"""
+
+#: An asyncio loop with a SIGTERM handler, as under ``repro serve``, runs a
+#: quarantining map off the loop; it prints how many SIGTERMs reached it.
+_SIGNAL_SCRIPT = """
+import asyncio, signal
+from repro.runtime import ExperimentRunner, FailurePolicy, FaultPlan, PoisonTaskError
+
+def double(value):
+    return value * 2
+
+def quarantining_map():
+    runner = ExperimentRunner(
+        parallel=True,
+        max_workers=2,
+        failure_policy=FailurePolicy(max_pool_rebuilds=1),
+        fault_plan=FaultPlan.parse("crash@1x*"),
+        start_method="fork",
+    )
+    try:
+        return runner.map(double, [(i,) for i in range(4)])
+    except PoisonTaskError as error:
+        return error.results
+    finally:
+        runner.close()
+
+async def main():
+    loop = asyncio.get_running_loop()
+    received = []
+    loop.add_signal_handler(signal.SIGTERM, lambda: received.append(1))
+    results = await loop.run_in_executor(None, quarantining_map)
+    await asyncio.sleep(0.5)
+    print(results, len(received))
+
+asyncio.run(main())
+"""
+
+
+class TestOneFailurePath:
+    def test_one_task_map_runs_in_the_pool(self):
+        process = _run_child(_ONE_TASK_SCRIPT)
+        assert process.returncode == 0, process.stderr
+        first, second = process.stdout.splitlines()
+        assert first.startswith("[None] ['only (")
+        assert second == "[8]"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only fork-started workers inherit the parent's signal set-up",
+    )
+    def test_pool_teardown_sends_the_parent_no_sigterm(self):
+        process = _run_child(_SIGNAL_SCRIPT)
+        assert process.returncode == 0, process.stderr
+        assert process.stdout.strip() == "[0, None, 4, 6] 0"

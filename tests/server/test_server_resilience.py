@@ -3,7 +3,8 @@
 The compilation server must degrade, never die, when its worker pool is
 killed out from under it: ``/v1/health`` flips to ``degraded``, the
 dispatcher rebuilds the pool before the next job, and the health flips
-back.  Clients get actionable failure semantics — ``deadline_s``
+back.  A point that crashes every worker it touches answers 500 and the
+server keeps serving.  Clients get actionable failure semantics — ``deadline_s``
 converts an over-budget wait into a 504, 503s carry ``Retry-After``,
 and :class:`~repro.server.client.ServeClient` retries transient
 refusals/503s with capped backoff.
@@ -12,9 +13,14 @@ refusals/503s with capped backoff.
 from __future__ import annotations
 
 import os
+import re
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +28,8 @@ from repro.server import ServeClient, ServeError, ServerHandle
 from repro.server import jobs
 
 pytestmark = [pytest.mark.fast, pytest.mark.chaos]
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _wait_for(predicate, timeout=30.0, interval=0.02):
@@ -66,6 +74,51 @@ class TestPoolSelfHealing:
             assert client.metrics()["pool"]["restarts"] == 1
         finally:
             handle.stop()
+
+    def test_poisoned_point_answers_500_and_the_server_keeps_serving(self):
+        """A single point that crashes every worker is quarantined on the pool.
+
+        The two warm-up tasks take dispatch ordinals 0 and 1, so the first
+        request's point is ordinal 2.  Its pool crashes, rebuilds and the
+        isolated probe are torn down without signalling the server.
+        """
+        env = dict(os.environ, PYTHONPATH=_SRC, REPRO_FAULT_PLAN="crash@2x*")
+        for name in ("REPRO_CACHE_DIR", "REPRO_SERVE_TOKEN"):
+            env.pop(name, None)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2", "--no-cache"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            ready, _, _ = select.select([server.stderr], [], [], 60.0)
+            assert ready, "the server printed no banner within 60 s"
+            banner = server.stderr.readline()
+            match = re.search(r"listening on http://[^:]+:(\d+)", banner)
+            assert match, banner
+            client = ServeClient(port=int(match.group(1)), timeout=120.0)
+            with pytest.raises(ServeError) as excinfo:
+                client.transpile({"workload": "GHZ", "size": 4})
+            assert excinfo.value.status == 500
+            assert "GHZ-4 on Corral1,1-siswap" in str(excinfo.value)
+            time.sleep(0.5)
+            assert client.health()["status"] == "ok"
+            assert client.transpile({"workload": "GHZ", "size": 5})["count"] == 1
+            client.shutdown()
+            stdout, stderr = server.communicate(timeout=60)
+            assert server.returncode == 0, stderr
+        finally:
+            # The server's session also holds its pool workers, which
+            # outlive a server that died.
+            try:
+                os.killpg(server.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            server.communicate()
 
     def test_metrics_expose_fault_stats(self, tmp_path):
         with ServerHandle(

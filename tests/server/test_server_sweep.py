@@ -12,7 +12,12 @@ import pytest
 
 import repro.core.pipeline as pipeline
 from repro.core.pipeline import run_sweep, sweep_grid
-from repro.runtime import PersistentResultCache, collect_garbage, serial_runner
+from repro.runtime import (
+    PersistentResultCache,
+    PoisonTaskError,
+    collect_garbage,
+    serial_runner,
+)
 from repro.server import ServeClient, ServeError, ServerHandle, jobs
 from repro.server.jobs import RequestError, parse_sweep_request
 from repro.transpiler.target import Target
@@ -116,7 +121,10 @@ class _QuarantiningRunner:
     result_cache = None
 
     def map(self, fn, tasks, keys=None, labels=None, progress=None):
-        return [None if task[1] == 5 else fn(*task) for task in tasks]
+        results = [None if task[1] == 5 else fn(*task) for task in tasks]
+        if None in results:
+            raise PoisonTaskError(["GHZ-5 on Corral1,1-siswap (injected)"], results)
+        return results
 
 
 def test_quarantined_point_is_listed_not_fatal():
