@@ -39,7 +39,9 @@ if the probe crashes or hangs too, the task is quarantined and named in
 and raises :class:`PoisonTaskError`, whose ``results`` hold ``None`` in
 each quarantined slot: a sweep catches it and lists the failed points,
 and every other caller ends with one clean error.  Everything that
-happened is tallied in :attr:`ExperimentRunner.fault_stats`.
+happened is tallied in :attr:`ExperimentRunner.fault_stats`.  A runner
+whose process dies without shutting its pool down (SIGKILL, OOM kill)
+leaves no workers behind: each exits within about a second.
 Deterministic fault *injection* for exercising these paths lives in
 :mod:`repro.runtime.faults`.
 
@@ -66,6 +68,7 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -258,7 +261,43 @@ def _holding_worker_signals():
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
-def _init_worker(plan_spec: str) -> None:
+#: How often (s) a pool worker checks that its runner's process lives.
+_RUNNER_POLL_SECONDS = 1.0
+
+
+def _runner_alive(runner: int, forkserver: bool) -> bool:
+    """Whether the runner's process, pid ``runner``, still runs.
+
+    A ``fork`` or ``spawn`` worker is the runner's child: once the runner
+    dies the worker is re-parented, so ``os.getppid()`` stops being
+    ``runner`` whether or not anyone has reaped the runner yet, and a
+    worker that is still starting when the runner dies sees that at once.
+    A ``forkserver`` worker is the server's child, and the server lives on
+    while any worker holds the fds it hands out, so that worker asks
+    whether a process with the runner's pid exists (until the runner is
+    reaped, it does).
+    """
+    if not forkserver:
+        return os.getppid() == runner
+    try:
+        os.kill(runner, 0)
+    except OSError:  # no such process, or the pid now belongs to another user
+        return False
+    return True
+
+
+def _exit_with_runner(runner: int, forkserver: bool) -> None:
+    """Worker-side watch: end this process once the runner's process is gone.
+
+    An idle worker otherwise waits on the pool's call queue for good when
+    its runner dies without shutting the pool down (SIGKILL, OOM kill).
+    """
+    while _runner_alive(runner, forkserver):
+        time.sleep(_RUNNER_POLL_SECONDS)
+    os._exit(1)
+
+
+def _init_worker(plan_spec: str, runner: int, forkserver: bool) -> None:
     """Pool initializer: drop the parent's signal set-up, install the fault plan.
 
     A fork-started worker inherits its parent's signal handlers and
@@ -266,12 +305,20 @@ def _init_worker(plan_spec: str) -> None:
     SIGTERM that tears a pool down would reach the server as its own.
     The worker starts with those signals blocked (see
     :func:`_holding_worker_signals`) and unblocks them once its handlers
-    are the defaults.  ``plan_spec`` is the runner's plan, or ``""``.
+    are the defaults.  A daemon thread, started while they are still
+    blocked so that only the main thread takes them, ends the worker once
+    the runner's process is gone (:func:`_exit_with_runner`).
+    ``plan_spec`` is the runner's plan, or ``""``; ``runner`` is the pid
+    of the runner's process, and ``forkserver`` says whether the pool
+    starts its workers from a fork server.
     """
     global _WORKER_INJECTOR
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    threading.Thread(
+        target=_exit_with_runner, args=(runner, forkserver), name="runner-watch", daemon=True
+    ).start()
     if _HAS_SIGMASK:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     plan = FaultPlan.parse(plan_spec)
@@ -570,13 +617,20 @@ class ExperimentRunner:
         return self._serial_injector_instance
 
     def _build_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """A pool whose workers run :func:`_init_worker` with the runner's plan."""
-        context = None
-        if self._start_method is not None:
-            context = multiprocessing.get_context(self._start_method)
+        """A pool whose workers run :func:`_init_worker` with the runner's plan.
+
+        The workers are told this process's pid rather than reading
+        ``os.getppid()`` when they start: a worker still starting when this
+        process dies would read the pid it was re-parented to.
+        """
+        context = multiprocessing.get_context(self._start_method)
         spec = "" if self._fault_plan is None else self._fault_plan.spec
+        forkserver = context.get_start_method() == "forkserver"
         return ProcessPoolExecutor(
-            max_workers, mp_context=context, initializer=_init_worker, initargs=(spec,)
+            max_workers,
+            mp_context=context,
+            initializer=_init_worker,
+            initargs=(spec, os.getpid(), forkserver),
         )
 
     def _execute(

@@ -9,10 +9,15 @@ and 6.3).  This module generalises that to a wall-clock schedule:
   (SNAIL parametric drive, IBM cross-resonance, Google tunable coupler).
 * :func:`schedule_asap` / :func:`schedule_alap` produce a
   :class:`Schedule` — start/stop times for every instruction under the
-  as-soon-as-possible / as-late-as-possible disciplines.
+  as-soon-as-possible / as-late-as-possible disciplines.  Both walk the
+  circuit once, ask :meth:`GateDurations.duration_of` once per gate
+  object, and record two flat lists in circuit order: the start and the
+  stop times.
 * :class:`Schedule` reports total duration, per-qubit busy and idle time,
-  and the parallelism profile, all of which feed the reliability study
-  (:mod:`repro.core.reliability`).
+  and the parallelism profile from those lists, all of which feed the
+  reliability study (:mod:`repro.core.reliability`).  It pairs them with
+  the instructions as :class:`TimedInstruction` objects only when
+  :attr:`Schedule.timed_instructions` is read.
 
 Because the paper normalises away engineering maturity (Section 4.2), the
 preset numbers are representative rather than calibrated: what matters for
@@ -23,7 +28,7 @@ iSWAP pulse scales like ``1/n`` of the full iSWAP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -139,19 +144,28 @@ class TimedInstruction:
 
 
 class Schedule:
-    """A timed view of a circuit under a given duration model."""
+    """A timed view of a circuit under a given duration model.
+
+    The schedule is the circuit plus two flat lists in circuit order: each
+    instruction's start and stop time (ns).  Every aggregate reads the
+    lists; :attr:`timed_instructions` pairs them with the instructions on
+    first read.
+    """
 
     def __init__(
         self,
         circuit: QuantumCircuit,
-        timed_instructions: Sequence[TimedInstruction],
+        starts: Sequence[float],
+        stops: Sequence[float],
         durations: GateDurations,
         discipline: str,
     ):
         self._circuit = circuit
-        self._timed = list(timed_instructions)
+        self._starts = list(starts)
+        self._stops = list(stops)
         self._durations = durations
         self._discipline = discipline
+        self._timed: Optional[List[TimedInstruction]] = None
 
     # -- structure ------------------------------------------------------------
 
@@ -163,6 +177,11 @@ class Schedule:
     @property
     def timed_instructions(self) -> List[TimedInstruction]:
         """Instructions with start/stop times, in start-time order."""
+        if self._timed is None:
+            self._timed = [
+                TimedInstruction(instruction, start, stop)
+                for instruction, start, stop in zip(self._circuit, self._starts, self._stops)
+            ]
         return sorted(self._timed, key=lambda t: (t.start, t.stop))
 
     @property
@@ -171,13 +190,17 @@ class Schedule:
         return self._discipline
 
     def __len__(self) -> int:
-        return len(self._timed)
+        return len(self._starts)
 
     # -- aggregate metrics ------------------------------------------------------
 
+    def _spans(self) -> List[float]:
+        """Each instruction's scheduled duration, ``stop - start``, in circuit order."""
+        return [stop - start for start, stop in zip(self._starts, self._stops)]
+
     def total_duration(self) -> float:
         """Makespan of the schedule in nanoseconds."""
-        return max((t.stop for t in self._timed), default=0.0)
+        return max(self._stops, default=0.0)
 
     def _busy_times(self) -> List[float]:
         """Busy time of every qubit, from one pass over the instructions.
@@ -188,10 +211,9 @@ class Schedule:
         from Python 3.12 on).
         """
         durations: List[List[float]] = [[] for _ in range(self._circuit.num_qubits)]
-        for timed in self._timed:
-            duration = timed.duration
-            for qubit in timed.instruction.qubits:
-                durations[qubit].append(duration)
+        for instruction, span in zip(self._circuit, self._spans()):
+            for qubit in instruction.qubits:
+                durations[qubit].append(span)
         return [sum(values) for values in durations]
 
     def qubit_busy_time(self, qubit: int) -> float:
@@ -212,12 +234,15 @@ class Schedule:
         makespan = self.total_duration()
         if makespan <= 0.0:
             return 0.0
-        busy_area = sum(t.duration for t in self._timed)
-        return busy_area / makespan
+        return sum(self._spans()) / makespan
 
     def two_qubit_duration(self) -> float:
         """Time spent in two-qubit pulses summed over all instructions."""
-        return sum(t.duration for t in self._timed if t.instruction.is_two_qubit)
+        return sum(
+            span
+            for instruction, span in zip(self._circuit, self._spans())
+            if instruction.is_two_qubit
+        )
 
     def utilisation(self) -> float:
         """Fraction of qubit-time occupied by pulses (0..1)."""
@@ -232,47 +257,69 @@ class Schedule:
         makespan = self.total_duration()
         grid = np.linspace(0.0, makespan, num=max(2, resolution))
         counts = np.zeros_like(grid)
-        for timed in self._timed:
-            if timed.duration <= 0.0:
+        for start, stop in zip(self._starts, self._stops):
+            if stop - start <= 0.0:
                 continue
-            counts += (grid >= timed.start) & (grid < timed.stop)
+            counts += (grid >= start) & (grid < stop)
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Schedule({self._discipline}, instructions={len(self._timed)}, "
+            f"Schedule({self._discipline}, instructions={len(self)}, "
             f"duration={self.total_duration():.1f}ns)"
         )
+
+
+def _gate_durations(circuit: QuantumCircuit, durations: GateDurations) -> List[float]:
+    """Every instruction's duration, with one ``duration_of`` per gate object.
+
+    Keyed by ``id()``: the circuit holds every gate until the caller returns.
+    """
+    by_gate: Dict[int, float] = {}
+    values = []
+    for instruction in circuit:
+        key = id(instruction.gate)
+        duration = by_gate.get(key)
+        if duration is None:
+            duration = by_gate[key] = durations.duration_of(instruction)
+        values.append(duration)
+    return values
 
 
 def schedule_asap(circuit: QuantumCircuit, durations: GateDurations) -> Schedule:
     """Schedule every instruction as soon as its qubits are free."""
     frontier = [0.0] * circuit.num_qubits
-    timed: List[TimedInstruction] = []
-    for instruction in circuit:
-        duration = durations.duration_of(instruction)
-        start = max(frontier[q] for q in instruction.qubits)
+    starts: List[float] = []
+    stops: List[float] = []
+    for instruction, duration in zip(circuit, _gate_durations(circuit, durations)):
+        qubits = instruction.qubits
+        start = max(map(frontier.__getitem__, qubits))
         stop = start + duration
-        for qubit in instruction.qubits:
+        for qubit in qubits:
             frontier[qubit] = stop
-        timed.append(TimedInstruction(instruction, start, stop))
-    return Schedule(circuit, timed, durations, discipline="asap")
+        starts.append(start)
+        stops.append(stop)
+    return Schedule(circuit, starts, stops, durations, discipline="asap")
 
 
 def schedule_alap(circuit: QuantumCircuit, durations: GateDurations) -> Schedule:
     """Schedule every instruction as late as possible without stretching the makespan."""
-    asap = schedule_asap(circuit, durations)
-    makespan = asap.total_duration()
+    makespan = schedule_asap(circuit, durations).total_duration()
     frontier = [makespan] * circuit.num_qubits
-    reversed_timed: List[TimedInstruction] = []
-    for instruction in reversed(list(circuit)):
-        duration = durations.duration_of(instruction)
-        stop = min(frontier[q] for q in instruction.qubits)
+    starts: List[float] = []
+    stops: List[float] = []
+    gate_durations = _gate_durations(circuit, durations)
+    for instruction, duration in zip(reversed(circuit.instructions), reversed(gate_durations)):
+        qubits = instruction.qubits
+        stop = min(map(frontier.__getitem__, qubits))
         start = stop - duration
-        for qubit in instruction.qubits:
+        for qubit in qubits:
             frontier[qubit] = start
-        reversed_timed.append(TimedInstruction(instruction, start, stop))
-    return Schedule(circuit, list(reversed(reversed_timed)), durations, discipline="alap")
+        starts.append(start)
+        stops.append(stop)
+    starts.reverse()
+    stops.reverse()
+    return Schedule(circuit, starts, stops, durations, discipline="alap")
 
 
 def critical_path_duration(circuit: QuantumCircuit, durations: GateDurations) -> float:

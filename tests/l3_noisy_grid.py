@@ -6,7 +6,7 @@ large, then six small) and then the circuit seed from
 and 24 qubits on the large points and the six paper workloads at 6 and 10
 qubits on the small ones, all at ``optimization_level=3``.  The helpers
 below repeat that derivation, so a suite can cover exactly the VF2
-searches and noisy targets that one benchmark run exercises.
+searches, noisy targets and pass inputs that one benchmark run exercises.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ from typing import Dict, List, Tuple
 import networkx as nx
 from oracles import reference_interaction_graph
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
 from repro.core.codesign import LARGE_DESIGN_POINTS, SMALL_DESIGN_POINTS
 from repro.core.noise import NoiseModel
+from repro.core.pipeline import sweep_grid
 from repro.topology.coupling import CouplingMap
 from repro.transpiler import Target
+from repro.transpiler.compile import build_staged_pass_manager
 from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.passes import DecomposeMultiQubit
 from repro.transpiler.passes.vf2_layout import embedding_impossible, interaction_graph
@@ -87,3 +90,32 @@ def vf2_searches(
                         label = f"{workload}-{size}@{device.name}"
                         searches.append((label, device, pattern, reference))
     return searches
+
+
+def pass_inputs(seed: int, pass_name: str) -> List[Tuple[str, Target, QuantumCircuit]]:
+    """``(label, target, circuit)`` per point: the circuit the pass ``pass_name`` receives.
+
+    Every point of benchmark seed ``seed`` is compiled at
+    ``optimization_level=3`` pass by pass, with the property set seeded as
+    :func:`repro.transpiler.transpile` seeds it, and the input of the pass
+    named ``pass_name`` is kept (``"commutative_cancellation"`` for the
+    routed circuits after inverse cancellation, ``"schedule_analysis"`` for
+    the final circuits).
+    """
+    targets = iter(noisy_targets(seed))
+    circuit_seed = _seeds(seed)[1]
+    inputs = []
+    for workloads, sizes, _, points in GRIDS:
+        grid_targets = [next(targets) for _ in points]
+        for workload, size, target in sweep_grid(workloads, sizes, grid_targets):
+            circuit = build_workload(workload, size, seed=circuit_seed)
+            properties = PropertySet()
+            if target.noise_model is not None:
+                properties["noise_model"] = target.noise_model
+            manager = build_staged_pass_manager(target, 3, seed=circuit_seed)
+            for passes in manager.stages.values():
+                for transpiler_pass in passes:
+                    if transpiler_pass.name == pass_name:
+                        inputs.append((f"{workload}-{size}@{target.name}", target, circuit))
+                    circuit = transpiler_pass.run(circuit, properties)
+    return inputs

@@ -5,7 +5,7 @@ The slow implementation it replaced lives here, and the parity suites
 require the two to agree exactly (density matrices within 1e-10).
 Nothing in ``src/`` imports this module.
 
-Three oracles keep a whole run loop, so a parity test holds the production
+Some oracles keep a whole run loop, so a parity test holds the production
 loop to the one it replaced, not only the scorer:
 
 * :class:`ReferenceSabreRouting` — the SABRE router as it stood before the
@@ -32,6 +32,23 @@ loop to the one it replaced, not only the scorer:
   single-qubit fusion: one contraction per gate, in circuit order, as
   :class:`repro.simulator.statevector.StatevectorSimulator` ran it with
   fusion off.  Used by ``tests/simulator/test_fused_statevector.py``.
+* :class:`ReferenceCommutativeCancellation` — the commutation pass on a
+  look-back list with emptied slots, before its verdicts ran on per-gate
+  facts: every verdict rebuilds both qubit sets and both gate identities
+  behind its own memo (:data:`REFERENCE_COMMUTATION_CACHE`), and a miss
+  asks :func:`reference_pair_verdict`, the ``np.allclose`` predicates on
+  fresh ``gate.matrix()`` calls and ``tensordot`` joint unitaries (also
+  for a pair on one qubit tuple).  Used by
+  ``tests/transpiler/test_commutation_and_basic_routing.py`` (hypothesis
+  pairs and every ``l3-noisy`` commutation input) and
+  ``benchmarks/test_bench_level3_cleanup.py``.
+* :func:`reference_schedule_asap` / :func:`reference_schedule_alap` —
+  the scheduling loops that built one
+  :class:`~repro.transpiler.scheduling.TimedInstruction` and asked
+  ``duration_of`` once per instruction, and :class:`ReferenceSchedule`,
+  whose aggregates read those objects.  Used by
+  ``tests/transpiler/test_scheduling.py`` and
+  ``benchmarks/test_bench_level3_cleanup.py``.
 
 The remaining oracles subclass the production class and override only its
 one private scorer, so run loops, input checks and property-set plumbing
@@ -107,14 +124,23 @@ from repro.circuits.dag import DAGCircuit
 from repro.circuits.instruction import Instruction
 from repro.core.noise import NoiseModel
 from repro.gates import SwapGate
+from repro.linalg.cache import LRUCache
 from repro.noise.channels import QuantumChannel
 from repro.noise.density_matrix import DensityMatrixSimulator
 from repro.simulator.fusion import apply_matrix_to_axes
 from repro.topology.coupling import CouplingMap
 from repro.transpiler.layout import Layout
+from repro.transpiler.passes.commutation import (
+    BLOCKS,
+    COMMUTES,
+    INVERSE,
+    CommutativeCancellation,
+    _gate_identity,
+)
 from repro.transpiler.passes.layout_passes import DenseLayout, InteractionGraphLayout
 from repro.transpiler.passes.noise_aware_routing import NoiseAwareLayout, NoiseAwareRouting
 from repro.transpiler.passmanager import PropertySet, TranspilerPass
+from repro.transpiler.scheduling import GateDurations, TimedInstruction
 
 _EXTENDED_SET_SIZE = 20
 _EXTENDED_SET_WEIGHT = 0.5
@@ -997,3 +1023,238 @@ class ReferenceDensityMatrixSimulator(DensityMatrixSimulator):
                 if idle is not None:
                     matrix = _evolve_channel_expand(matrix, idle, (qubit,), n)
         return matrix
+
+
+# -- commutative cancellation ------------------------------------------------
+
+
+def _reference_joint_unitary(
+    first: Instruction, second: Instruction
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Matrices of two instructions expanded onto their joint qubit set."""
+    qubits = sorted(set(first.qubits) | set(second.qubits))
+    index = {qubit: position for position, qubit in enumerate(qubits)}
+    dim = 2 ** len(qubits)
+
+    def expand(instruction: Instruction) -> np.ndarray:
+        matrix = np.eye(dim, dtype=complex).reshape([2] * (2 * len(qubits)))
+        gate = instruction.gate.matrix().reshape([2] * (2 * instruction.num_qubits))
+        # Row axis for joint qubit position p is p (most-significant first).
+        axes = [index[q] for q in instruction.qubits]
+        contracted = np.tensordot(
+            gate,
+            matrix,
+            axes=(list(range(instruction.num_qubits, 2 * instruction.num_qubits)), axes),
+        )
+        moved = np.moveaxis(contracted, range(instruction.num_qubits), axes)
+        return moved.reshape(dim, dim)
+
+    return expand(first), expand(second)
+
+
+def _reference_is_diagonal(matrix: np.ndarray) -> bool:
+    return np.count_nonzero(matrix) == np.count_nonzero(np.diagonal(matrix))
+
+
+def reference_instructions_commute(first: Instruction, second: Instruction) -> bool:
+    """Commutation on the joint unitaries, with ``np.allclose``."""
+    if not set(first.qubits) & set(second.qubits):
+        return True
+    if first.name == "barrier" or second.name == "barrier":
+        return False
+    if _reference_is_diagonal(first.gate.matrix()) and _reference_is_diagonal(
+        second.gate.matrix()
+    ):
+        return True
+    matrix_a, matrix_b = _reference_joint_unitary(first, second)
+    return bool(np.allclose(matrix_a @ matrix_b, matrix_b @ matrix_a, atol=1e-9))
+
+
+def _reference_is_inverse_pair(first: Instruction, second: Instruction) -> bool:
+    if first.qubits != second.qubits:
+        return False
+    if first.name == "barrier" or second.name == "barrier":
+        return False
+    product = second.gate.matrix() @ first.gate.matrix()
+    phase = product[0, 0]
+    if abs(abs(phase) - 1.0) > 1e-9:
+        return False
+    return bool(np.allclose(product, phase * np.eye(product.shape[0]), atol=1e-9))
+
+
+def reference_pair_verdict(first: Instruction, second: Instruction) -> str:
+    """The verdict straight from the numeric predicates, with no memo."""
+    if _reference_is_inverse_pair(first, second):
+        return INVERSE
+    if reference_instructions_commute(first, second):
+        return COMMUTES
+    return BLOCKS
+
+
+#: The oracle pass's own verdict memo, so it never reads production's.
+REFERENCE_COMMUTATION_CACHE = LRUCache(maxsize=4096)
+
+
+def _reference_memo_verdict(first: Instruction, second: Instruction) -> str:
+    """:func:`reference_pair_verdict` behind the memo key, rebuilt per call."""
+    if set(first.qubits).isdisjoint(second.qubits):
+        return COMMUTES
+    position = {
+        qubit: index
+        for index, qubit in enumerate(sorted(set(first.qubits).union(second.qubits)))
+    }
+    key = (
+        _gate_identity(first.gate),
+        tuple(position[qubit] for qubit in first.qubits),
+        _gate_identity(second.gate),
+        tuple(position[qubit] for qubit in second.qubits),
+    )
+    verdict = REFERENCE_COMMUTATION_CACHE.get(key)
+    if verdict is None:
+        verdict = reference_pair_verdict(first, second)
+        REFERENCE_COMMUTATION_CACHE.put(key, verdict)
+    return verdict
+
+
+class ReferenceCommutativeCancellation(CommutativeCancellation):
+    """:class:`CommutativeCancellation` on a list with emptied slots.
+
+    Every verdict rebuilds both qubit sets and both gate identities, and a
+    miss runs the ``np.allclose`` predicates on freshly built matrices
+    (joint unitaries from ``tensordot`` unless both gates are diagonal).
+    It shares only the constructor with production.
+    """
+
+    def run(self, circuit: QuantumCircuit, properties: PropertySet) -> QuantumCircuit:
+        kept: List[Optional[Instruction]] = []
+        cancelled = 0
+        for instruction in circuit:
+            if instruction.name == "barrier":
+                kept.append(instruction)
+                continue
+            partner = self._find_reference_partner(instruction, kept)
+            if partner is not None:
+                kept[partner] = None
+                cancelled += 2
+                continue
+            kept.append(instruction)
+        result = QuantumCircuit(circuit.num_qubits, name=circuit.name)
+        for instruction in kept:
+            if instruction is not None:
+                result._append_trusted(instruction)
+        properties["commutative_cancelled"] = (
+            properties.get("commutative_cancelled", 0) + cancelled
+        )
+        return result
+
+    def _find_reference_partner(
+        self, instruction: Instruction, kept: List[Optional[Instruction]]
+    ) -> Optional[int]:
+        qubits = instruction.qubits
+        live = 0
+        for index in range(len(kept) - 1, -1, -1):
+            earlier = kept[index]
+            if earlier is None:
+                continue
+            live += 1
+            if live > self._max_lookback:
+                return None
+            if earlier.qubits != qubits:
+                continue
+            verdict = _reference_memo_verdict(earlier, instruction)
+            if verdict == BLOCKS:
+                return None
+            if verdict == INVERSE:
+                for between in reversed(kept[index + 1 :]):
+                    if (
+                        between is not None
+                        and between.qubits != qubits
+                        and _reference_memo_verdict(between, instruction) == BLOCKS
+                    ):
+                        return None
+                return index
+        return None
+
+
+# -- scheduling --------------------------------------------------------------
+
+
+class ReferenceSchedule:
+    """A schedule kept as :class:`TimedInstruction` objects in circuit order."""
+
+    def __init__(self, circuit: QuantumCircuit, timed: List[TimedInstruction]):
+        self.circuit = circuit
+        self._timed = timed
+
+    @property
+    def timed_instructions(self) -> List[TimedInstruction]:
+        return sorted(self._timed, key=lambda t: (t.start, t.stop))
+
+    def total_duration(self) -> float:
+        return max((t.stop for t in self._timed), default=0.0)
+
+    def _busy_times(self) -> List[float]:
+        durations: List[List[float]] = [[] for _ in range(self.circuit.num_qubits)]
+        for timed in self._timed:
+            duration = timed.duration
+            for qubit in timed.instruction.qubits:
+                durations[qubit].append(duration)
+        return [sum(values) for values in durations]
+
+    def total_idle_time(self) -> float:
+        makespan = self.total_duration()
+        return sum(makespan - busy for busy in self._busy_times())
+
+    def average_parallelism(self) -> float:
+        makespan = self.total_duration()
+        if makespan <= 0.0:
+            return 0.0
+        return sum(t.duration for t in self._timed) / makespan
+
+    def two_qubit_duration(self) -> float:
+        return sum(t.duration for t in self._timed if t.instruction.is_two_qubit)
+
+    def utilisation(self) -> float:
+        makespan = self.total_duration()
+        if makespan <= 0.0:
+            return 0.0
+        return sum(self._busy_times()) / (makespan * self.circuit.num_qubits)
+
+    def timeline(self, resolution: int = 100) -> np.ndarray:
+        makespan = self.total_duration()
+        grid = np.linspace(0.0, makespan, num=max(2, resolution))
+        counts = np.zeros_like(grid)
+        for timed in self._timed:
+            if timed.duration <= 0.0:
+                continue
+            counts += (grid >= timed.start) & (grid < timed.stop)
+        return counts
+
+
+def reference_schedule_asap(circuit: QuantumCircuit, durations: GateDurations) -> ReferenceSchedule:
+    """ASAP with one ``duration_of`` and one :class:`TimedInstruction` per instruction."""
+    frontier = [0.0] * circuit.num_qubits
+    timed: List[TimedInstruction] = []
+    for instruction in circuit:
+        duration = durations.duration_of(instruction)
+        start = max(frontier[q] for q in instruction.qubits)
+        stop = start + duration
+        for qubit in instruction.qubits:
+            frontier[qubit] = stop
+        timed.append(TimedInstruction(instruction, start, stop))
+    return ReferenceSchedule(circuit, timed)
+
+
+def reference_schedule_alap(circuit: QuantumCircuit, durations: GateDurations) -> ReferenceSchedule:
+    """ALAP against the ASAP makespan, walking the circuit backwards."""
+    makespan = reference_schedule_asap(circuit, durations).total_duration()
+    frontier = [makespan] * circuit.num_qubits
+    reversed_timed: List[TimedInstruction] = []
+    for instruction in reversed(list(circuit)):
+        duration = durations.duration_of(instruction)
+        stop = min(frontier[q] for q in instruction.qubits)
+        start = stop - duration
+        for qubit in instruction.qubits:
+            frontier[qubit] = start
+        reversed_timed.append(TimedInstruction(instruction, start, stop))
+    return ReferenceSchedule(circuit, list(reversed(reversed_timed)))

@@ -18,15 +18,20 @@ execution layer:
   slot;
 * a hanging task trips the per-task timeout and is recovered;
 * tearing a pool down never signals the parent (a fork-started worker
-  drops the parent's signal wakeup fd).
+  drops the parent's signal wakeup fd);
+* workers end within seconds of a parent that is killed without closing
+  its runner.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,3 +211,70 @@ class TestOneFailurePath:
         process = _run_child(_SIGNAL_SCRIPT)
         assert process.returncode == 0, process.stderr
         assert process.stdout.strip() == "[0, None, 4, 6] 0"
+
+
+#: Maps once, prints the pool's worker pids and SIGKILLs itself, leaving
+#: the runner open.  The alarm ends it should the map ever hang.
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, signal, sys
+signal.alarm(60)
+from repro.runtime import ExperimentRunner
+runner = ExperimentRunner(parallel=True, max_workers=2, start_method=sys.argv[1])
+assert runner.map(abs, [(-1,), (-2,), (-3,), (-4,)]) == [1, 2, 3, 4]
+print(" ".join(str(child.pid) for child in multiprocessing.active_children()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` runs; an exited process that nobody reaped is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return True
+    return state != "Z"
+
+
+@pytest.mark.parametrize(
+    "start_method",
+    [
+        method
+        for method in ("fork", "spawn", "forkserver")
+        if method in multiprocessing.get_all_start_methods()
+    ],
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_killed(self, start_method, tmp_path):
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        env.pop("REPRO_FAULT_PLAN", None)
+        pids = []
+        with open(tmp_path / "stderr", "w") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-c", _ORPHAN_SCRIPT, start_method],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+            )
+        try:
+            # The workers share the child's stdout, so read one line, not to EOF.
+            pids = [int(pid) for pid in process.stdout.readline().split()]
+            returncode = process.wait(timeout=60)
+            assert returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+            assert pids
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from l3_noisy_grid import pass_inputs
+from oracles import (
+    REFERENCE_COMMUTATION_CACHE,
+    ReferenceCommutativeCancellation,
+    _reference_joint_unitary,
+    reference_instructions_commute,
+    reference_pair_verdict,
+)
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import UnitaryGate
 from repro.circuits.instruction import Instruction
 from repro.gates import (
+    CCXGate,
     CPhaseGate,
     CXGate,
     CZGate,
@@ -31,6 +40,7 @@ from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.passes import commutation
 from repro.transpiler.passes.commutation import (
     COMMUTATION_CACHE,
+    GATE_MATRIX_CACHE,
     CommutativeCancellation,
     instructions_commute,
     pair_verdict,
@@ -219,18 +229,11 @@ class TestLookBack:
         assert result.count_ops() == {"rz": 19}
 
 
-def _numeric_verdict(first, second):
-    """The verdict straight from the numeric predicates, no memo."""
-    if commutation._is_inverse_pair(first, second):
-        return commutation.INVERSE
-    if instructions_commute(first, second):
-        return commutation.COMMUTES
-    return commutation.BLOCKS
-
-
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 gates = st.one_of(
-    st.sampled_from([CXGate(), CZGate(), SwapGate(), SqrtISwapGate(), NthRootISwapGate(4)]),
+    st.sampled_from(
+        [CXGate(), CZGate(), SwapGate(), SqrtISwapGate(), NthRootISwapGate(4), CCXGate()]
+    ),
     st.builds(FSimGate, angles, angles),
     st.builds(RZGate, angles),
     st.builds(RXGate, angles),
@@ -242,43 +245,91 @@ gates = st.one_of(
 
 @st.composite
 def overlapping_pairs(draw):
-    """Two instructions on qubits 0-2 that share at least one qubit."""
+    """Two instructions on qubits 0-3 that share at least one qubit.
+
+    A third of the pairs put the gate's inverse on the same tuple, so
+    INVERSE verdicts show up, and a third put the gate or its inverse on
+    the reversed tuple; with CCX in the mix the joint sets reach 3 and 4
+    qubits.
+    """
     first_gate = draw(gates)
     first = Instruction(
-        first_gate, tuple(draw(st.permutations([0, 1, 2]))[: first_gate.num_qubits])
+        first_gate, tuple(draw(st.permutations([0, 1, 2, 3]))[: first_gate.num_qubits])
     )
-    if draw(st.booleans()):
-        # Half the pairs try the gate's inverse, so INVERSE verdicts show up.
-        second_gate = first_gate.inverse()
-        second = Instruction(second_gate, first.qubits)
+    kind = draw(st.sampled_from(["inverse", "reversed", "any"]))
+    if kind == "inverse":
+        second = Instruction(first_gate.inverse(), first.qubits)
+    elif kind == "reversed":
+        second_gate = draw(st.sampled_from([first_gate, first_gate.inverse()]))
+        second = Instruction(second_gate, first.qubits[::-1])
     else:
         second_gate = draw(gates)
         second = Instruction(
-            second_gate, tuple(draw(st.permutations([0, 1, 2]))[: second_gate.num_qubits])
+            second_gate, tuple(draw(st.permutations([0, 1, 2, 3]))[: second_gate.num_qubits])
         )
     assume(set(first.qubits) & set(second.qubits))
     return first, second
 
 
+def _cold() -> None:
+    COMMUTATION_CACHE.clear()
+    GATE_MATRIX_CACHE.clear()
+
+
+def _refuse(first, second):
+    raise AssertionError("joint unitaries built")
+
+
 class TestVerdictMemo:
     @given(pair=overlapping_pairs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_memo_matches_numeric_cold_and_warm(self, pair):
         first, second = pair
-        expected = _numeric_verdict(first, second)
-        COMMUTATION_CACHE.clear()
+        expected = reference_pair_verdict(first, second)
+        _cold()
         assert pair_verdict(first, second) == expected
         assert pair_verdict(first, second) == expected
+        assert instructions_commute(first, second) == reference_instructions_commute(
+            first, second
+        )
         # Fresh gate objects on relabelled qubits with the same relative
         # order share the key, so this is a hit that must still be right.
-        relabel = {0: 3, 1: 5, 2: 8}
+        relabel = {0: 3, 1: 5, 2: 8, 3: 9}
         moved = [
             Instruction(copy.deepcopy(inst.gate), tuple(relabel[q] for q in inst.qubits))
             for inst in (first, second)
         ]
         hits = COMMUTATION_CACHE.stats().hits
-        assert pair_verdict(*moved) == _numeric_verdict(*moved) == expected
+        assert pair_verdict(*moved) == reference_pair_verdict(*moved) == expected
         assert COMMUTATION_CACHE.stats().hits == hits + 1
+
+    @given(pair=overlapping_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_joint_unitary_matches_tensordot_expansion(self, pair):
+        first, second = pair
+        assume(first.qubits != second.qubits)
+        expanded = commutation._joint_unitary(
+            commutation._entry(first), commutation._entry(second)
+        )
+        for matrix, reference in zip(expanded, _reference_joint_unitary(first, second)):
+            assert np.array_equal(matrix, reference)
+
+    def test_pair_on_one_tuple_builds_no_joint_unitary(self, monkeypatch):
+        monkeypatch.setattr(commutation, "_joint_unitary", _refuse)
+        _cold()
+        pairs = [
+            (CXGate(), CXGate(), (0, 1)),  # inverse
+            (CXGate(), SqrtISwapGate(), (1, 0)),  # blocks
+            (SwapGate(), SwapGate(), (3, 1)),  # inverse, reversed order
+            (RXGate(0.3), RZGate(0.2), (2,)),  # blocks
+            (FSimGate(0.4, 0.1), FSimGate(0.4, 0.1).inverse(), (2, 0)),  # inverse
+            (CCXGate(), CCXGate(), (2, 0, 1)),  # inverse
+            (CCXGate(), UnitaryGate(np.diag(np.exp(1j * np.arange(8)))), (1, 2, 0)),  # blocks
+            (RXGate(0.3), RXGate(0.9), (1,)),  # commutes, not diagonal
+        ]
+        for gate_a, gate_b, qubits in pairs:
+            first, second = Instruction(gate_a, qubits), Instruction(gate_b, qubits)
+            assert pair_verdict(first, second) == reference_pair_verdict(first, second)
 
     def test_disjoint_pairs_commute_without_an_entry(self):
         COMMUTATION_CACHE.clear()
@@ -315,6 +366,59 @@ class TestVerdictMemo:
         for step in range(maxsize + 20):
             pair_verdict(Instruction(RZGate(1e-3 * step), (0,)), partner)
         assert len(COMMUTATION_CACHE) == maxsize
+
+
+def _same_output(circuit, passes):
+    """Both passes' instructions (by identity) and cancelled counts are equal."""
+    outputs = []
+    for transpiler_pass in passes:
+        properties = PropertySet()
+        result = transpiler_pass.run(circuit, properties)
+        outputs.append((result, properties["commutative_cancelled"]))
+    (result, cancelled), (reference, reference_cancelled) = outputs
+    return cancelled == reference_cancelled and len(result) == len(reference) and all(
+        a is b for a, b in zip(result, reference)
+    )
+
+
+class TestReferenceParity:
+    """The pass against the one it replaced, on every ``l3-noisy`` commutation input."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [1, pytest.param(2, marks=pytest.mark.slow), pytest.param(3, marks=pytest.mark.slow)],
+    )
+    def test_l3_noisy_inputs_match_the_reference_pass(self, seed):
+        _cold()
+        REFERENCE_COMMUTATION_CACHE.clear()
+        inputs = pass_inputs(seed, "commutative_cancellation")
+        assert len(inputs) == 92
+        for label, _, circuit in inputs:
+            passes = (CommutativeCancellation(), ReferenceCommutativeCancellation())
+            assert _same_output(circuit, passes), label
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_circuits_match_the_reference_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = QuantumCircuit(4)
+        for _ in range(40):
+            kind = int(rng.integers(6))
+            a, b, c = (int(q) for q in rng.choice(4, size=3, replace=False))
+            if kind == 0:
+                circuit.rz(float(rng.choice([0.5, -0.5, 1.0])), a)
+            elif kind == 1:
+                circuit.h(a)
+            elif kind == 2:
+                circuit.cx(a, b)
+            elif kind == 3:
+                circuit.swap(a, b)
+            elif kind == 4:
+                circuit.ccx(a, b, c)
+            else:
+                circuit.barrier()
+        passes = (CommutativeCancellation(), ReferenceCommutativeCancellation())
+        assert _same_output(circuit, passes)
 
 
 class TestBasicRouting:

@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from l3_noisy_grid import pass_inputs
+from oracles import reference_schedule_alap, reference_schedule_asap
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.instruction import Instruction
-from repro.gates import CXGate, HGate, NthRootISwapGate, SqrtISwapGate, SwapGate
+from repro.gates import (
+    CCXGate,
+    CXGate,
+    FSimGate,
+    HGate,
+    NthRootISwapGate,
+    RZGate,
+    SqrtISwapGate,
+    SwapGate,
+    SycamoreGate,
+)
+from repro.transpiler.passes.schedule_analysis import ScheduleAnalysis
+from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.scheduling import (
     GateDurations,
     critical_path_duration,
@@ -228,3 +242,89 @@ class TestScheduleProperties:
         assert schedule.total_idle_time() == sum(idle)
         assert schedule.total_idle_time() == sum(makespan - busy for busy in scanned)
         assert schedule.utilisation() == sum(scanned) / (makespan * circuit.num_qubits)
+
+
+PRESETS = {
+    "snail": GateDurations.snail,
+    "cr": GateDurations.cross_resonance,
+    "fsim": GateDurations.tunable_coupler,
+}
+
+
+@st.composite
+def scheduled_circuits(draw):
+    """Random circuits of 1-, 2- and 3-qubit gates, barriers and n-th-root iSWAPs.
+
+    Instructions draw their gates from a small pool, so gate objects
+    repeat as they do in translated circuits.
+    """
+    width = draw(st.integers(min_value=3, max_value=6))
+    angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
+    pool = [
+        HGate(),
+        RZGate(draw(angles)),
+        CXGate(),
+        SwapGate(),
+        SqrtISwapGate(),
+        SycamoreGate(),
+        FSimGate(draw(angles), draw(angles)),
+        CCXGate(),
+    ] + [NthRootISwapGate(n) for n in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))]
+    circuit = QuantumCircuit(width)
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        qubits = draw(st.permutations(range(width)))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            circuit.barrier(qubits[: draw(st.integers(min_value=1, max_value=width))])
+            continue
+        gate = draw(st.sampled_from(pool))
+        circuit.append(gate, qubits[: gate.num_qubits])
+    return circuit
+
+
+class TestReferenceParity:
+    """The flat-list schedules against the TimedInstruction loops they replaced."""
+
+    @given(
+        circuit=scheduled_circuits(),
+        preset=st.sampled_from(sorted(PRESETS)),
+        disciplines=st.sampled_from(
+            [(schedule_asap, reference_schedule_asap), (schedule_alap, reference_schedule_alap)]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_schedules_agree_bit_for_bit(self, circuit, preset, disciplines):
+        durations = PRESETS[preset]()
+        scheduler, reference_scheduler = disciplines
+        schedule = scheduler(circuit, durations)
+        reference = reference_scheduler(circuit, durations)
+        timed = schedule.timed_instructions
+        reference_timed = reference.timed_instructions
+        assert len(timed) == len(reference_timed) == len(schedule) == len(circuit)
+        for ours, theirs in zip(timed, reference_timed):
+            assert ours.instruction is theirs.instruction
+            assert (ours.start, ours.stop) == (theirs.start, theirs.stop)
+        for name in (
+            "total_duration",
+            "total_idle_time",
+            "average_parallelism",
+            "utilisation",
+            "two_qubit_duration",
+        ):
+            assert getattr(schedule, name)() == getattr(reference, name)(), name
+        assert np.array_equal(schedule.timeline(37), reference.timeline(37))
+
+    def test_timed_instructions_are_built_once(self):
+        schedule = schedule_asap(layered_circuit(), GateDurations())
+        first = schedule.timed_instructions
+        assert [a is b for a, b in zip(first, schedule.timed_instructions)] == [True] * 3
+
+    def test_schedule_analysis_matches_reference_on_l3_noisy(self):
+        inputs = pass_inputs(1, "schedule_analysis")
+        assert len(inputs) == 92
+        for label, target, circuit in inputs:
+            properties = PropertySet()
+            ScheduleAnalysis(target.gate_durations()).run(circuit, properties)
+            reference = reference_schedule_asap(circuit, target.gate_durations())
+            assert properties["scheduled_duration_ns"] == reference.total_duration(), label
+            assert properties["scheduled_idle_ns"] == reference.total_idle_time(), label
+            assert properties["scheduled_parallelism"] == reference.average_parallelism(), label
